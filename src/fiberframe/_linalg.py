@@ -88,13 +88,6 @@ def frame_polar_isometry(F: np.ndarray, rank_rtol=1e-12) -> np.ndarray:
     return U @ Vh
 
 
-def matrix_rank_rel(F: np.ndarray, rtol=1e-10) -> int:
-    s = np.linalg.svd(F, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
-
-
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary via QR with phase normalization."""
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -113,12 +106,6 @@ def unitary_log_factors(V: np.ndarray):
     T, Z = schur(V.astype(np.complex128), output="complex")
     theta = np.angle(np.diagonal(T))
     return Z, theta
-
-
-def unitary_power(V: np.ndarray, s: float) -> np.ndarray:
-    """Fractional power V^s through the principal logarithm."""
-    Z, theta = unitary_log_factors(V)
-    return (Z * np.exp(1j * s * theta)) @ Z.conj().T
 
 
 def cluster_by_gap(values_desc: np.ndarray, rel_tol: float, ambiguity_factor: float = 10.0):

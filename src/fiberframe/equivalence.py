@@ -15,7 +15,6 @@ import numpy as np
 
 from ._linalg import as_hermitian, cluster_by_gap, polar_unitary
 from .core import as_frame_matrix, gram
-from .errors import ClusteringError  # noqa: F401  (re-exported for callers)
 
 __all__ = [
     "FlagType",

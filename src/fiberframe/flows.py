@@ -103,9 +103,62 @@ def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) ->
     return 4.0 * (delta @ F) + (4.0 * norm_weight) * (F * gap[None, :])
 
 
-def _rank_ok(F: np.ndarray, rtol: float) -> bool:
-    s = np.linalg.svd(F, compute_uv=False)
-    return bool(s[0] > 0.0 and s[min(F.shape) - 1] >= rtol * s[0]) and F.shape[1] >= F.shape[0]
+def _rank_ok(s: np.ndarray, k: int, rtol: float) -> bool:
+    """Whether the singular values s of a k x N matrix certify full row rank."""
+    return bool(s.size == k and s[0] > 0.0 and s[-1] >= rtol * s[0])
+
+
+def _realified_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares dF for D(F) dF = (R, b) on the realified Jacobian.
+
+    The columns are exact directional derivatives, one per real coordinate of
+    F; lstsq stays meaningful when F has lost rank.
+    """
+    k, N = F.shape
+    iu = np.triu_indices(k, 1)
+
+    def encode(W, g):
+        return np.concatenate([np.diag(W).real, g, W[iu].real, W[iu].imag])
+
+    cols = []
+    for part in (1.0, 1.0j):
+        for i in range(k):
+            for j in range(N):
+                E = np.zeros((k, N), dtype=complex)
+                E[i, j] = part
+                W = F @ E.conj().T + E @ F.conj().T
+                g = 2.0 * np.real(np.sum(np.conj(F) * E, axis=0))
+                cols.append(encode(W, g))
+    J = np.stack(cols, axis=1)
+    sol, *_ = np.linalg.lstsq(J, encode(R, b), rcond=None)
+    half = k * N
+    return sol[:half].reshape(k, N) + 1j * sol[half:].reshape(k, N)
+
+
+def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-12):
+    """Minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
+
+    The minimizer lies in the range of the derivative's adjoint, the normal
+    space {W F + F diag(g) : W Hermitian, g real}. In the singular basis
+    F = U diag(s) Vh the operator equations are diagonal, so W is eliminated
+    entrywise and the norms equations leave one real N x N system for g whose
+    kernel is the all-ones vector (trace(S) = sum(r)). When the singular
+    values fail the rank check, the realified least-squares step is used.
+    """
+    k, N = F.shape
+    U, s, Vh = np.linalg.svd(F, full_matrices=False)
+    if not _rank_ok(s, k, rank_rtol):
+        return _realified_preimage(F, R, b)
+    Ft = s[:, None] * Vh
+    K = 1.0 / (s[:, None] ** 2 + s[None, :] ** 2)
+    Rt = U.conj().T @ R @ U
+    # P[(a, b), j] = conj(Ft[a, j]) Ft[b, j]; W~ = K o (R~ - 2 Ft diag(g) Ft*)
+    P = (Ft.conj()[:, None, :] * Ft[None, :, :]).reshape(k * k, N)
+    KP = K.reshape(-1, 1) * P
+    T = np.diag(np.sum(np.abs(Ft) ** 2, axis=0)) - 2.0 * (KP.T @ P.conj()).real
+    g, *_ = np.linalg.lstsq(T, 0.5 * b - (Rt.reshape(-1) @ KP).real, rcond=None)
+    Wt = K * (Rt - 2.0 * (Ft * g) @ Ft.conj().T)
+    return U @ (Wt @ Ft + Ft * g)
 
 
 def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
@@ -136,7 +189,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
 
     step = opts.step_init
     for _ in range(opts.max_iters):
-        if not _rank_ok(F, opts.rank_rtol):
+        if not _rank_ok(np.linalg.svd(F, compute_uv=False), F.shape[0], opts.rank_rtol):
             return report("lost_rank", "iterate is numerically rank deficient")
         G = fiber_residual_gradient(F, target, w)
         gnorm2 = float(np.vdot(G, G).real)
@@ -238,22 +291,17 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     """Damped Gauss-Newton on the constraint map; returns (frame, FlowReport).
 
     The constraints (F F* - S, norms^2 - r) are quadratic in F, so near the
-    fiber the minimum-norm Newton step (least squares on the realified
-    Jacobian, whose columns are exact directional derivatives) converges
-    quadratically. Steps are halved until Phi decreases; a step that cannot
-    decrease Phi ends the run as "stalled". The Jacobian is rank-deficient by
-    one (trace of the operator part equals the norms total) and the residual
-    satisfies the same relation, so least squares stays consistent.
+    fiber the minimum-norm Newton step converges quadratically. That step lies
+    in the normal space {W F + F diag(g)} of the fiber, so it is solved in its
+    k^2 + N coordinates, eliminated in the singular basis of F. An iterate
+    that fails the rank_rtol full-rank check takes a least-squares step on the
+    realified Jacobian instead, the only route off a rank-deficient start.
+    Steps are halved until Phi decreases; a step that cannot decrease Phi ends
+    the run as "stalled".
     """
     opts = options or FlowOptions()
     F = as_frame_matrix(F0).copy()
-    k, N = F.shape
     w = opts.norm_weight
-    iu = np.triu_indices(k, 1)
-
-    def encode(W, g):
-        return np.concatenate([np.diag(W).real, g, W[iu].real, W[iu].imag])
-
     phi = fiber_residual(F, target, w)
     trace = [phi]
 
@@ -273,20 +321,7 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     for _ in range(min(opts.max_iters, 60)):
         delta = F @ F.conj().T - target.operator
         gap = norms_squared(F) - target.norms_sq
-        rhs = -encode(delta, gap)
-        cols = []
-        for part in (1.0, 1.0j):
-            for i in range(k):
-                for j in range(N):
-                    E = np.zeros((k, N), dtype=complex)
-                    E[i, j] = part
-                    W = F @ E.conj().T + E @ F.conj().T
-                    g = 2.0 * np.real(np.sum(np.conj(F) * E, axis=0))
-                    cols.append(encode(W, g))
-        J = np.stack(cols, axis=1)
-        sol, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        half = k * N
-        dF = sol[:half].reshape(k, N) + 1j * sol[half:].reshape(k, N)
+        dF = _normal_preimage(F, -delta, -gap, opts.rank_rtol)
         step = 1.0
         accepted = False
         for _ in range(25):

@@ -26,7 +26,7 @@ from ._linalg import (
 from .core import as_frame_matrix
 from .errors import ClusteringError, ConnectError
 from .fiber import FiberTarget
-from .flows import FlowOptions, fiber_residual, project_to_fiber
+from .flows import FlowOptions, _normal_preimage, fiber_residual, project_to_fiber
 
 __all__ = [
     "ConnectOptions",
@@ -191,46 +191,19 @@ def gauge_align(F0, F1, operator, cluster_tol: float = 1e-8) -> np.ndarray:
 def _tangent_kick(rng: np.random.Generator, F: np.ndarray, size: float) -> np.ndarray:
     """Random perturbation of norm `size`, projected onto the fiber tangent space at F.
 
-    The normal space at F is spanned by {A F : A Hermitian} + {F diag(d) : d real};
-    the component along it is removed by least squares over that basis.
+    The normal space at F is {A F + F diag(d) : A Hermitian, d real}, the range
+    of the adjoint of the momentum derivative D(F); the normal component of a
+    random G0 is the minimum-norm preimage of D(F) G0, the same solve that
+    gives the Newton step.
     """
     k, N = F.shape
     G0 = rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N))
-    cols = []
-    for i in range(k):
-        E = np.zeros((k, k), dtype=complex)
-        E[i, i] = 1.0
-        cols.append(E @ F)
-    for i in range(k):
-        for j in range(i + 1, k):
-            E = np.zeros((k, k), dtype=complex)
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            cols.append(E @ F)
-            E = np.zeros((k, k), dtype=complex)
-            E[i, j] = 1.0j
-            E[j, i] = -1.0j
-            cols.append(E @ F)
-    for j in range(N):
-        D = np.zeros((k, N), dtype=complex)
-        D[:, j] = F[:, j]
-        cols.append(D)
-
-    def realify(M):
-        return np.concatenate([M.real.ravel(), M.imag.ravel()])
-
-    basis = np.stack([realify(c) for c in cols], axis=1)
-    rhs = realify(G0)
-    coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-    normal = basis @ coef
-    tang = rhs - normal
-    nrm = np.linalg.norm(tang)
+    W = F @ G0.conj().T
+    T = G0 - _normal_preimage(F, W + W.conj().T, 2.0 * np.real(np.sum(F.conj() * G0, axis=0)))
+    nrm = np.linalg.norm(T)
     if nrm == 0.0:
         return np.zeros_like(F)
-    tang = tang / nrm
-    half = tang.shape[0] // 2
-    T = (tang[:half] + 1j * tang[half:]).reshape(k, N)
-    return size * T
+    return (size / nrm) * T
 
 
 def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) -> FramePath:

@@ -66,3 +66,58 @@ def fiber_residual_bruteforce(F, S, r):
     op = float(np.sum(np.abs(D) ** 2))
     gaps = np.sum(np.abs(F) ** 2, axis=0) - np.asarray(r, float)
     return op + float(np.sum(gaps**2))
+
+
+def min_norm_step_bruteforce(F, R, b):
+    """Independent minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
+
+    The realified Jacobian is built one real coordinate of F at a time from the
+    two derivative formulas and inverted with the pseudoinverse.
+    """
+    k, N = F.shape
+
+    def derivative(X):
+        W = F @ X.conj().T + X @ F.conj().T
+        g = 2.0 * np.real(np.sum(np.conj(F) * X, axis=0))
+        return np.concatenate([W.real.ravel(), W.imag.ravel(), g])
+
+    cols = []
+    for part in (1.0, 1.0j):
+        for idx in range(k * N):
+            E = np.zeros(k * N, dtype=complex)
+            E[idx] = part
+            cols.append(derivative(E.reshape(k, N)))
+    J = np.stack(cols, axis=1)
+    R = np.asarray(R, dtype=complex)
+    x = np.linalg.pinv(J) @ np.concatenate([R.real.ravel(), R.imag.ravel(), np.asarray(b, float)])
+    return (x[: k * N] + 1j * x[k * N :]).reshape(k, N)
+
+
+def tangent_part_bruteforce(F, G):
+    """G minus its least-squares fit by the spanning set {E F} + {F e_j e_j*}.
+
+    E runs over a real basis of the Hermitian k x k matrices, so the fit is
+    the orthogonal projection onto the normal space {A F + F diag(d)}.
+    """
+    k, N = F.shape
+    cols = []
+    for i in range(k):
+        for j in range(i, k):
+            for val in ((1.0,) if i == j else (1.0, 1.0j)):
+                E = np.zeros((k, k), dtype=complex)
+                E[i, j] = val
+                E[j, i] = np.conj(val)
+                cols.append(E @ F)
+    for j in range(N):
+        D = np.zeros((k, N), dtype=complex)
+        D[:, j] = F[:, j]
+        cols.append(D)
+
+    def realify(M):
+        return np.concatenate([M.real.ravel(), M.imag.ravel()])
+
+    basis = np.stack([realify(c) for c in cols], axis=1)
+    rhs = realify(G)
+    coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
+    tang = rhs - basis @ coef
+    return (tang[: k * N] + 1j * tang[k * N :]).reshape(k, N)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import fiber_residual_bruteforce, rand_frame, rand_rank_deficient
+from conftest import (
+    fiber_residual_bruteforce,
+    min_norm_step_bruteforce,
+    rand_frame,
+    rand_hermitian,
+    rand_rank_deficient,
+)
 
 from fiberframe import (
     FiberTarget,
@@ -20,6 +26,7 @@ from fiberframe import (
     project_to_fiber,
     random_frame_on_fiber,
 )
+from fiberframe.flows import _normal_preimage
 
 
 def perturbed_fiber_point(target, seed, rel=1e-2):
@@ -170,7 +177,7 @@ class TestNewtonRefine:
         F0 = perturbed_fiber_point(t, seed=21, rel=1e-3)
         F, rep = newton_refine(F0, t, FlowOptions(tol=1e-24))
         assert rep.converged
-        assert rep.iterations <= 10
+        assert rep.iterations == 2
         assert fiber_residual(F, t) <= 1e-24
         assert np.all(np.diff(rep.residual_trace) < 0)
 
@@ -185,7 +192,37 @@ class TestNewtonRefine:
         F0 = perturbed_fiber_point(t, seed=22, rel=0.2)
         F, rep = newton_refine(F0, t, FlowOptions(tol=1e-24))
         assert rep.converged
+        assert rep.iterations == 4
         assert fiber_residual(F, t) <= 1e-24
+
+    @pytest.mark.parametrize("k,N", [(2, 4), (3, 6), (4, 16)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_start_converges(self, k, N, seed):
+        # the realified least-squares step is the only way off a rank-deficient start
+        t = FiberTarget.funtf(k, N)
+        F0 = rand_rank_deficient(np.random.default_rng(seed), k, N)
+        for solver in (newton_refine, project_to_fiber):
+            F, rep = solver(F0, t, FlowOptions(tol=1e-20))
+            assert rep.converged
+            assert fiber_residual(F, t) <= 1e-20
+
+
+class TestNormalStep:
+    @pytest.mark.parametrize("k,N", [(2, 4), (4, 16), (8, 64)])
+    def test_matches_realified_min_norm_step(self, k, N):
+        rng = np.random.default_rng(k * N)
+        t = FiberTarget.funtf(k, N)
+        for _ in range(3):
+            F = rand_frame(rng, k, N)
+            # the Newton residual and a random consistent right-hand side
+            cases = [(t.operator - F @ F.conj().T, t.norms_sq - norms_squared(F))]
+            R = rand_hermitian(rng, k)
+            b = rng.standard_normal(N)
+            cases.append((R, b + (np.trace(R).real - b.sum()) / N))
+            for R, b in cases:
+                ref = min_norm_step_bruteforce(F, R, b)
+                dF = _normal_preimage(F, R, b)
+                assert np.linalg.norm(dF - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestCompositeProjection:

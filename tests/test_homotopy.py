@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_unitary
+from conftest import rand_hermitian, rand_unitary, tangent_part_bruteforce
 
 from fiberframe import (
     ConnectError,
@@ -16,6 +16,7 @@ from fiberframe import (
     random_frame_on_fiber,
     validate_path,
 )
+from fiberframe.homotopy import _tangent_kick
 
 
 def _pair(target, seed_a, seed_b):
@@ -100,6 +101,25 @@ class TestGaugeAlign:
         G = gauge_align(F0, F1, t.operator)
         assert np.linalg.norm(frame_operator(G) - t.operator) <= 1e-12
         assert np.max(np.abs(norms_squared(G) - t.norms_sq)) <= 1e-12
+
+
+class TestTangentKick:
+    @pytest.mark.parametrize("k,N,seed", [(2, 4, 0), (4, 9, 1)])
+    def test_size_normal_orthogonality_and_reference(self, k, N, seed):
+        F = random_frame_on_fiber(FiberTarget.funtf(k, N), seed=seed)
+        size = 1e-3
+        T = _tangent_kick(np.random.default_rng(seed), F, size)
+        assert np.linalg.norm(T) == pytest.approx(size, rel=1e-12)
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(5):
+            for X in (rand_hermitian(rng, k) @ F, F * rng.standard_normal(N)[None, :]):
+                assert abs(np.vdot(X, T).real) <= 1e-12 * np.linalg.norm(X) * size
+        # same rng draw through the basis least-squares projection
+        draw = np.random.default_rng(seed)
+        G0 = draw.standard_normal((k, N)) + 1j * draw.standard_normal((k, N))
+        ref = tangent_part_bruteforce(F, G0)
+        ref *= size / np.linalg.norm(ref)
+        assert np.linalg.norm(T - ref) <= 1e-12 * size
 
 
 class TestConnect:
