@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import ClusteringError
 
@@ -77,13 +76,18 @@ def polar_unitary(A: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
+def full_row_rank(s: np.ndarray, k: int, rtol: float) -> bool:
+    """Whether the singular values s of a k x N matrix certify full row rank (needs N >= k)."""
+    return bool(s.size == k and s[0] > 0.0 and s[-1] >= rtol * s[0])
+
+
 def frame_polar_isometry(F: np.ndarray, rank_rtol=1e-12) -> np.ndarray:
     """Partial isometry Q (Q Q* = Id_k) closest to the k x N matrix F.
 
-    Raises ValueError when F is rank deficient relative to rank_rtol.
+    Raises ValueError when F does not have full row rank relative to rank_rtol.
     """
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    if s[0] == 0.0 or s[-1] < rank_rtol * s[0]:
+    if not full_row_rank(s, F.shape[0], rank_rtol):
         raise ValueError("rank-deficient matrix has no well-defined polar isometry")
     return U @ Vh
 
@@ -98,14 +102,20 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def unitary_log_factors(V: np.ndarray):
-    """Factor a unitary V as Z diag(exp(i theta)) Z*.
+    """Factor a unitary V as Z diag(exp(i theta)) Z*, theta in (-pi, pi].
 
-    Schur form of a normal matrix is diagonal up to rounding, so the off-diagonal
-    part of T is discarded. theta uses the principal branch (-pi, pi].
+    W = exp(i phi) V puts the widest gap of the spectrum at -1, so the Cayley
+    transform i (I - W)(I + W)^-1 is a well-conditioned Hermitian matrix
+    whose eigenvalues mu give the angles 2 arctan(mu) of W.
     """
-    T, Z = schur(V.astype(np.complex128), output="complex")
-    theta = np.angle(np.diagonal(T))
-    return Z, theta
+    ang = np.sort(np.angle(np.linalg.eigvals(V)))
+    gaps = np.diff(np.append(ang, ang[0] + 2.0 * np.pi))
+    i = int(np.argmax(gaps))
+    phi = np.pi - ang[i] - 0.5 * gaps[i]
+    W = np.exp(1j * phi) * V
+    I = np.eye(V.shape[0])
+    mu, Z = np.linalg.eigh(hermitize(1j * np.linalg.solve(I + W, I - W)))
+    return Z, np.angle(np.exp(1j * (2.0 * np.arctan(mu) - phi)))
 
 
 def cluster_by_gap(values_desc: np.ndarray, rel_tol: float, ambiguity_factor: float = 10.0):

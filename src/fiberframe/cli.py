@@ -18,7 +18,7 @@ from . import __version__
 from .core import frame_bounds, is_frame, is_funtf, is_tight, norms_squared
 from .errors import ConnectError, InadmissibleError, NotAFrameError
 from .fiber import FiberTarget
-from .fileio import read_frame, read_target, write_frame, write_path
+from .fileio import _frame_obj, _load_json, _mat_from_obj, read_frame, read_target, write_frame, write_path
 from .flows import (
     FlowOptions,
     alternate_projections,
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "gradient", "alternating"),
         default="auto",
-        help="repair route (auto = alternating with gradient fallback)",
+        help="repair route (auto = alternating, then a Gauss-Newton polish)",
     )
     c.add_argument("--max-iters", type=int, default=2000)
     c.add_argument("--out", help="output frame file for the repaired frame")
@@ -105,10 +105,6 @@ class _Output:
             print(json.dumps(self.payload))
 
 
-def _frame_json_obj(F: np.ndarray) -> dict:
-    return {"k": F.shape[0], "N": F.shape[1], "re": F.real.tolist(), "im": F.imag.tolist()}
-
-
 def _cmd_check(args, out: _Output) -> int:
     F = read_frame(args.frame)
     out.add("k", F.shape[0])
@@ -145,7 +141,10 @@ def _cmd_construct(args, out: _Output) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         if args.operator_file:
-            S = read_target_operator(args.operator_file)
+            obj = _load_json(args.operator_file)
+            if isinstance(obj, dict) and "S" in obj:
+                obj = obj["S"]
+            S = _mat_from_obj(obj, "operator")
             F = construct_frame_with_operator(S, r, rng=rng)
         else:
             F = construct_frame(np.asarray(args.lam, dtype=float), r, rng=rng)
@@ -160,21 +159,10 @@ def _cmd_construct(args, out: _Output) -> int:
         write_frame(F, args.out)
         out.add("out", args.out)
     else:
-        out.payload["frame"] = _frame_json_obj(F)
+        out.payload["frame"] = _frame_obj(F)
         if not out.as_json:
             print(json.dumps(out.payload["frame"]))
     return 0
-
-
-def read_target_operator(path) -> np.ndarray:
-    """Operator from a target file ({"S": ...}) or a bare {"re", "im"} matrix file."""
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    if isinstance(obj, dict) and "S" in obj:
-        obj = obj["S"]
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ValueError("operator file needs an 'S' entry or 're'/'im' arrays")
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
 
 
 def _cmd_tighten(args, out: _Output) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, as_complex_vector, hermitize
+from ._linalg import as_complex_matrix, as_complex_vector, full_row_rank, hermitize
 from .errors import NotAFrameError
 
 __all__ = [
@@ -35,6 +35,14 @@ def as_frame_matrix(F, name="F") -> np.ndarray:
     if F.shape[0] < 1 or F.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
     return F
+
+
+def _frame_pair(A, B, names=("F0", "F1")):
+    """Two frames of equal shape."""
+    A, B = as_frame_matrix(A, names[0]), as_frame_matrix(B, names[1])
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
+    return A, B
 
 
 def analysis(F, v) -> np.ndarray:
@@ -73,7 +81,10 @@ def gram(F) -> np.ndarray:
 
 def norms_squared(F) -> np.ndarray:
     """Squared column norms (||f_1||^2, ..., ||f_N||^2)."""
-    F = as_frame_matrix(F)
+    return _norms_squared(as_frame_matrix(F))
+
+
+def _norms_squared(F: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(F) ** 2, axis=0)
 
 
@@ -96,11 +107,10 @@ def frame_bounds(F, rtol: float = 1e-10) -> FrameBounds:
     when the columns do not span C^k (relative rank tolerance rtol).
     """
     F = as_frame_matrix(F)
-    k, N = F.shape
     s = np.linalg.svd(F, compute_uv=False)
-    if N < k or s[0] == 0.0 or s[k - 1] < rtol * s[0]:
+    if not full_row_rank(s, F.shape[0], rtol):
         raise NotAFrameError("columns do not span the ambient space")
-    return FrameBounds(lower=float(s[k - 1] ** 2), upper=float(s[0] ** 2))
+    return FrameBounds(lower=float(s[-1] ** 2), upper=float(s[0] ** 2))
 
 
 def is_frame(F, rtol: float = 1e-10) -> bool:

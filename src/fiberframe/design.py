@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import as_hermitian, as_real_vector, cluster_by_gap, eigh_desc, haar_unitary
 from .errors import ClusteringError, InadmissibleError
 from .fiber import FiberTarget, as_spectrum
-from .flows import FlowOptions, fiber_residual, project_to_fiber
+from .flows import FlowOptions, _residual, project_to_fiber
 
 __all__ = [
     "AdmissibilityCheck",
@@ -73,6 +73,10 @@ def is_admissible(spectrum, norms_sq, tol: float = 1e-10) -> AdmissibilityCheck:
     r = as_real_vector(norms_sq, "norms_sq")
     if r.size == 0 or np.any(r <= 0.0):
         raise ValueError("norms_sq must be non-empty and strictly positive")
+    return _admissibility(lam, r, tol)
+
+
+def _admissibility(lam: np.ndarray, r: np.ndarray, tol: float = 1e-10) -> AdmissibilityCheck:
     k, N = lam.size, r.size
     slack = tol * max(1.0, float(np.sum(lam)))
     if N < k:
@@ -218,13 +222,13 @@ def random_admissible_norms(spectrum, N: int, rng: np.random.Generator) -> np.nd
     def blend(t):
         return t * uniform + (1.0 - t) * q
 
-    if is_admissible(lam, blend(0.0)):
+    if _admissibility(lam, blend(0.0)):
         tstar = 0.0
     else:
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if is_admissible(lam, blend(mid)):
+            if _admissibility(lam, blend(mid)):
                 hi = mid
             else:
                 lo = mid
@@ -267,7 +271,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     for _ in range(6):
         Q = haar_unitary(N, rng)
         Fc, _rep = project_to_fiber(F @ Q, target, polish)
-        if fiber_residual(Fc, target) <= 1e-20:
+        if _residual(Fc, target) <= 1e-20:
             return Fc
     # the pre-scramble frame sits on the fiber exactly (up to rounding)
     return F

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import as_hermitian, cluster_by_gap, polar_unitary
-from .core import as_frame_matrix, gram
+from .core import _frame_pair, as_frame_matrix, gram
 
 __all__ = [
     "FlagType",
@@ -88,10 +88,7 @@ def reduced_dimension(ft: FlagType, N: int) -> int:
 
 def same_gram_class(F1, F2, tol: float = 1e-8) -> bool:
     """Whether the two frames have the same Gram matrix within tolerance."""
-    F1 = as_frame_matrix(F1, "F1")
-    F2 = as_frame_matrix(F2, "F2")
-    if F1.shape != F2.shape:
-        raise ValueError(f"shape mismatch {F1.shape} vs {F2.shape}")
+    F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
     G1, G2 = gram(F1), gram(F2)
     return bool(np.linalg.norm(G1 - G2) <= tol * max(1.0, np.linalg.norm(G1)))
 
@@ -103,10 +100,7 @@ def unitary_equivalent(F1, F2, tol: float = 1e-8):
     factor of F2 F1*, and the candidate is verified against tol before being
     returned.
     """
-    F1 = as_frame_matrix(F1, "F1")
-    F2 = as_frame_matrix(F2, "F2")
-    if F1.shape != F2.shape:
-        raise ValueError(f"shape mismatch {F1.shape} vs {F2.shape}")
+    F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
     U = polar_unitary(F2 @ F1.conj().T)
     resid = np.linalg.norm(U @ F1 - F2)
     if resid <= tol * max(1.0, np.linalg.norm(F1)):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import as_hermitian, as_real_vector
-from .momentum import is_regular_value
+from .momentum import _regular_value
 
 __all__ = ["as_spectrum", "FiberTarget"]
 
@@ -35,8 +35,7 @@ class FiberTarget:
     norms_sq : length-N vector of strictly positive squared norms
 
     Construction validates Hermitianity, positive definiteness, positivity of
-    the norms, and the trace identity trace(S) = sum(r) without which the
-    fiber is empty.
+    the norms, N >= k and trace(S) = sum(r), without which the fiber is empty.
     """
 
     operator: np.ndarray
@@ -49,7 +48,9 @@ class FiberTarget:
             raise ValueError("norms_sq must be non-empty")
         if np.any(r <= 0.0):
             raise ValueError("norms_sq entries must be strictly positive")
-        check = is_regular_value(S, -0.5 * r)
+        if r.size < S.shape[0]:
+            raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
+        check = _regular_value(S, -0.5 * r, 1e-12)
         if not check:
             raise ValueError(f"target is not a regular momentum value: {check.reason}")
         total = float(np.sum(r))

@@ -59,10 +59,12 @@ def _mat_from_obj(obj, name="matrix") -> np.ndarray:
     return as_complex_matrix(re + 1j * im, name)
 
 
+def _frame_obj(F: np.ndarray) -> dict:
+    return {"k": F.shape[0], "N": F.shape[1], **_mat_to_obj(F)}
+
+
 def write_frame_json(F, path) -> None:
-    F = as_frame_matrix(F)
-    k, N = F.shape
-    obj = {"k": k, "N": N, "re": F.real.tolist(), "im": F.imag.tolist()}
+    obj = _frame_obj(as_frame_matrix(F))
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f)
         f.write("\n")

@@ -4,9 +4,11 @@ The distance to the fiber is measured by
 
     Phi(F) = ||F F* - S||_F^2 + w * sum_j (||f_j||^2 - r_j)^2
 
-with weight w = 1 by default. Two routes are provided: Armijo-backtracking
-gradient descent on Phi in the ambient matrix space, and alternation of the
-two exact constraint projections (operator part, then column rescaling).
+with weight w = 1 by default. Three routes are provided: Armijo-backtracking
+gradient descent on Phi in the ambient matrix space, alternation of the two
+exact constraint projections (operator part, then column rescaling), and a
+damped Gauss-Newton polish. Public functions validate their arguments once;
+their loops call private kernels on the checked arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import as_hermitian, frame_polar_isometry, psd_sqrt
-from .core import as_frame_matrix, norms_squared
+from ._linalg import as_hermitian, frame_polar_isometry, full_row_rank, psd_sqrt
+from .core import _norms_squared, as_frame_matrix
 from .fiber import FiberTarget
 
 __all__ = [
@@ -80,14 +82,31 @@ class FlowReport:
         }
 
 
-def fiber_residual(F, target: FiberTarget, norm_weight: float = 1.0) -> float:
-    """Squared momentum distance Phi(F) to the target fiber."""
+def _report(method, trace, status, message="", final_residual=None) -> FlowReport:
+    """FlowReport for a residual trace; final_residual defaults to its last entry."""
+    final = trace[-1] if final_residual is None else final_residual
+    return FlowReport(method, status, len(trace) - 1, final, np.asarray(trace), message)
+
+
+def _target_frame(F, target: FiberTarget) -> np.ndarray:
     F = as_frame_matrix(F)
     if F.shape != (target.k, target.N):
         raise ValueError(f"frame shape {F.shape} does not match target ({target.k}, {target.N})")
-    delta = F @ F.conj().T - target.operator
-    gap = norms_squared(F) - target.norms_sq
-    return float(np.vdot(delta, delta).real + norm_weight * np.dot(gap, gap))
+    return F
+
+
+def fiber_residual(F, target: FiberTarget, norm_weight: float = 1.0) -> float:
+    """Squared momentum distance Phi(F) to the target fiber."""
+    return _residual(_target_frame(F, target), target, norm_weight)
+
+
+def _gaps(F: np.ndarray, target: FiberTarget):
+    return F @ F.conj().T - target.operator, _norms_squared(F) - target.norms_sq
+
+
+def _residual(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> float:
+    delta, gap = _gaps(F, target)
+    return float(np.vdot(delta, delta).real + w * np.dot(gap, gap))
 
 
 def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) -> np.ndarray:
@@ -95,17 +114,12 @@ def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) ->
 
     grad Phi = 4 (F F* - S) F + 4 w F diag(||f_j||^2 - r_j).
     """
-    F = as_frame_matrix(F)
-    if F.shape != (target.k, target.N):
-        raise ValueError(f"frame shape {F.shape} does not match target ({target.k}, {target.N})")
-    delta = F @ F.conj().T - target.operator
-    gap = norms_squared(F) - target.norms_sq
-    return 4.0 * (delta @ F) + (4.0 * norm_weight) * (F * gap[None, :])
+    return _residual_gradient(_target_frame(F, target), target, norm_weight)
 
 
-def _rank_ok(s: np.ndarray, k: int, rtol: float) -> bool:
-    """Whether the singular values s of a k x N matrix certify full row rank."""
-    return bool(s.size == k and s[0] > 0.0 and s[-1] >= rtol * s[0])
+def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float) -> np.ndarray:
+    delta, gap = _gaps(F, target)
+    return 4.0 * (delta @ F) + (4.0 * w) * (F * gap[None, :])
 
 
 def _realified_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,7 +161,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, rank_rtol: flo
     """
     k, N = F.shape
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    if not _rank_ok(s, k, rank_rtol):
+    if not full_row_rank(s, k, rank_rtol):
         return _realified_preimage(F, R, b)
     Ft = s[:, None] * Vh
     K = 1.0 / (s[:, None] ** 2 + s[None, :] ** 2)
@@ -169,29 +183,22 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     within rank_rtol of dropping rank), "max_iters".
     """
     opts = options or FlowOptions()
-    F = as_frame_matrix(F0).copy()
+    F = _target_frame(F0, target).copy()
     w = opts.norm_weight
-    phi = fiber_residual(F, target, w)
+    phi = _residual(F, target, w)
     trace = [phi]
 
     def report(status, message=""):
-        return F, FlowReport(
-            method="gradient",
-            status=status,
-            iterations=len(trace) - 1,
-            final_residual=trace[-1],
-            residual_trace=np.asarray(trace),
-            message=message,
-        )
+        return F, _report("gradient", trace, status, message)
 
     if phi <= opts.tol:
         return report("converged")
 
     step = opts.step_init
     for _ in range(opts.max_iters):
-        if not _rank_ok(np.linalg.svd(F, compute_uv=False), F.shape[0], opts.rank_rtol):
+        if not full_row_rank(np.linalg.svd(F, compute_uv=False), F.shape[0], opts.rank_rtol):
             return report("lost_rank", "iterate is numerically rank deficient")
-        G = fiber_residual_gradient(F, target, w)
+        G = _residual_gradient(F, target, w)
         gnorm2 = float(np.vdot(G, G).real)
         if gnorm2 == 0.0:
             return report("stalled", "gradient vanished away from the fiber")
@@ -199,7 +206,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
         accepted = False
         for _ in range(80):
             Fn = F - s * G
-            phin = fiber_residual(Fn, target, w)
+            phin = _residual(Fn, target, w)
             if phin <= phi - opts.armijo_c * s * gnorm2:
                 accepted = True
                 break
@@ -226,8 +233,7 @@ def project_frame_operator(F, operator, operator_sqrt=None, rank_rtol: float = 1
     F = as_frame_matrix(F)
     if operator_sqrt is None:
         operator_sqrt = psd_sqrt(as_hermitian(operator, name="operator"))
-    Q = frame_polar_isometry(F, rank_rtol)
-    return operator_sqrt @ Q
+    return operator_sqrt @ frame_polar_isometry(F, rank_rtol)
 
 
 def project_norms(F, norms_sq) -> np.ndarray:
@@ -235,9 +241,11 @@ def project_norms(F, norms_sq) -> np.ndarray:
 
     Raises ValueError when a column is numerically zero (no direction to keep).
     """
-    F = as_frame_matrix(F)
-    r = np.asarray(norms_sq, dtype=float)
-    n = norms_squared(F)
+    return _project_norms(as_frame_matrix(F), np.asarray(norms_sq, dtype=float))
+
+
+def _project_norms(F: np.ndarray, r: np.ndarray) -> np.ndarray:
+    n = _norms_squared(F)
     if np.any(n <= 1e-300):
         raise ValueError("zero column cannot be rescaled to a positive norm")
     return F * np.sqrt(r / n)[None, :]
@@ -250,33 +258,26 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     improved for stall_iters rounds.
     """
     opts = options or FlowOptions()
-    F = as_frame_matrix(F0).copy()
+    F = _target_frame(F0, target).copy()
     w = opts.norm_weight
     S_sqrt = psd_sqrt(target.operator)
-    phi = fiber_residual(F, target, w)
+    phi = _residual(F, target, w)
     trace = [phi]
     best_F, best_phi, best_it = F, phi, 0
 
     def report(G, status, message=""):
-        return G, FlowReport(
-            method="alternating",
-            status=status,
-            iterations=len(trace) - 1,
-            final_residual=fiber_residual(G, target, w),
-            residual_trace=np.asarray(trace),
-            message=message,
-        )
+        return G, _report("alternating", trace, status, message, _residual(G, target, w))
 
     if phi <= opts.tol:
         return report(F, "converged")
 
     for it in range(1, opts.max_iters + 1):
         try:
-            F = project_frame_operator(F, target.operator, S_sqrt, opts.rank_rtol)
-            F = project_norms(F, target.norms_sq)
+            F = S_sqrt @ frame_polar_isometry(F, opts.rank_rtol)
+            F = _project_norms(F, target.norms_sq)
         except ValueError as exc:
             return report(best_F, "lost_rank", str(exc))
-        phi = fiber_residual(F, target, w)
+        phi = _residual(F, target, w)
         trace.append(phi)
         if phi < best_phi:
             best_F, best_phi, best_it = F, phi, it
@@ -300,33 +301,25 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     the run as "stalled".
     """
     opts = options or FlowOptions()
-    F = as_frame_matrix(F0).copy()
+    F = _target_frame(F0, target).copy()
     w = opts.norm_weight
-    phi = fiber_residual(F, target, w)
+    phi = _residual(F, target, w)
     trace = [phi]
 
     def report(status, message=""):
-        return F, FlowReport(
-            method="newton",
-            status=status,
-            iterations=len(trace) - 1,
-            final_residual=trace[-1],
-            residual_trace=np.asarray(trace),
-            message=message,
-        )
+        return F, _report("newton", trace, status, message)
 
     if phi <= opts.tol:
         return report("converged")
 
     for _ in range(min(opts.max_iters, 60)):
-        delta = F @ F.conj().T - target.operator
-        gap = norms_squared(F) - target.norms_sq
+        delta, gap = _gaps(F, target)
         dF = _normal_preimage(F, -delta, -gap, opts.rank_rtol)
         step = 1.0
         accepted = False
         for _ in range(25):
             Fn = F + step * dF
-            phin = fiber_residual(Fn, target, w)
+            phin = _residual(Fn, target, w)
             if phin < phi:
                 accepted = True
                 break
@@ -343,36 +336,14 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
 def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     """Projection onto the fiber; returns (frame, report).
 
-    A short alternating-projection phase contracts toward the fiber, a Newton
-    polish finishes quadratically, and gradient descent plus a second polish
-    serve as the fallback when the polish stalls outside its basin.
+    A short alternating-projection phase contracts toward the fiber, and a
+    Newton polish finishes quadratically when alternation alone has not
+    converged.
     """
     opts = options or FlowOptions()
-    phases = []
-    traces = []
-
     F, rep = alternate_projections(F0, target, replace(opts, max_iters=min(200, opts.max_iters)))
-    phases.append("alternating")
-    traces.append(rep.residual_trace)
+    method, trace = "alternating", rep.residual_trace
     if not rep.converged:
         F, rep = newton_refine(F, target, opts)
-        phases.append("newton")
-        traces.append(rep.residual_trace[1:])
-    if not rep.converged:
-        F, rep = flow_to_fiber(F, target, opts)
-        phases.append("gradient")
-        traces.append(rep.residual_trace[1:])
-        if not rep.converged:
-            F, rep = newton_refine(F, target, opts)
-            phases.append("newton")
-            traces.append(rep.residual_trace[1:])
-    trace = np.concatenate([t for t in traces if t.size])
-    combined = FlowReport(
-        method="+".join(phases),
-        status=rep.status,
-        iterations=len(trace) - 1,
-        final_residual=rep.final_residual,
-        residual_trace=trace,
-        message=rep.message,
-    )
-    return F, combined
+        method, trace = "alternating+newton", np.concatenate([trace, rep.residual_trace[1:]])
+    return F, _report(method, trace, rep.status, rep.message, rep.final_residual)

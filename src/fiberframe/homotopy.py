@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    as_complex_matrix,
+    as_hermitian,
     cluster_by_gap,
     polar_unitary,
     eigh_desc,
     unitary_log_factors,
 )
-from .core import as_frame_matrix
+from .core import _frame_pair, as_frame_matrix
 from .errors import ClusteringError, ConnectError
 from .fiber import FiberTarget
-from .flows import FlowOptions, _normal_preimage, fiber_residual, project_to_fiber
+from .flows import FlowOptions, _normal_preimage, _residual, project_to_fiber
 
 __all__ = [
     "ConnectOptions",
@@ -97,7 +97,9 @@ class FramePath:
         return zip(self.times, self.frames)
 
     def residuals(self) -> np.ndarray:
-        return np.array([fiber_residual(F, self.target) for F in self.frames])
+        if not np.all(np.isfinite(self.frames)):
+            raise ValueError("frames contain non-finite entries")
+        return np.array([_residual(F, self.target) for F in self.frames])
 
     def step_norms(self) -> np.ndarray:
         d = np.diff(self.frames, axis=0)
@@ -179,11 +181,8 @@ def gauge_align(F0, F1, operator, cluster_tol: float = 1e-8) -> np.ndarray:
     preserves both fiber constraints (operator and column norms) up to the
     cluster widths; blockwise it is the orthogonal-Procrustes optimum.
     """
-    F0 = as_frame_matrix(F0, "F0")
-    F1 = as_frame_matrix(F1, "F1")
-    if F0.shape != F1.shape:
-        raise ValueError(f"shape mismatch {F0.shape} vs {F1.shape}")
-    S = as_complex_matrix(operator, "operator")
+    F0, F1 = _frame_pair(F0, F1)
+    S = as_hermitian(operator, name="operator")
     V = _commutant_gauge(F0, F1, S, cluster_tol)
     return V @ F1
 
@@ -215,15 +214,12 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     before being returned and is deterministic for a fixed seed.
     """
     opts = options or ConnectOptions()
-    F0 = as_frame_matrix(F0, "F0").copy()
-    F1 = as_frame_matrix(F1, "F1").copy()
-    if F0.shape != F1.shape:
-        raise ValueError(f"shape mismatch {F0.shape} vs {F1.shape}")
+    F0, F1 = _frame_pair(F0, F1)
     if F0.shape != (target.k, target.N):
         raise ValueError(f"frame shape {F0.shape} does not match target")
     ptol2 = opts.path_tol**2
     for name, F in (("F0", F0), ("F1", F1)):
-        phi = fiber_residual(F, target)
+        phi = _residual(F, target)
         if phi > ptol2:
             raise ValueError(f"{name} is off the fiber: residual {phi:.3e} > {ptol2:.3e}")
 
@@ -244,13 +240,13 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
 
     def project(X, kick_base=None):
         G, _rep = project_to_fiber(X, target, proj_opts)
-        if fiber_residual(G, target) <= accept_tol:
+        if _residual(G, target) <= accept_tol:
             return G
         if kick_base is not None:
             for _ in range(opts.max_restarts):
                 Xk = X + _tangent_kick(rng, kick_base, opts.kick_scale * scale)
                 G, _rep = project_to_fiber(Xk, target, proj_opts)
-                if fiber_residual(G, target) <= accept_tol:
+                if _residual(G, target) <= accept_tol:
                     return G
         return None
 
@@ -301,7 +297,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         for s in np.linspace(0.0, 1.0, nsteps + 1)[1:]:
             Vs = (Z * np.exp(1j * (1.0 - s) * theta)) @ Z.conj().T
             Fs = Vs @ F1
-            if fiber_residual(Fs, target) > accept_tol:
+            if _residual(Fs, target) > accept_tol:
                 Fs = project(Fs)
                 if Fs is None:
                     raise ConnectError("gauge unwind sample left the fiber", t=1.0)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, as_real_vector, hermitize
+from ._linalg import (
+    as_complex_matrix,
+    as_hermitian,
+    as_real_vector,
+    full_row_rank,
+    hermitian_deviation,
+    hermitize,
+)
 from .core import as_frame_matrix, frame_operator, norms_squared
 from .errors import NotAFrameError
 
@@ -57,8 +64,7 @@ class LieAlgebraElement:
         B = as_complex_matrix(self.skew, "skew")
         if B.shape[0] != B.shape[1]:
             raise ValueError(f"skew part must be square, got {B.shape}")
-        dev = np.linalg.norm(B + B.conj().T)
-        if dev > 1e-10 * max(1.0, np.linalg.norm(B)):
+        if hermitian_deviation(1j * B) > 1e-10:
             raise ValueError("skew part is not anti-Hermitian within tolerance")
         t = as_real_vector(self.torus, "torus")
         object.__setattr__(self, "skew", B)
@@ -105,21 +111,23 @@ def momentum(F) -> MomentumValue:
     return MomentumValue(operator=momentum_unitary(F), torus=momentum_torus(F))
 
 
-def momentum_derivative_unitary(F, X) -> np.ndarray:
-    """Derivative of F -> F F* at F in direction X: F X* + X F* (Hermitian)."""
+def _frame_and_direction(F, X):
     F = as_frame_matrix(F)
     X = as_complex_matrix(X, "X")
     if X.shape != F.shape:
         raise ValueError(f"X has shape {X.shape}, expected {F.shape}")
+    return F, X
+
+
+def momentum_derivative_unitary(F, X) -> np.ndarray:
+    """Derivative of F -> F F* at F in direction X: F X* + X F* (Hermitian)."""
+    F, X = _frame_and_direction(F, X)
     return hermitize(F @ X.conj().T + X @ F.conj().T)
 
 
 def momentum_derivative_torus(F, X) -> np.ndarray:
     """Derivative of the torus momentum: -Re <f_j, x_j> per column."""
-    F = as_frame_matrix(F)
-    X = as_complex_matrix(X, "X")
-    if X.shape != F.shape:
-        raise ValueError(f"X has shape {X.shape}, expected {F.shape}")
+    F, X = _frame_and_direction(F, X)
     return -np.real(np.sum(np.conj(F) * X, axis=0))
 
 
@@ -153,17 +161,14 @@ def invert_momentum_derivative(F, W, rank_rtol: float = 1e-12) -> np.ndarray:
     F* gives v* (F X* + X F*) v = 0, so W with v* W v != 0 are unreachable.
     """
     F = as_frame_matrix(F)
-    W = as_complex_matrix(W, "W")
+    W = as_hermitian(W, name="W")
     k = F.shape[0]
     if W.shape != (k, k):
         raise ValueError(f"W has shape {W.shape}, expected {(k, k)}")
-    if np.linalg.norm(W - W.conj().T) > 1e-10 * max(1.0, np.linalg.norm(W)):
-        raise ValueError("W must be Hermitian")
-    s = np.linalg.svd(F, compute_uv=False)
-    if F.shape[1] < k or s[0] == 0.0 or s[k - 1] < rank_rtol * s[0]:
+    if not full_row_rank(np.linalg.svd(F, compute_uv=False), k, rank_rtol):
         raise NotAFrameError("derivative is not surjective: frame is rank deficient")
     S = F @ F.conj().T
-    return 0.5 * hermitize(W) @ np.linalg.solve(S, F)
+    return 0.5 * W @ np.linalg.solve(S, F)
 
 
 def left_kernel_vector(F, rank_rtol: float = 1e-10) -> np.ndarray:
@@ -172,10 +177,8 @@ def left_kernel_vector(F, rank_rtol: float = 1e-10) -> np.ndarray:
     Raises NotAFrameError when F has full row rank (no such vector exists).
     """
     F = as_frame_matrix(F)
-    k, N = F.shape
     U, s, _ = np.linalg.svd(F, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    if N >= k and s.size == k and smax > 0.0 and s[k - 1] >= rank_rtol * smax:
+    if full_row_rank(s, F.shape[0], rank_rtol):
         raise NotAFrameError("frame has full rank; left kernel is trivial")
     return U[:, -1]
 
@@ -201,12 +204,16 @@ def is_regular_value(S, torus, tol: float = 1e-12) -> RegularValueCheck:
     S = as_complex_matrix(S, "S")
     if S.shape[0] != S.shape[1]:
         return RegularValueCheck(False, "operator part is not square")
-    if np.linalg.norm(S - S.conj().T) > 1e-10 * max(1.0, np.linalg.norm(S)):
+    if hermitian_deviation(S) > 1e-10:
         return RegularValueCheck(False, "operator part is not Hermitian")
-    w = np.linalg.eigvalsh(hermitize(S))
+    return _regular_value(hermitize(S), as_real_vector(torus, "torus"), tol)
+
+
+def _regular_value(S: np.ndarray, t: np.ndarray, tol: float) -> RegularValueCheck:
+    """is_regular_value for an already Hermitian S and a real vector t."""
+    w = np.linalg.eigvalsh(S)
     if w[0] <= tol * max(1.0, w[-1]):
         return RegularValueCheck(False, "operator part is not positive definite")
-    t = as_real_vector(torus, "torus")
     if np.any(t >= -0.5 * tol):
         return RegularValueCheck(False, "torus part has a non-negative entry")
     return RegularValueCheck(True)

@@ -103,6 +103,18 @@ class TestConstruct:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare_matrix", "target_file"])
+    def test_operator_file(self, tmp_path, capsys, wrap):
+        S = {"re": [[1.5, 0.5], [0.5, 1.5]], "im": [[0.0, 0.25], [-0.25, 0.0]]}
+        f = tmp_path / "S.json"
+        f.write_text(json.dumps({"S": S, "r": [1, 1, 1]} if wrap else S))
+        outfile = tmp_path / "built.json"
+        code, _, _ = run(capsys, "construct", "--S", str(f), "--r", "1", "1", "1", "--out", str(outfile))
+        assert code == 0
+        S_mat = np.array(S["re"]) + 1j * np.array(S["im"])
+        t = FiberTarget(operator=S_mat, norms_sq=np.ones(3))
+        assert fiber_residual(read_frame(outfile), t) <= 1e-16
+
     def test_inadmissible_reports_violation(self, capsys):
         code, out, _ = run(capsys, "construct", "--lambda", "1", "1", "--r", "1.5", "0.5")
         assert code == 1
@@ -204,6 +216,21 @@ class TestErrors:
         write_target(other, t2)
         code, _, err = run(capsys, "check", ffile, "--target", str(t2))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"re": [[2, 0], [0, 1]], "im": [0]}',
+            '{"S": {"re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}',
+        ],
+        ids=["re_im_shape_mismatch", "nan"],
+    )
+    def test_bad_operator_file_is_usage_error(self, tmp_path, capsys, text):
+        f = tmp_path / "S.json"
+        f.write_text(text)
+        code, _, err = run(capsys, "construct", "--S", str(f), "--r", "1", "1", "1")
+        assert code == 2
+        assert "error:" in err
 
     def test_no_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -49,3 +49,8 @@ class TestFiberTarget:
     def test_rejects_trace_mismatch(self):
         with pytest.raises(ValueError):
             FiberTarget(operator=np.eye(2, dtype=complex), norms_sq=np.ones(3))
+
+    def test_rejects_fewer_vectors_than_dimensions(self):
+        # trace(S) = sum(r), but rank F <= N < k leaves the fiber empty
+        with pytest.raises(ValueError, match="N >= k"):
+            FiberTarget(operator=np.eye(3, dtype=complex), norms_sq=np.array([1.5, 1.5]))

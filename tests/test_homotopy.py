@@ -102,6 +102,12 @@ class TestGaugeAlign:
         assert np.linalg.norm(frame_operator(G) - t.operator) <= 1e-12
         assert np.max(np.abs(norms_squared(G) - t.norms_sq)) <= 1e-12
 
+    def test_rejects_non_hermitian_operator(self):
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            gauge_align(F0, F1, np.array([[2.0, 5.0], [0.0, 2.0]]))
+
 
 class TestTangentKick:
     @pytest.mark.parametrize("k,N,seed", [(2, 4, 0), (4, 9, 1)])
