@@ -29,7 +29,7 @@ from .flows import (
 from .design import construct_frame, construct_frame_with_operator, is_admissible
 from .equivalence import unitary_equivalent
 from .homotopy import ConnectOptions, connect, validate_path
-from .momentum import is_regular_value, momentum
+from .momentum import momentum
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="repair route (auto = alternating, then a Gauss-Newton polish)",
     )
-    c.add_argument("--max-iters", type=int, default=2000)
+    c.add_argument(
+        "--max-iters",
+        type=int,
+        default=2000,
+        help="iteration cap; with --method auto, alternation stops at 200 rounds and Newton at 60 "
+        "iterations, so values above 200 have no effect",
+    )
     c.add_argument("--out", help="output frame file for the repaired frame")
 
     c = sub.add_parser("connect", help="trace an on-fiber path between two frames")
@@ -128,8 +134,8 @@ def _cmd_check(args, out: _Output) -> int:
         on_fiber = phi <= args.tol**2
         out.add("fiber_residual", phi)
         out.add("on_fiber", on_fiber)
-        reg = is_regular_value(target.operator, -0.5 * target.norms_sq)
-        out.add("target_regular_value", bool(reg))
+        # FiberTarget construction rejects a target that is not a regular value
+        out.add("target_regular_value", True)
         adm = is_admissible(target.spectrum(), target.norms_sq)
         out.add("target_admissible", bool(adm))
         failed = failed or not on_fiber

@@ -4,11 +4,12 @@ The distance to the fiber is measured by
 
     Phi(F) = ||F F* - S||_F^2 + w * sum_j (||f_j||^2 - r_j)^2
 
-with weight w = 1 by default. Three routes are provided: Armijo-backtracking
-gradient descent on Phi in the ambient matrix space, alternation of the two
-exact constraint projections (operator part, then column rescaling), and a
-damped Gauss-Newton polish. Public functions validate their arguments once;
-their loops call private kernels on the checked arrays.
+with weight w = 1 (fiber_residual and its gradient take another w; the flows
+always use w = 1). Three routes are provided: Armijo-backtracking gradient
+descent on Phi in the ambient matrix space, alternation of the two exact
+constraint projections (operator part, then column rescaling), and a damped
+Gauss-Newton polish. Public functions validate their arguments once; their
+loops call private kernels on the checked arrays.
 """
 
 from __future__ import annotations
@@ -35,25 +36,28 @@ __all__ = [
 ]
 
 
+# Armijo line search of flow_to_fiber: first step, sufficient-decrease constant, backtracking factor
+_STEP_INIT = 0.1
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+# relative singular-value threshold below which an iterate counts as rank deficient
+_RANK_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class FlowOptions:
     """Knobs shared by the repair flows.
 
-    tol bounds the objective Phi at which a run counts as converged.
-    step_init, armijo_c and backtrack_factor control the line search;
+    max_iters caps the iterations of a run (project_to_fiber further caps its
+    alternating phase at 200 rounds and every Newton run at 60 iterations);
+    tol bounds the objective Phi at which a run counts as converged;
     stall_iters is the window with no meaningful progress after which a run
-    is declared stalled; rank_rtol is the relative singular-value threshold
-    for declaring rank loss. norm_weight scales the norms term of Phi.
+    is declared stalled.
     """
 
     max_iters: int = 2000
     tol: float = 1e-10
-    step_init: float = 0.1
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     stall_iters: int = 50
-    norm_weight: float = 1.0
-    rank_rtol: float = 1e-12
 
 
 @dataclass
@@ -117,7 +121,7 @@ def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) ->
     return _residual_gradient(_target_frame(F, target), target, norm_weight)
 
 
-def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float) -> np.ndarray:
+def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> np.ndarray:
     delta, gap = _gaps(F, target)
     return 4.0 * (delta @ F) + (4.0 * w) * (F * gap[None, :])
 
@@ -149,7 +153,7 @@ def _realified_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarr
     return sol[:half].reshape(k, N) + 1j * sol[half:].reshape(k, N)
 
 
-def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, rank_rtol: float = 1e-12):
+def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     """Minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
 
     The minimizer lies in the range of the derivative's adjoint, the normal
@@ -161,7 +165,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, rank_rtol: flo
     """
     k, N = F.shape
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    if not full_row_rank(s, k, rank_rtol):
+    if not full_row_rank(s, k, _RANK_RTOL):
         return _realified_preimage(F, R, b)
     Ft = s[:, None] * Vh
     K = 1.0 / (s[:, None] ** 2 + s[None, :] ** 2)
@@ -180,12 +184,11 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
 
     Statuses: "converged" (Phi <= tol), "stalled" (line search exhausted or no
     relative progress across stall_iters steps), "lost_rank" (an iterate came
-    within rank_rtol of dropping rank), "max_iters".
+    within a relative 1e-12 of dropping rank), "max_iters".
     """
     opts = options or FlowOptions()
     F = _target_frame(F0, target).copy()
-    w = opts.norm_weight
-    phi = _residual(F, target, w)
+    phi = _residual(F, target)
     trace = [phi]
 
     def report(status, message=""):
@@ -194,11 +197,11 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     if phi <= opts.tol:
         return report("converged")
 
-    step = opts.step_init
+    step = _STEP_INIT
     for _ in range(opts.max_iters):
-        if not full_row_rank(np.linalg.svd(F, compute_uv=False), F.shape[0], opts.rank_rtol):
+        if not full_row_rank(np.linalg.svd(F, compute_uv=False), F.shape[0], _RANK_RTOL):
             return report("lost_rank", "iterate is numerically rank deficient")
-        G = _residual_gradient(F, target, w)
+        G = _residual_gradient(F, target)
         gnorm2 = float(np.vdot(G, G).real)
         if gnorm2 == 0.0:
             return report("stalled", "gradient vanished away from the fiber")
@@ -206,11 +209,11 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
         accepted = False
         for _ in range(80):
             Fn = F - s * G
-            phin = _residual(Fn, target, w)
-            if phin <= phi - opts.armijo_c * s * gnorm2:
+            phin = _residual(Fn, target)
+            if phin <= phi - _ARMIJO_C * s * gnorm2:
                 accepted = True
                 break
-            s *= opts.backtrack_factor
+            s *= _BACKTRACK
         if not accepted:
             return report("stalled", "line search hit the floating-point floor")
         F, phi = Fn, phin
@@ -224,7 +227,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     return report("max_iters")
 
 
-def project_frame_operator(F, operator, operator_sqrt=None, rank_rtol: float = 1e-12):
+def project_frame_operator(F, operator, operator_sqrt=None, rank_rtol: float = _RANK_RTOL):
     """Closest-in-spirit move onto {G : G G* = S}: F -> S^(1/2) (F F*)^(-1/2) F.
 
     Computed through the polar isometry of F for stability. Raises ValueError
@@ -259,25 +262,24 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     """
     opts = options or FlowOptions()
     F = _target_frame(F0, target).copy()
-    w = opts.norm_weight
     S_sqrt = psd_sqrt(target.operator)
-    phi = _residual(F, target, w)
+    phi = _residual(F, target)
     trace = [phi]
     best_F, best_phi, best_it = F, phi, 0
 
     def report(G, status, message=""):
-        return G, _report("alternating", trace, status, message, _residual(G, target, w))
+        return G, _report("alternating", trace, status, message, _residual(G, target))
 
     if phi <= opts.tol:
         return report(F, "converged")
 
     for it in range(1, opts.max_iters + 1):
         try:
-            F = S_sqrt @ frame_polar_isometry(F, opts.rank_rtol)
+            F = S_sqrt @ frame_polar_isometry(F, _RANK_RTOL)
             F = _project_norms(F, target.norms_sq)
         except ValueError as exc:
             return report(best_F, "lost_rank", str(exc))
-        phi = _residual(F, target, w)
+        phi = _residual(F, target)
         trace.append(phi)
         if phi < best_phi:
             best_F, best_phi, best_it = F, phi, it
@@ -295,15 +297,14 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     fiber the minimum-norm Newton step converges quadratically. That step lies
     in the normal space {W F + F diag(g)} of the fiber, so it is solved in its
     k^2 + N coordinates, eliminated in the singular basis of F. An iterate
-    that fails the rank_rtol full-rank check takes a least-squares step on the
+    that fails the full-rank check takes a least-squares step on the
     realified Jacobian instead, the only route off a rank-deficient start.
     Steps are halved until Phi decreases; a step that cannot decrease Phi ends
     the run as "stalled".
     """
     opts = options or FlowOptions()
     F = _target_frame(F0, target).copy()
-    w = opts.norm_weight
-    phi = _residual(F, target, w)
+    phi = _residual(F, target)
     trace = [phi]
 
     def report(status, message=""):
@@ -314,12 +315,12 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
 
     for _ in range(min(opts.max_iters, 60)):
         delta, gap = _gaps(F, target)
-        dF = _normal_preimage(F, -delta, -gap, opts.rank_rtol)
+        dF = _normal_preimage(F, -delta, -gap)
         step = 1.0
         accepted = False
         for _ in range(25):
             Fn = F + step * dF
-            phin = _residual(Fn, target, w)
+            phin = _residual(Fn, target)
             if phin < phi:
                 accepted = True
                 break

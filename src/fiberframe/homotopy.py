@@ -3,15 +3,17 @@
 Any two frames with equal frame operator S and equal squared norms can be
 joined by a path that stays on that fiber (for regular targets). connect()
 produces an explicit discrete witness: gauge-align the endpoints with a
-unitary from the commutant of S, trace the straight chord while re-projecting
-every sample onto the fiber (with adaptive bisection and seeded tangent kicks
-where the projection struggles), then unwind the gauge along a one-parameter
-unitary group, which moves on the fiber exactly.
+unitary from the commutant of S, trace the straight chord while projecting
+every sample onto the fiber (retrying a sample with seeded tangent kicks when
+its projection is rejected), then unwind the gauge along a one-parameter
+unitary group, which moves on the fiber exactly. A chord or unwind sample that
+stays off the fiber is dropped; one bridge pass then subdivides every gap
+wider than delta between consecutive on-fiber samples, so it is the only
+subdivision.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,13 @@ __all__ = [
 ]
 
 
+# seeded tangent kicks tried on a rejected sample, and their size relative to ||F0||
+_KICKS = 5
+_KICK_SCALE = 1e-4
+# relative eigenvalue gap below which the gauge treats eigenvalues as one cluster
+_CLUSTER_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class ConnectOptions:
     """Tuning for connect().
@@ -45,24 +54,21 @@ class ConnectOptions:
     path_tol bounds the fiber deviation of every sample in norm units (the
     squared residual stays below path_tol^2). delta bounds consecutive-sample
     distance relative to the Frobenius norm of the first endpoint.
-    max_refine_depth limits interval bisection, max_restarts the number of
-    seeded tangent kicks per stubborn step.
+    max_refine_depth limits the recursion of the bridge pass, which halves
+    every gap wider than delta. seed drives the tangent kicks tried on a
+    sample whose projection is rejected.
     """
 
     path_tol: float = 1e-8
     delta: float = 0.05
     max_refine_depth: int = 12
-    max_restarts: int = 5
     seed: int = 0
-    kick_scale: float = 1e-4
-    cluster_tol: float = 1e-8
-    project_iters: int = 1000
 
     def __post_init__(self):
         if self.path_tol <= 0 or self.delta <= 0:
             raise ValueError("path_tol and delta must be positive")
-        if self.max_refine_depth < 0 or self.max_restarts < 0:
-            raise ValueError("max_refine_depth and max_restarts must be non-negative")
+        if self.max_refine_depth < 0:
+            raise ValueError("max_refine_depth must be non-negative")
 
 
 @dataclass(eq=False)
@@ -174,7 +180,7 @@ def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray, clust
     return U @ blocks @ U.conj().T
 
 
-def gauge_align(F0, F1, operator, cluster_tol: float = 1e-8) -> np.ndarray:
+def gauge_align(F0, F1, operator, cluster_tol: float = _CLUSTER_TOL) -> np.ndarray:
     """Best commutant-unitary alignment V F1 of F1 toward F0.
 
     V commutes with the clustered spectral projections of the operator, so it
@@ -209,9 +215,9 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     """Discrete on-fiber path from F0 to F1; both must lie on the target fiber.
 
     Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
-    ConnectError (with the offending interpolation parameter in .t) when
-    tracing fails after bisection and kick retries. The result is validated
-    before being returned and is deterministic for a fixed seed.
+    ConnectError (with the chord parameter near the failure in .t) when the
+    bridge pass cannot close a gap between on-fiber samples. The result is
+    validated before being returned and is deterministic for a fixed seed.
     """
     opts = options or ConnectOptions()
     F0, F1 = _frame_pair(F0, F1)
@@ -231,23 +237,24 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     if np.linalg.norm(F1 - F0) <= 1e-14 * max(1.0, scale):
         return FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target)
 
-    V = _commutant_gauge(F0, F1, target.operator, opts.cluster_tol)
+    V = _commutant_gauge(F0, F1, target.operator, _CLUSTER_TOL)
     unwind = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
     F1a = V @ F1 if unwind else F1
 
-    proj_opts = FlowOptions(max_iters=opts.project_iters, tol=min(1e-20, 0.01 * ptol2), stall_iters=100)
+    proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2), stall_iters=100)
     accept_tol = 0.5 * ptol2
 
-    def project(X, kick_base=None):
+    def project(X, kick_base):
+        # on-fiber projection of X, else of X plus a seeded tangent kick at
+        # kick_base; None when every try is rejected
         G, _rep = project_to_fiber(X, target, proj_opts)
         if _residual(G, target) <= accept_tol:
             return G
-        if kick_base is not None:
-            for _ in range(opts.max_restarts):
-                Xk = X + _tangent_kick(rng, kick_base, opts.kick_scale * scale)
-                G, _rep = project_to_fiber(Xk, target, proj_opts)
-                if _residual(G, target) <= accept_tol:
-                    return G
+        for _ in range(_KICKS):
+            Xk = X + _tangent_kick(rng, kick_base, _KICK_SCALE * scale)
+            G, _rep = project_to_fiber(Xk, target, proj_opts)
+            if _residual(G, target) <= accept_tol:
+                return G
         return None
 
     def bridge(Fa, Fb, depth, t_hint):
@@ -266,72 +273,47 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
 
     chord_len = float(np.linalg.norm(F1a - F0))
     n0 = max(1, int(np.ceil(1.5 * chord_len / delta_abs))) if delta_abs > 0 else 1
-    min_width = 1.0 / (n0 * 2.0**opts.max_refine_depth)
 
-    def chord(t):
-        return (1.0 - t) * F0 + t * F1a
-
-    pending = deque((i + 1) / n0 for i in range(n0))
-    frames = [F0]
-    t_cur, F_cur = 0.0, F0
-
-    while pending:
-        t_next = pending[0]
-        width = t_next - t_cur
-        G = project(chord(t_next), kick_base=F_cur)
-        if G is None:
-            if width > min_width:
-                pending.appendleft(t_cur + 0.5 * width)
-                continue
-            raise ConnectError(
-                f"could not project the chord near t={t_next:.6g}", t=float(t_next)
-            )
-        pending.popleft()
-        frames.append(G)
-        t_cur, F_cur = t_next, G
+    # (chord parameter, on-fiber frame) pairs; a sample whose projection is
+    # rejected is dropped and the bridge pass below closes the gap it leaves.
+    # Without an unwind the chord ends at F1 itself, so its last sample is F1.
+    samples = [(0.0, F0)]
+    for i in range(1, n0 + 1 if unwind else n0):
+        G = project((1.0 - i / n0) * F0 + (i / n0) * F1a, kick_base=samples[-1][1])
+        if G is not None:
+            samples.append((i / n0, G))
 
     if unwind:
         Z, theta = unitary_log_factors(V)
         dist = float(np.linalg.norm(F1a - F1))
         nsteps = max(1, int(np.ceil(dist / (0.5 * delta_abs)))) if delta_abs > 0 else 1
-        for s in np.linspace(0.0, 1.0, nsteps + 1)[1:]:
-            Vs = (Z * np.exp(1j * (1.0 - s) * theta)) @ Z.conj().T
-            Fs = Vs @ F1
-            if _residual(Fs, target) > accept_tol:
-                Fs = project(Fs)
-                if Fs is None:
-                    raise ConnectError("gauge unwind sample left the fiber", t=1.0)
-            frames.append(Fs)
+        for s in np.linspace(0.0, 1.0, nsteps + 1)[1:-1]:
+            Fs = ((Z * np.exp(1j * (1.0 - s) * theta)) @ Z.conj().T) @ F1
+            if _residual(Fs, target) <= accept_tol:
+                samples.append((1.0, Fs))
+    samples.append((1.0, F1))
 
-    frames[-1] = F1
+    frames = [F0]
+    for (ta, _), (tb, G) in zip(samples, samples[1:]):
+        if np.linalg.norm(G - frames[-1]) > delta_abs:
+            frames.extend(bridge(frames[-1], G, 0, t_hint=0.5 * (ta + tb)))
+        frames.append(G)
 
-    bridged = [frames[0]]
-    for i, G in enumerate(frames[1:]):
-        if np.linalg.norm(G - bridged[-1]) > delta_abs:
-            bridged.extend(bridge(bridged[-1], G, 0, t_hint=(i + 1) / len(frames)))
-        bridged.append(G)
-    frames = bridged
-
-    kept = [frames[0]]
+    # prune near-duplicate samples; F0 and F1 stay, and the early return for
+    # F1 == F0 keeps the step between them, so every time step is positive
     thresh = 1e-13 * max(1.0, scale)
-    for F in frames[1:]:
+    kept = [F0]
+    for F in frames[1:-1]:
         if np.linalg.norm(F - kept[-1]) > thresh:
             kept.append(F)
-    if len(kept) == 1:
-        kept.append(F1)
-    else:
-        kept[-1] = F1
-    while len(kept) > 2 and np.linalg.norm(kept[-1] - kept[-2]) <= thresh:
-        del kept[-2]
+    while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
+        kept.pop()
+    kept.append(F1)
 
     arr = np.stack(kept)
     seg = np.sqrt(np.sum(np.abs(np.diff(arr, axis=0)) ** 2, axis=(1, 2)))
-    total = float(np.sum(seg))
-    if total <= 0.0:
-        times = np.linspace(0.0, 1.0, len(kept))
-    else:
-        times = np.concatenate([[0.0], np.cumsum(seg) / total])
-        times[-1] = 1.0
+    times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
+    times[-1] = 1.0
     path = FramePath(times, arr, target)
 
     check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))

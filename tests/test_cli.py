@@ -77,6 +77,23 @@ class TestCheck:
         _, out, _ = run(capsys, "--quiet", "check", ffile)
         assert "fiberframe" not in out.splitlines()[0]
 
+    def test_target_regular_value_key(self, tmp_path, capsys):
+        _, tfile, (ffile,) = funtf_files(tmp_path)
+        code, out, _ = run(capsys, "--json", "check", ffile, "--target", tfile)
+        assert code == 0
+        assert json.loads(out)["target_regular_value"] is True
+        code, out, _ = run(capsys, "check", ffile, "--target", tfile)
+        assert code == 0
+        assert "target_regular_value: True" in out.splitlines()
+        # a target that is not a regular value never reaches the key: reading it fails
+        bad = tmp_path / "singular.json"
+        singular = {"re": [[2.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        bad.write_text(json.dumps({"S": singular, "r": [1, 1]}))
+        code, out, err = run(capsys, "check", ffile, "--target", str(bad))
+        assert code == 2
+        assert "regular momentum value" in err
+        assert "target_regular_value" not in out
+
 
 class TestConstruct:
     def test_writes_frame_on_fiber(self, tmp_path, capsys):

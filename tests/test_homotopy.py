@@ -16,6 +16,7 @@ from fiberframe import (
     random_frame_on_fiber,
     validate_path,
 )
+from fiberframe import homotopy
 from fiberframe.homotopy import _tangent_kick
 
 
@@ -202,3 +203,61 @@ class TestConnect:
     def test_connect_error_carries_parameter(self):
         err = ConnectError("boom", t=0.25)
         assert err.t == 0.25
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_square_funtf_pair_validates(self, k):
+        # k = N: the fiber is a torsor of the unitary group, the gauge takes F1
+        # almost onto F0 and the near-duplicate chord sample is pruned
+        t = FiberTarget.funtf(k, k)
+        F0, F1 = _pair(t, 0, 1)
+        path = connect(F0, F1, t)
+        chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
+        assert chk.ok, chk.message
+        assert np.min(path.step_norms()) > 1e-13 * np.linalg.norm(F0)
+
+
+class TestConnectRecovery:
+    """A sample whose projection is rejected is dropped and the bridge pass closes its gap."""
+
+    @staticmethod
+    def _reject_calls(monkeypatch, rejected):
+        # project_to_fiber as connect sees it, returning an off-fiber frame on the calls in `rejected`
+        seen = []
+        real = homotopy.project_to_fiber
+
+        def patched(X, target, options=None):
+            seen.append(X)
+            G, rep = real(X, target, options)
+            return (2.0 * G if rejected(len(seen)) else G), rep
+
+        monkeypatch.setattr(homotopy, "project_to_fiber", patched)
+        return seen
+
+    def test_rejected_chord_sample_is_bridged(self, monkeypatch):
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        # call 3 projects the third chord sample, calls 4-8 its five tangent kicks
+        seen = self._reject_calls(monkeypatch, lambda n: 3 <= n <= 8)
+        path = connect(F0, F1, t)
+        chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
+        assert chk.ok, chk.message
+        assert len(seen) > 8
+        kick = 1e-4 * np.linalg.norm(F0)
+        for X in seen[3:8]:
+            assert np.linalg.norm(X - seen[2]) == pytest.approx(kick, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(2, 4),
+            FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)),
+        ],
+        ids=["funtf", "distinct_spectrum"],
+    )
+    def test_every_projection_rejected_raises_with_t(self, monkeypatch, target):
+        F0, F1 = _pair(target, 2, 9)
+        self._reject_calls(monkeypatch, lambda n: True)
+        with pytest.raises(ConnectError) as info:
+            connect(F0, F1, target)
+        assert isinstance(info.value.t, float)
+        assert 0.0 <= info.value.t <= 1.0
