@@ -127,10 +127,13 @@ def read_frame(path) -> np.ndarray:
     raise ValueError(f"unsupported frame file extension {ext!r}")
 
 
+def _target_obj(target: FiberTarget) -> dict:
+    return {"S": _mat_to_obj(target.operator), "r": target.norms_sq.tolist()}
+
+
 def write_target(target: FiberTarget, path) -> None:
-    obj = {"S": _mat_to_obj(target.operator), "r": target.norms_sq.tolist()}
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f)
+        json.dump(_target_obj(target), f)
         f.write("\n")
 
 
@@ -155,17 +158,14 @@ def write_path(path_obj: FramePath, path, extra: dict | None = None) -> None:
         "k": path_obj.target.k,
         "N": path_obj.target.N,
         "samples": len(path_obj),
-        "target": {
-            "S": _mat_to_obj(path_obj.target.operator),
-            "r": path_obj.target.norms_sq.tolist(),
-        },
+        "target": _target_obj(path_obj.target),
     }
     if extra:
         header.update(extra)
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
         for t, F in path_obj:
-            f.write(json.dumps({"t": float(t), "re": F.real.tolist(), "im": F.imag.tolist()}) + "\n")
+            f.write(json.dumps({"t": float(t), **_mat_to_obj(F)}) + "\n")
 
 
 def read_path(path):

@@ -126,33 +126,6 @@ def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> np
     return 4.0 * (delta @ F) + (4.0 * w) * (F * gap[None, :])
 
 
-def _realified_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares dF for D(F) dF = (R, b) on the realified Jacobian.
-
-    The columns are exact directional derivatives, one per real coordinate of
-    F; lstsq stays meaningful when F has lost rank.
-    """
-    k, N = F.shape
-    iu = np.triu_indices(k, 1)
-
-    def encode(W, g):
-        return np.concatenate([np.diag(W).real, g, W[iu].real, W[iu].imag])
-
-    cols = []
-    for part in (1.0, 1.0j):
-        for i in range(k):
-            for j in range(N):
-                E = np.zeros((k, N), dtype=complex)
-                E[i, j] = part
-                W = F @ E.conj().T + E @ F.conj().T
-                g = 2.0 * np.real(np.sum(np.conj(F) * E, axis=0))
-                cols.append(encode(W, g))
-    J = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(J, encode(R, b), rcond=None)
-    half = k * N
-    return sol[:half].reshape(k, N) + 1j * sol[half:].reshape(k, N)
-
-
 def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     """Minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
 
@@ -160,15 +133,20 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     space {W F + F diag(g) : W Hermitian, g real}. In the singular basis
     F = U diag(s) Vh the operator equations are diagonal, so W is eliminated
     entrywise and the norms equations leave one real N x N system for g whose
-    kernel is the all-ones vector (trace(S) = sum(r)). When the singular
-    values fail the rank check, the realified least-squares step is used.
+    kernel is the all-ones vector (trace(S) = sum(r)).
+
+    The same solve serves every rank. A pair of singular directions whose
+    s_a^2 + s_b^2 is below (_RANK_RTOL s_0)^2 has no first-order response, so
+    its weight is 0 (a pseudo-inverse). A kernel direction a (s_a below
+    _RANK_RTOL s_0) takes sqrt(R~_aa) Vh[a] in its row: that row is orthogonal
+    to the rows of F, so the iterate regains rank with the missing energy. At
+    full rank neither rule changes the step.
     """
     k, N = F.shape
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    if not full_row_rank(s, k, _RANK_RTOL):
-        return _realified_preimage(F, R, b)
     Ft = s[:, None] * Vh
-    K = 1.0 / (s[:, None] ** 2 + s[None, :] ** 2)
+    s2 = s[:, None] ** 2 + s[None, :] ** 2
+    K = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > (_RANK_RTOL * s[0]) ** 2)
     Rt = U.conj().T @ R @ U
     # P[(a, b), j] = conj(Ft[a, j]) Ft[b, j]; W~ = K o (R~ - 2 Ft diag(g) Ft*)
     P = (Ft.conj()[:, None, :] * Ft[None, :, :]).reshape(k * k, N)
@@ -176,7 +154,10 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     T = np.diag(np.sum(np.abs(Ft) ** 2, axis=0)) - 2.0 * (KP.T @ P.conj()).real
     g, *_ = np.linalg.lstsq(T, 0.5 * b - (Rt.reshape(-1) @ KP).real, rcond=None)
     Wt = K * (Rt - 2.0 * (Ft * g) @ Ft.conj().T)
-    return U @ (Wt @ Ft + Ft * g)
+    dFt = Wt @ Ft + Ft * g
+    ker = s < _RANK_RTOL * s[0]
+    dFt[ker] += np.sqrt(np.maximum(Rt.diagonal()[ker].real, 0.0))[:, None] * Vh[ker]
+    return U @ dFt
 
 
 def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
@@ -296,9 +277,9 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     The constraints (F F* - S, norms^2 - r) are quadratic in F, so near the
     fiber the minimum-norm Newton step converges quadratically. That step lies
     in the normal space {W F + F diag(g)} of the fiber, so it is solved in its
-    k^2 + N coordinates, eliminated in the singular basis of F. An iterate
-    that fails the full-rank check takes a least-squares step on the
-    realified Jacobian instead, the only route off a rank-deficient start.
+    k^2 + N coordinates, eliminated in the singular basis of F. A
+    rank-deficient iterate takes the same step, with its kernel rows filled
+    by the missing operator energy, so it regains rank.
     Steps are halved until Phi decreases; a step that cannot decrease Phi ends
     the run as "stalled".
     """

@@ -31,10 +31,11 @@ def rand_unitary(rng, n):
     return Q * (d / np.abs(d))
 
 
-def rand_rank_deficient(rng, k, N):
-    # rank exactly k - 1
-    A = rng.standard_normal((k, k - 1)) + 1j * rng.standard_normal((k, k - 1))
-    B = rng.standard_normal((k - 1, N)) + 1j * rng.standard_normal((k - 1, N))
+def rand_rank_deficient(rng, k, N, rank=None):
+    # rank exactly `rank`, k - 1 by default
+    rank = k - 1 if rank is None else rank
+    A = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
+    B = rng.standard_normal((rank, N)) + 1j * rng.standard_normal((rank, N))
     return A @ B
 
 

@@ -198,9 +198,25 @@ class TestNewtonRefine:
     @pytest.mark.parametrize("k,N", [(2, 4), (3, 6), (4, 16)])
     @pytest.mark.parametrize("seed", range(5))
     def test_rank_deficient_start_converges(self, k, N, seed):
-        # the realified least-squares step is the only way off a rank-deficient start
+        # a kernel row of the start is filled by the Newton step's missing operator energy
         t = FiberTarget.funtf(k, N)
         F0 = rand_rank_deficient(np.random.default_rng(seed), k, N)
+        for solver in (newton_refine, project_to_fiber):
+            F, rep = solver(F0, t, FlowOptions(tol=1e-20))
+            assert rep.converged
+            assert fiber_residual(F, t) <= 1e-20
+
+    @pytest.mark.parametrize("k,N", [(3, 6), (4, 16)])
+    @pytest.mark.parametrize("spread", [False, True], ids=["funtf", "spread"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_one_start_converges(self, k, N, spread, seed):
+        # no first-order step raises the rank of these starts; the step's kernel rows must
+        if spread:
+            lam = np.arange(k, 0, -1.0)
+            t = FiberTarget.from_spectrum(lam * N / lam.sum(), np.ones(N))
+        else:
+            t = FiberTarget.funtf(k, N)
+        F0 = rand_rank_deficient(np.random.default_rng(seed), k, N, rank=1)
         for solver in (newton_refine, project_to_fiber):
             F, rep = solver(F0, t, FlowOptions(tol=1e-20))
             assert rep.converged
