@@ -62,14 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "gradient", "alternating"),
         default="auto",
-        help="repair route (auto = alternating, then a Gauss-Newton polish)",
+        help="repair route (auto = Gauss-Newton)",
     )
     c.add_argument(
         "--max-iters",
         type=int,
         default=2000,
-        help="iteration cap; with --method auto, alternation stops at 200 rounds and Newton at 60 "
-        "iterations, so values above 200 have no effect",
+        help="iteration cap; with --method auto, Newton stops at 60 iterations, so values above 60 "
+        "have no effect",
     )
     c.add_argument("--out", help="output frame file for the repaired frame")
 

@@ -246,7 +246,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     Distinct seeds give well-separated frames; the same seed always returns
     the identical matrix. Randomness enters through Gram phases, column
     phases, commutant rotations of the operator eigenspaces, and a right
-    unitary scramble followed by re-projection onto the fiber. The first of
+    unitary scramble Newton-projected back onto the fiber. The first of
     six scrambles whose projection has residual at most 1e-20 is returned;
     when none does, the pre-scramble frame is returned, which lies on the
     fiber up to rounding only (on S = diag(2e7, 1e7), r = (1e7, 1e7, 1e7),
@@ -271,7 +271,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
             B[np.ix_(cl, cl)] = block if m > 1 else block.reshape(1, 1)
         F = (U @ B @ U.conj().T) @ F
 
-    polish = FlowOptions(tol=1e-26, stall_iters=200)
+    polish = FlowOptions(tol=1e-26)
     for _ in range(6):
         Q = haar_unitary(N, rng)
         Fc, _rep = project_to_fiber(F @ Q, target, polish)

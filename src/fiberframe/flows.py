@@ -7,14 +7,14 @@ The distance to the fiber is measured by
 with weight w = 1 (fiber_residual and its gradient take another w; the flows
 always use w = 1). Three routes are provided: Armijo-backtracking gradient
 descent on Phi in the ambient matrix space, alternation of the two exact
-constraint projections (operator part, then column rescaling), and a damped
-Gauss-Newton polish. Public functions validate their arguments once; their
-loops call private kernels on the checked arrays.
+constraint projections (operator part, then column rescaling), and damped
+normal-space Gauss-Newton, which is project_to_fiber. Public functions
+validate their arguments once; their loops call private kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +42,21 @@ _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 # relative singular-value threshold below which an iterate counts as rank deficient
 _RANK_RTOL = 1e-12
+# steps (gradient) or rounds (alternating) without meaningful progress that end a run as stalled
+_STALL_ITERS = 50
 
 
 @dataclass(frozen=True)
 class FlowOptions:
     """Knobs shared by the repair flows.
 
-    max_iters caps the iterations of a run (project_to_fiber further caps its
-    alternating phase at 200 rounds and every Newton run at 60 iterations);
-    tol bounds the objective Phi at which a run counts as converged;
-    stall_iters is the window with no meaningful progress after which a run
-    is declared stalled.
+    max_iters caps the iterations of a run (a Newton run, and so
+    project_to_fiber, further stops at 60 iterations); tol bounds the
+    objective Phi at which a run counts as converged.
     """
 
     max_iters: int = 2000
     tol: float = 1e-10
-    stall_iters: int = 50
 
 
 @dataclass
@@ -132,8 +131,10 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     The minimizer lies in the range of the derivative's adjoint, the normal
     space {W F + F diag(g) : W Hermitian, g real}. In the singular basis
     F = U diag(s) Vh the operator equations are diagonal, so W is eliminated
-    entrywise and the norms equations leave one real N x N system for g whose
-    kernel is the all-ones vector (trace(S) = sum(r)).
+    entrywise and the norms equations leave T g = c, real symmetric N x N with
+    the all-ones kernel (trace(S) = sum(r)). (T + 1 1^T / N) g = c - mean(c)
+    gives its minimum-norm (mean-zero) g; lstsq is kept for T = 0 (k = N, F
+    a scaled unitary), where that matrix is singular.
 
     The same solve serves every rank. A pair of singular directions whose
     s_a^2 + s_b^2 is below (_RANK_RTOL s_0)^2 has no first-order response, so
@@ -152,7 +153,11 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     P = (Ft.conj()[:, None, :] * Ft[None, :, :]).reshape(k * k, N)
     KP = K.reshape(-1, 1) * P
     T = np.diag(np.sum(np.abs(Ft) ** 2, axis=0)) - 2.0 * (KP.T @ P.conj()).real
-    g, *_ = np.linalg.lstsq(T, 0.5 * b - (Rt.reshape(-1) @ KP).real, rcond=None)
+    c = 0.5 * b - (Rt.reshape(-1) @ KP).real
+    try:
+        g = np.linalg.solve(T + 1.0 / N, c - c.mean())
+    except np.linalg.LinAlgError:
+        g, *_ = np.linalg.lstsq(T, c, rcond=None)
     Wt = K * (Rt - 2.0 * (Ft * g) @ Ft.conj().T)
     dFt = Wt @ Ft + Ft * g
     ker = s < _RANK_RTOL * s[0]
@@ -164,7 +169,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     """Armijo gradient descent on Phi from F0; returns (frame, FlowReport).
 
     Statuses: "converged" (Phi <= tol), "stalled" (line search exhausted or no
-    relative progress across stall_iters steps), "lost_rank" (an iterate came
+    relative progress across 50 steps), "lost_rank" (an iterate came
     within a relative 1e-12 of dropping rank), "max_iters".
     """
     opts = options or FlowOptions()
@@ -202,7 +207,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
         step = min(s * 2.0, 1e8)
         if phi <= opts.tol:
             return report("converged")
-        win = opts.stall_iters
+        win = _STALL_ITERS
         if len(trace) > win and trace[-1 - win] - phi <= 1e-6 * trace[-1 - win]:
             return report("stalled", f"no relative progress over {win} steps")
     return report("max_iters")
@@ -239,7 +244,7 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     """Alternate the two exact projections until Phi <= tol; returns (frame, report).
 
     Keeps the best iterate seen; declares "stalled" when the best has not
-    improved for stall_iters rounds.
+    improved for 50 rounds.
     """
     opts = options or FlowOptions()
     F = _target_frame(F0, target).copy()
@@ -266,8 +271,8 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
             best_F, best_phi, best_it = F, phi, it
         if phi <= opts.tol:
             return report(F, "converged")
-        if it - best_it >= opts.stall_iters:
-            return report(best_F, "stalled", f"best residual stuck for {opts.stall_iters} rounds")
+        if it - best_it >= _STALL_ITERS:
+            return report(best_F, "stalled", f"best residual stuck for {_STALL_ITERS} rounds")
     return report(best_F, "max_iters")
 
 
@@ -318,14 +323,7 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
 def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     """Projection onto the fiber; returns (frame, report).
 
-    A short alternating-projection phase contracts toward the fiber, and a
-    Newton polish finishes quadratically when alternation alone has not
-    converged.
+    The Newton solve in the fiber's normal space {W F + F diag(g)}, the range
+    of the momentum derivative's adjoint: newton_refine (method "newton").
     """
-    opts = options or FlowOptions()
-    F, rep = alternate_projections(F0, target, replace(opts, max_iters=min(200, opts.max_iters)))
-    method, trace = "alternating", rep.residual_trace
-    if not rep.converged:
-        F, rep = newton_refine(F, target, opts)
-        method, trace = "alternating+newton", np.concatenate([trace, rep.residual_trace[1:]])
-    return F, _report(method, trace, rep.status, rep.message, rep.final_residual)
+    return newton_refine(F0, target, options)

@@ -241,7 +241,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     unwind = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
     F1a = V @ F1 if unwind else F1
 
-    proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2), stall_iters=100)
+    proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
     accept_tol = 0.5 * ptol2
 
     def project(X, kick_base):

@@ -215,6 +215,23 @@ class TestConnect:
         assert chk.ok, chk.message
         assert np.min(path.step_norms()) > 1e-13 * np.linalg.norm(F0)
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(3, 7),
+            FiberTarget.from_spectrum([4.0, 1.0], np.full(4, 1.25)),
+            FiberTarget.from_spectrum([2.0 + 1e-9, 2.0 - 1e-9], np.ones(4)),
+            FiberTarget.from_spectrum([2.0, 1.0], [2.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10]),
+        ],
+        ids=["funtf_3_7", "spread_N4", "gap_2e-9", "norm_at_top_eigenvalue"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hard_fiber_pair_validates(self, target, seed):
+        F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
+        path = connect(F0, F1, target)
+        chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
+        assert chk.ok, chk.message
+
 
 class TestConnectRecovery:
     """A sample whose projection is rejected is dropped and the bridge pass closes its gap."""
