@@ -3,13 +3,13 @@
 Any two frames with equal frame operator S and equal squared norms can be
 joined by a path that stays on that fiber (for regular targets). connect()
 produces an explicit discrete witness: gauge-align the endpoints with a
-unitary from the commutant of S, trace the straight chord while projecting
-every sample onto the fiber (retrying a sample with seeded tangent kicks when
-its projection is rejected), then unwind the gauge along a one-parameter
-unitary group, which moves on the fiber exactly. A chord or unwind sample that
-stays off the fiber is dropped; one bridge pass then subdivides every gap
-wider than delta between consecutive on-fiber samples, so it is the only
-subdivision.
+unitary V from the commutant of S, then unwind the gauge along the
+one-parameter unitary group from V to the identity, which moves on the fiber
+exactly. The endpoints and the unwind samples are the anchors; one bridge pass
+subdivides every gap wider than delta between consecutive anchors by
+projecting midpoints onto the fiber (retrying a midpoint with seeded tangent
+kicks when its projection is rejected), so the chord from F0 to V F1 is
+bridged like every other gap. An unwind sample off the fiber is dropped.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ _KICKS = 5
 _KICK_SCALE = 1e-4
 # relative eigenvalue gap below which the gauge treats eigenvalues as one cluster
 _CLUSTER_TOL = 1e-8
+# bridge halvings allowed beyond those a straight chord of the same gap needs
+_EXTRA_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -53,22 +55,18 @@ class ConnectOptions:
 
     path_tol bounds the fiber deviation of every sample in norm units (the
     squared residual stays below path_tol^2). delta bounds consecutive-sample
-    distance relative to the Frobenius norm of the first endpoint.
-    max_refine_depth limits the recursion of the bridge pass, which halves
-    every gap wider than delta. seed drives the tangent kicks tried on a
-    sample whose projection is rejected.
+    distance relative to the Frobenius norm of the first endpoint. seed
+    drives the tangent kicks tried on a bridge midpoint whose projection is
+    rejected.
     """
 
     path_tol: float = 1e-8
     delta: float = 0.05
-    max_refine_depth: int = 12
     seed: int = 0
 
     def __post_init__(self):
         if self.path_tol <= 0 or self.delta <= 0:
             raise ValueError("path_tol and delta must be positive")
-        if self.max_refine_depth < 0:
-            raise ValueError("max_refine_depth must be non-negative")
 
 
 @dataclass(eq=False)
@@ -214,10 +212,15 @@ def _tangent_kick(rng: np.random.Generator, F: np.ndarray, size: float) -> np.nd
 def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) -> FramePath:
     """Discrete on-fiber path from F0 to F1; both must lie on the target fiber.
 
+    The anchors are F0, the on-fiber gauge-unwind samples (the first is the
+    aligned endpoint V F1) and F1; one bridge pass projects midpoints into
+    every gap wider than delta between consecutive anchors, so every interior
+    sample is a bridge midpoint or an exact unwind sample.
+
     Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
     ConnectError (with the chord parameter near the failure in .t) when the
-    bridge pass cannot close a gap between on-fiber samples. The result is
-    validated before being returned and is deterministic for a fixed seed.
+    bridge pass cannot close a gap between anchors. The result is validated
+    before being returned and is deterministic for a fixed seed.
     """
     opts = options or ConnectOptions()
     F0, F1 = _frame_pair(F0, F1)
@@ -237,10 +240,6 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     if np.linalg.norm(F1 - F0) <= 1e-14 * max(1.0, scale):
         return FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target)
 
-    V = _commutant_gauge(F0, F1, target.operator, _CLUSTER_TOL)
-    unwind = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
-    F1a = V @ F1 if unwind else F1
-
     proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
     accept_tol = 0.5 * ptol2
 
@@ -257,47 +256,42 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
                 return G
         return None
 
-    def bridge(Fa, Fb, depth, t_hint):
+    def bridge(Fa, Fb, depth, ta, tb):
         # both ends on the fiber; subdivide their chord until steps fit delta
-        if depth > opts.max_refine_depth:
-            raise ConnectError("bridging between fiber points exceeded depth", t=t_hint)
+        t = 0.5 * (ta + tb)
+        if depth > _EXTRA_DEPTH:
+            raise ConnectError("bridging between fiber points exceeded depth", t=t)
         gap = float(np.linalg.norm(Fb - Fa))
         M = project(0.5 * (Fa + Fb), kick_base=Fa)
         if M is None:
-            raise ConnectError("projection failed while bridging fiber points", t=t_hint)
+            raise ConnectError("projection failed while bridging fiber points", t=t)
         if max(np.linalg.norm(M - Fa), np.linalg.norm(Fb - M)) >= gap * (1.0 - 1e-12):
-            raise ConnectError("bridging made no progress between fiber points", t=t_hint)
-        left = [] if np.linalg.norm(M - Fa) <= delta_abs else bridge(Fa, M, depth + 1, t_hint)
-        right = [] if np.linalg.norm(Fb - M) <= delta_abs else bridge(M, Fb, depth + 1, t_hint)
+            raise ConnectError("bridging made no progress between fiber points", t=t)
+        left = [] if np.linalg.norm(M - Fa) <= delta_abs else bridge(Fa, M, depth + 1, ta, t)
+        right = [] if np.linalg.norm(Fb - M) <= delta_abs else bridge(M, Fb, depth + 1, t, tb)
         return left + [M] + right
 
-    chord_len = float(np.linalg.norm(F1a - F0))
-    n0 = max(1, int(np.ceil(1.5 * chord_len / delta_abs))) if delta_abs > 0 else 1
-
-    # (chord parameter, on-fiber frame) pairs; a sample whose projection is
-    # rejected is dropped and the bridge pass below closes the gap it leaves.
-    # Without an unwind the chord ends at F1 itself, so its last sample is F1.
-    samples = [(0.0, F0)]
-    for i in range(1, n0 + 1 if unwind else n0):
-        G = project((1.0 - i / n0) * F0 + (i / n0) * F1a, kick_base=samples[-1][1])
-        if G is not None:
-            samples.append((i / n0, G))
-
-    if unwind:
+    # (chord parameter, on-fiber frame) anchors: the chord runs from F0 to the
+    # aligned endpoint V F1, and the unwind from V F1 to F1 sits at parameter 1
+    anchors = [(0.0, F0)]
+    V = _commutant_gauge(F0, F1, target.operator, _CLUSTER_TOL)
+    if np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k):
         Z, theta = unitary_log_factors(V)
-        dist = float(np.linalg.norm(F1a - F1))
-        nsteps = max(1, int(np.ceil(dist / (0.5 * delta_abs)))) if delta_abs > 0 else 1
-        for s in np.linspace(0.0, 1.0, nsteps + 1)[1:-1]:
+        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 - F1) / (0.5 * delta_abs))))
+        for s in np.linspace(0.0, 1.0, nsteps + 1)[:-1]:
             Fs = ((Z * np.exp(1j * (1.0 - s) * theta)) @ Z.conj().T) @ F1
             if _residual(Fs, target) <= accept_tol:
-                samples.append((1.0, Fs))
-    samples.append((1.0, F1))
+                anchors.append((1.0, Fs))
+    anchors.append((1.0, F1))
 
+    # each top-level bridge starts below zero by the halvings a straight chord
+    # of its gap needs, so _EXTRA_DEPTH counts only the halvings beyond those
     frames = [F0]
-    for (ta, _), (tb, G) in zip(samples, samples[1:]):
-        if np.linalg.norm(G - frames[-1]) > delta_abs:
-            frames.extend(bridge(frames[-1], G, 0, t_hint=0.5 * (ta + tb)))
-        frames.append(G)
+    for (ta, Fa), (tb, Fb) in zip(anchors, anchors[1:]):
+        gap = float(np.linalg.norm(Fb - Fa))
+        if gap > delta_abs:
+            frames.extend(bridge(Fa, Fb, -int(np.ceil(np.log2(gap / delta_abs))), ta, tb))
+        frames.append(Fb)
 
     # prune near-duplicate samples; F0 and F1 stay, and the early return for
     # F1 == F0 keeps the step between them, so every time step is positive

@@ -197,8 +197,6 @@ class TestConnect:
             ConnectOptions(path_tol=0.0)
         with pytest.raises(ValueError):
             ConnectOptions(delta=-1.0)
-        with pytest.raises(ValueError):
-            ConnectOptions(max_refine_depth=-1)
 
     def test_connect_error_carries_parameter(self):
         err = ConnectError("boom", t=0.25)
@@ -207,7 +205,7 @@ class TestConnect:
     @pytest.mark.parametrize("k", [3, 4])
     def test_square_funtf_pair_validates(self, k):
         # k = N: the fiber is a torsor of the unitary group, the gauge takes F1
-        # almost onto F0 and the near-duplicate chord sample is pruned
+        # almost onto F0 and the near-duplicate aligned sample V F1 is pruned
         t = FiberTarget.funtf(k, k)
         F0, F1 = _pair(t, 0, 1)
         path = connect(F0, F1, t)
@@ -232,9 +230,48 @@ class TestConnect:
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert chk.ok, chk.message
 
+    # at 2e-4 the chord from F0 to the aligned endpoint needs more than 4,096
+    # steps, so a bridge depth budget counted from the top instead of beyond
+    # the gap's nominal halvings would fail here
+    @pytest.mark.parametrize("delta", [1e-3, 2e-4])
+    def test_small_delta_pair_validates(self, delta):
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(t, 2, 9)
+        path = connect(F0, F1, t, ConnectOptions(delta=delta))
+        chk = validate_path(path, tol=1e-8, delta=delta, endpoints=(F0, F1))
+        assert chk.ok, chk.message
+
+
+class TestConnectEquivariance:
+    """F -> U F D (U unitary commuting with S, D diagonal phases) maps the fiber
+    onto itself, and connect maps the path with it."""
+
+    @pytest.mark.parametrize(
+        "target,haar",
+        [
+            (FiberTarget.funtf(2, 4), True),
+            (FiberTarget.funtf(3, 7), True),
+            (FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)), False),
+        ],
+        ids=["funtf_2_4", "funtf_3_7", "diag_2_1_N3"],
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_symmetry_maps_path(self, target, haar, seed):
+        F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
+        rng = np.random.default_rng(50 + seed)
+        k, N = target.k, target.N
+        # a scaled-identity S commutes with every unitary; diag(2, 1) only with diagonal phases
+        U = rand_unitary(rng, k) if haar else np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, k)))
+        D = np.exp(1j * rng.uniform(-np.pi, np.pi, N))
+        path = connect(F0, F1, target)
+        moved = connect(U @ F0 * D, U @ F1 * D, target)
+        assert len(moved) == len(path)
+        expected = (U @ path.frames) * D
+        assert np.max(np.linalg.norm(moved.frames - expected, axis=(1, 2))) <= 1e-10 * np.linalg.norm(F0)
+
 
 class TestConnectRecovery:
-    """A sample whose projection is rejected is dropped and the bridge pass closes its gap."""
+    """A bridge midpoint whose projection is rejected is retried with seeded tangent kicks."""
 
     @staticmethod
     def _reject_calls(monkeypatch, rejected):
@@ -250,11 +287,12 @@ class TestConnectRecovery:
         monkeypatch.setattr(homotopy, "project_to_fiber", patched)
         return seen
 
-    def test_rejected_chord_sample_is_bridged(self, monkeypatch):
+    def test_rejected_midpoint_recovered_by_kick(self, monkeypatch):
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
-        # call 3 projects the third chord sample, calls 4-8 its five tangent kicks
-        seen = self._reject_calls(monkeypatch, lambda n: 3 <= n <= 8)
+        # call 3 projects a bridge midpoint, calls 4-7 its first four tangent
+        # kicks are rejected too, and call 8, the fifth kick, is accepted
+        seen = self._reject_calls(monkeypatch, lambda n: 3 <= n <= 7)
         path = connect(F0, F1, t)
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert chk.ok, chk.message
