@@ -12,7 +12,7 @@ def as_complex_matrix(A, name="matrix") -> np.ndarray:
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
     A = A.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
@@ -30,7 +30,7 @@ def as_complex_vector(v, name="vector") -> np.ndarray:
     v = np.asarray(v).astype(np.complex128, copy=False)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
 

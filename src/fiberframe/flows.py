@@ -8,13 +8,16 @@ with weight w = 1 (fiber_residual and its gradient take another w; the flows
 always use w = 1). Three routes are provided: Armijo-backtracking gradient
 descent on Phi in the ambient matrix space, alternation of the two exact
 constraint projections (operator part, then column rescaling), and damped
-normal-space Gauss-Newton, which is project_to_fiber. Public functions
-validate their arguments once; their loops call private kernels.
+normal-space Gauss-Newton, which is project_to_fiber. A Newton step costs one
+thin SVD of F, a real rank-k^2 update B^T B with B of shape k^2 x N
+(O(k^2 N^2) real flops) and an N x N LU solve. Public functions validate
+their arguments once; their loops call private kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,9 +110,12 @@ def _gaps(F: np.ndarray, target: FiberTarget):
     return F @ F.conj().T - target.operator, _norms_squared(F) - target.norms_sq
 
 
-def _residual(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> float:
-    delta, gap = _gaps(F, target)
+def _phi(delta: np.ndarray, gap: np.ndarray, w: float = 1.0) -> float:
     return float(np.vdot(delta, delta).real + w * np.dot(gap, gap))
+
+
+def _residual(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> float:
+    return _phi(*_gaps(F, target), w)
 
 
 def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) -> np.ndarray:
@@ -125,6 +131,18 @@ def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> np
     return 4.0 * (delta @ F) + (4.0 * w) * (F * gap[None, :])
 
 
+@lru_cache(maxsize=None)
+def _pairs(k: int):
+    """Index pairs a <= b below k, diagonal first, and m = 1 on the diagonal, 2 off it."""
+    d = np.arange(k)
+    ia, ib = np.triu_indices(k, 1)
+    ia, ib = np.concatenate((d, ia)), np.concatenate((d, ib))
+    m = np.where(ia == ib, 1.0, 2.0)
+    for a in (ia, ib, m):
+        a.setflags(write=False)
+    return ia, ib, m
+
+
 def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     """Minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
 
@@ -135,6 +153,13 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     the all-ones kernel (trace(S) = sum(r)). (T + 1 1^T / N) g = c - mean(c)
     gives its minimum-norm (mean-zero) g; lstsq is kept for T = 0 (k = N, F
     a scaled unitary), where that matrix is singular.
+
+    With F~ = diag(s) Vh and K_ab = 1 / (s_a^2 + s_b^2), T = diag(|f~_j|^2) -
+    2 Re sum_ab K_ab P_ab P_ab^*, P_ab,j = conj(F~_aj) F~_bj. Its (a, b) and
+    (b, a) terms are conjugates, so the sum is B^T B, B real k^2 x N with rows
+    w_ab Re P_ab (a <= b) and w_ab Im P_ab (a < b), w_ab^2 = m_ab K_ab (m = 1 on
+    the diagonal, 2 off it): a symmetric rank-k^2 update, about 8x fewer flops
+    than the complex product.
 
     The same solve serves every rank. A pair of singular directions whose
     s_a^2 + s_b^2 is below (_RANK_RTOL s_0)^2 has no first-order response, so
@@ -149,14 +174,22 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     s2 = s[:, None] ** 2 + s[None, :] ** 2
     K = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > (_RANK_RTOL * s[0]) ** 2)
     Rt = U.conj().T @ R @ U
-    # P[(a, b), j] = conj(Ft[a, j]) Ft[b, j]; W~ = K o (R~ - 2 Ft diag(g) Ft*)
-    P = (Ft.conj()[:, None, :] * Ft[None, :, :]).reshape(k * k, N)
-    KP = K.reshape(-1, 1) * P
-    T = np.diag(np.sum(np.abs(Ft) ** 2, axis=0)) - 2.0 * (KP.T @ P.conj()).real
-    c = 0.5 * b - (Rt.reshape(-1) @ KP).real
+    # P[p, j] = w_ab conj(Ft[a, j]) Ft[b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
+    ia, ib, m = _pairs(k)
+    P = Ft.conj()[ia] * Ft[ib]
+    diag = P.real[:k].sum(axis=0)
+    w = np.sqrt(m * K[ia, ib])
+    P *= w[:, None]
+    B = np.concatenate((P.real, P.imag[k:]))
+    T = B.T @ B
+    T *= -2.0
+    T.flat[:: N + 1] += diag
+    c = 0.5 * b - ((w * Rt[ia, ib]) @ P).real
+    T += 1.0 / N
     try:
-        g = np.linalg.solve(T + 1.0 / N, c - c.mean())
+        g = np.linalg.solve(T, c - c.mean())
     except np.linalg.LinAlgError:
+        T -= 1.0 / N
         g, *_ = np.linalg.lstsq(T, c, rcond=None)
     Wt = K * (Rt - 2.0 * (Ft * g) @ Ft.conj().T)
     dFt = Wt @ Ft + Ft * g
@@ -290,7 +323,8 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     """
     opts = options or FlowOptions()
     F = _target_frame(F0, target).copy()
-    phi = _residual(F, target)
+    delta, gap = _gaps(F, target)
+    phi = _phi(delta, gap)
     trace = [phi]
 
     def report(status, message=""):
@@ -300,20 +334,20 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
         return report("converged")
 
     for _ in range(min(opts.max_iters, 60)):
-        delta, gap = _gaps(F, target)
         dF = _normal_preimage(F, -delta, -gap)
         step = 1.0
         accepted = False
         for _ in range(25):
             Fn = F + step * dF
-            phin = _residual(Fn, target)
+            dn, gn = _gaps(Fn, target)
+            phin = _phi(dn, gn)
             if phin < phi:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             return report("stalled", "no damped step decreases the residual")
-        F, phi = Fn, phin
+        F, phi, delta, gap = Fn, phin, dn, gn
         trace.append(phi)
         if phi <= opts.tol:
             return report("converged")

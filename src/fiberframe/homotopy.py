@@ -101,9 +101,12 @@ class FramePath:
         return zip(self.times, self.frames)
 
     def residuals(self) -> np.ndarray:
-        if not np.all(np.isfinite(self.frames)):
+        Fs = self.frames
+        if not np.all(np.isfinite(Fs)):
             raise ValueError("frames contain non-finite entries")
-        return np.array([_residual(F, self.target) for F in self.frames])
+        delta = Fs @ Fs.conj().transpose(0, 2, 1) - self.target.operator
+        gap = np.sum(np.abs(Fs) ** 2, axis=1) - self.target.norms_sq
+        return np.sum(np.abs(delta) ** 2, axis=(1, 2)) + np.sum(gap**2, axis=1)
 
     def step_norms(self) -> np.ndarray:
         d = np.diff(self.frames, axis=0)

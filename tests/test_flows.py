@@ -7,7 +7,9 @@ from conftest import (
     min_norm_step_bruteforce,
     rand_frame,
     rand_hermitian,
+    rand_pd_hermitian,
     rand_rank_deficient,
+    rand_unitary,
 )
 
 from fiberframe import (
@@ -195,12 +197,17 @@ class TestNewtonRefine:
         assert rep.iterations == 4
         assert fiber_residual(F, t) <= 1e-24
 
-    @pytest.mark.parametrize("k,N", [(2, 4), (3, 6), (4, 16)])
+    @pytest.mark.parametrize(
+        "k,N,rank",
+        [(2, 4, 1), (3, 6, 2), (4, 16, 3), (5, 8, 3), (8, 20, 5)],
+        ids=["2-4", "3-6", "4-16", "5-8-3", "8-20-5"],
+    )
     @pytest.mark.parametrize("seed", range(5))
-    def test_rank_deficient_start_converges(self, k, N, seed):
-        # a kernel row of the start is filled by the Newton step's missing operator energy
+    def test_rank_deficient_start_converges(self, k, N, rank, seed):
+        # a kernel row of the start is filled by the Newton step's missing operator energy;
+        # below rank k - 1 the step's weights K have a zero block
         t = FiberTarget.funtf(k, N)
-        F0 = rand_rank_deficient(np.random.default_rng(seed), k, N)
+        F0 = rand_rank_deficient(np.random.default_rng(seed), k, N, rank=rank)
         for solver in (newton_refine, project_to_fiber):
             F, rep = solver(F0, t, FlowOptions(tol=1e-20))
             assert rep.converged
@@ -235,14 +242,21 @@ class TestNewtonRefine:
 
 
 class TestNormalStep:
-    @pytest.mark.parametrize("k,N", [(2, 4), (4, 16), (8, 64)])
+    @pytest.mark.parametrize("k,N", [(2, 4), (4, 16), (8, 64), (5, 8), (6, 6), (16, 40)])
     def test_matches_realified_min_norm_step(self, k, N):
         rng = np.random.default_rng(k * N)
         t = FiberTarget.funtf(k, N)
+        # a non-diagonal operator with unequal norms and the same total
+        r = rng.uniform(0.5, 1.5, N)
+        S = rand_pd_hermitian(rng, k)
+        S *= r.sum() / np.trace(S).real
         for _ in range(3):
             F = rand_frame(rng, k, N)
-            # the Newton residual and a random consistent right-hand side
-            cases = [(t.operator - F @ F.conj().T, t.norms_sq - norms_squared(F))]
+            # the Newton residuals of both targets and a random consistent right-hand side
+            cases = [
+                (t.operator - F @ F.conj().T, t.norms_sq - norms_squared(F)),
+                (S - F @ F.conj().T, r - norms_squared(F)),
+            ]
             R = rand_hermitian(rng, k)
             b = rng.standard_normal(N)
             cases.append((R, b + (np.trace(R).real - b.sum()) / N))
@@ -250,6 +264,30 @@ class TestNormalStep:
                 ref = min_norm_step_bruteforce(F, R, b)
                 dF = _normal_preimage(F, R, b)
                 assert np.linalg.norm(dF - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_scaled_unitary_matches_min_norm_step(self, k):
+        # T = 0 here, so the lstsq branch gives the step; at k = N the norms equations
+        # repeat the diagonal of the operator equations, so b = diag(R) for consistency
+        F = 2.0 * np.eye(k, dtype=complex)
+        R = rand_hermitian(np.random.default_rng(k), k)
+        b = R.diagonal().real
+        ref = min_norm_step_bruteforce(F, R, b)
+        assert np.linalg.norm(_normal_preimage(F, R, b) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k,N", [(2, 4), (5, 8), (6, 6), (16, 40)])
+    def test_unitary_torus_equivariance(self, k, N):
+        # the step of U F D for U R U* is U dF D: the norms right-hand side is unchanged
+        rng = np.random.default_rng(100 + k * N)
+        F = rand_frame(rng, k, N)
+        R = rand_hermitian(rng, k)
+        b = rng.standard_normal(N)
+        b += (np.trace(R).real - b.sum()) / N
+        U = rand_unitary(rng, k)
+        D = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
+        dF = _normal_preimage(F, R, b)
+        dG = _normal_preimage((U @ F) * D, U @ R @ U.conj().T, b)
+        assert np.linalg.norm(dG - (U @ dF) * D) <= 1e-10 * np.linalg.norm(dF)
 
 
 class TestCompositeProjection:

@@ -49,6 +49,25 @@ class TestFramePath:
         with pytest.raises(ValueError):
             FramePath(np.array([0.0, 0.0, 1.0]), np.stack([F, F, F]), t)
 
+    def test_residuals_match_per_sample_residual(self):
+        # the stacked residuals agree with the single-frame residual of every sample
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        rng = np.random.default_rng(7)
+        F0 = random_frame_on_fiber(t, seed=1)
+        Fs = np.stack([F0 + eps * rng.standard_normal(F0.shape) for eps in (0.0, 1e-6, 1e-3, 0.1)])
+        path = FramePath(np.linspace(0.0, 1.0, 4), Fs, t)
+        ref = np.array([fiber_residual(F, t) for F in Fs])
+        assert np.allclose(path.residuals(), ref, rtol=1e-12, atol=1e-30)
+
+    def test_residuals_reject_non_finite_sample(self):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        G = F.copy()
+        G[1, 2] = complex(0.0, np.inf)
+        path = FramePath(np.array([0.0, 0.5, 1.0]), np.stack([F, G, F]), t)
+        with pytest.raises(ValueError, match="non-finite"):
+            path.residuals()
+
     def test_rejects_shape_mismatch(self):
         t = FiberTarget.funtf(2, 4)
         F = random_frame_on_fiber(t, seed=0)
