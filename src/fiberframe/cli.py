@@ -231,6 +231,8 @@ def _cmd_connect(args, out: _Output) -> int:
     out.add("max_residual", check.max_residual)
     out.add("max_step", check.max_step)
     out.add("out", args.out)
+    # the run's counts go to --json output only; the text lines stay as they were
+    out.payload["report"] = path.report.to_dict()
     return 0
 
 

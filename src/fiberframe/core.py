@@ -85,7 +85,8 @@ def norms_squared(F) -> np.ndarray:
 
 
 def _norms_squared(F: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(F) ** 2, axis=0)
+    # squared column norms of a frame or of each frame in a stack (..., k, N)
+    return np.add.reduce(np.abs(F) ** 2, axis=-2)
 
 
 @dataclass(frozen=True)

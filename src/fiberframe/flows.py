@@ -10,8 +10,11 @@ descent on Phi in the ambient matrix space, alternation of the two exact
 constraint projections (operator part, then column rescaling), and damped
 normal-space Gauss-Newton, which is project_to_fiber. A Newton step costs one
 thin SVD of F, a real rank-k^2 update B^T B with B of shape k^2 x N
-(O(k^2 N^2) real flops) and an N x N LU solve. Public functions validate
-their arguments once; their loops call private kernels.
+(O(k^2 N^2) real flops) and an N x N LU solve. The Newton loop runs on a
+stack of frames, each row on its own: newton_refine is a stack of one, and
+connect projects every bridge midpoint of a level in one stacked run, so the
+per-call cost of the small solves is paid once per stack. Public functions
+validate their arguments once; their loops call private kernels.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class FlowReport:
 
 def _report(method, trace, status, message="", final_residual=None) -> FlowReport:
     """FlowReport for a residual trace; final_residual defaults to its last entry."""
-    final = trace[-1] if final_residual is None else final_residual
+    final = float(trace[-1]) if final_residual is None else final_residual
     return FlowReport(method, status, len(trace) - 1, final, np.asarray(trace), message)
 
 
@@ -107,15 +110,21 @@ def fiber_residual(F, target: FiberTarget, norm_weight: float = 1.0) -> float:
 
 
 def _gaps(F: np.ndarray, target: FiberTarget):
-    return F @ F.conj().T - target.operator, _norms_squared(F) - target.norms_sq
+    """Defects (S - F F*, r - |f_j|^2) of a frame, or of each frame in a stack (..., k, N).
+
+    They are the right-hand side of the Newton step, D(F) dF = defects.
+    """
+    return target.operator - F @ F.conj().swapaxes(-1, -2), target.norms_sq - _norms_squared(F)
 
 
-def _phi(delta: np.ndarray, gap: np.ndarray, w: float = 1.0) -> float:
-    return float(np.vdot(delta, delta).real + w * np.dot(gap, gap))
+def _phi(delta: np.ndarray, gap: np.ndarray, w: float = 1.0):
+    """Phi from the defects: a float for one frame, an array for a stack."""
+    d = delta.reshape(delta.shape[:-2] + (-1,))
+    return np.vecdot(d, d).real + w * np.vecdot(gap, gap)
 
 
 def _residual(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> float:
-    return _phi(*_gaps(F, target), w)
+    return float(_phi(*_gaps(F, target), w))
 
 
 def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) -> np.ndarray:
@@ -128,7 +137,7 @@ def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) ->
 
 def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> np.ndarray:
     delta, gap = _gaps(F, target)
-    return 4.0 * (delta @ F) + (4.0 * w) * (F * gap[None, :])
+    return -4.0 * (delta @ F) - (4.0 * w) * (F * gap[None, :])
 
 
 @lru_cache(maxsize=None)
@@ -146,20 +155,25 @@ def _pairs(k: int):
 def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     """Minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
 
+    F may carry leading stack axes, (..., k, N) with R (..., k, k) and b
+    (..., N); each frame of the stack is solved independently.
+
     The minimizer lies in the range of the derivative's adjoint, the normal
     space {W F + F diag(g) : W Hermitian, g real}. In the singular basis
     F = U diag(s) Vh the operator equations are diagonal, so W is eliminated
     entrywise and the norms equations leave T g = c, real symmetric N x N with
     the all-ones kernel (trace(S) = sum(r)). (T + 1 1^T / N) g = c - mean(c)
-    gives its minimum-norm (mean-zero) g; lstsq is kept for T = 0 (k = N, F
-    a scaled unitary), where that matrix is singular.
+    gives its minimum-norm (mean-zero) g, one batched LU solve for the stack;
+    when a frame's matrix is singular (k = N with F a scaled unitary, where T
+    can round to exactly 0), that frame alone is solved by lstsq of T.
 
     With F~ = diag(s) Vh and K_ab = 1 / (s_a^2 + s_b^2), T = diag(|f~_j|^2) -
     2 Re sum_ab K_ab P_ab P_ab^*, P_ab,j = conj(F~_aj) F~_bj. Its (a, b) and
     (b, a) terms are conjugates, so the sum is B^T B, B real k^2 x N with rows
     w_ab Re P_ab (a <= b) and w_ab Im P_ab (a < b), w_ab^2 = m_ab K_ab (m = 1 on
     the diagonal, 2 off it): a symmetric rank-k^2 update, about 8x fewer flops
-    than the complex product.
+    than the complex product. It is formed frame by frame, since numpy sends
+    only the two-dimensional B.T @ B to the symmetric update.
 
     The same solve serves every rank. A pair of singular directions whose
     s_a^2 + s_b^2 is below (_RANK_RTOL s_0)^2 has no first-order response, so
@@ -168,34 +182,53 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     to the rows of F, so the iterate regains rank with the missing energy. At
     full rank neither rule changes the step.
     """
-    k, N = F.shape
+    shape = F.shape
+    k, N = shape[-2:]
+    F, R, b = F.reshape(-1, k, N), R.reshape(-1, k, k), b.reshape(-1, N)
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    Ft = s[:, None] * Vh
-    s2 = s[:, None] ** 2 + s[None, :] ** 2
-    K = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > (_RANK_RTOL * s[0]) ** 2)
-    Rt = U.conj().T @ R @ U
-    # P[p, j] = w_ab conj(Ft[a, j]) Ft[b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
+    Ft = s[:, :, None] * Vh
+    Ftc = Ft.conj()
+    sq = s**2
+    s2 = sq[:, :, None] + sq[:, None, :]
+    # 1 / inf = 0: pairs below the rank threshold get weight 0
+    K = 1.0 / np.where(s2 > (_RANK_RTOL * s[:, :1, None]) ** 2, s2, np.inf)
+    Rt = U.conj().swapaxes(1, 2) @ R @ U
+    # P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
     ia, ib, m = _pairs(k)
-    P = Ft.conj()[ia] * Ft[ib]
-    diag = P.real[:k].sum(axis=0)
-    w = np.sqrt(m * K[ia, ib])
-    P *= w[:, None]
-    B = np.concatenate((P.real, P.imag[k:]))
-    T = B.T @ B
+    P = Ftc.take(ia, axis=1)
+    P *= Ft.take(ib, axis=1)
+    diag = np.add.reduce(P.real[:, :k], axis=1)
+    w = np.sqrt(m * K[:, ia, ib])
+    P *= w[:, :, None]
+    c = 0.5 * b - ((w * Rt[:, ia, ib])[:, None] @ P)[:, 0].real
+    # B keeps what T needs of P. Freeing P before the N x N work lowers the
+    # peak of temporaries: at (16, 128) the higher peak had the heap trimmed
+    # and faulted back in on every call.
+    B = np.concatenate((P.real, P.imag[:, k:]), axis=1)
+    del P
+    T = np.empty((len(B), N, N))
+    for Bi, Ti in zip(B, T):
+        np.matmul(Bi.T, Bi, out=Ti)
     T *= -2.0
-    T.flat[:: N + 1] += diag
-    c = 0.5 * b - ((w * Rt[ia, ib]) @ P).real
+    T.reshape(-1, N * N)[:, :: N + 1] += diag
     T += 1.0 / N
+    rhs = c - np.add.reduce(c, axis=1, keepdims=True) / N
     try:
-        g = np.linalg.solve(T, c - c.mean())
+        g = np.linalg.solve(T, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        T -= 1.0 / N
-        g, *_ = np.linalg.lstsq(T, c, rcond=None)
-    Wt = K * (Rt - 2.0 * (Ft * g) @ Ft.conj().T)
-    dFt = Wt @ Ft + Ft * g
-    ker = s < _RANK_RTOL * s[0]
-    dFt[ker] += np.sqrt(np.maximum(Rt.diagonal()[ker].real, 0.0))[:, None] * Vh[ker]
-    return U @ dFt
+        g = np.empty_like(c)
+        for i in range(len(c)):
+            try:
+                g[i] = np.linalg.solve(T[i], rhs[i])
+            except np.linalg.LinAlgError:
+                g[i] = np.linalg.lstsq(T[i] - 1.0 / N, c[i], rcond=None)[0]
+    Ftg = Ft * g[:, None]
+    Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
+    dFt = Wt @ Ft + Ftg
+    ker = s < _RANK_RTOL * s[:, :1]
+    if np.count_nonzero(ker):
+        dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker]
+    return (U @ dFt).reshape(shape)
 
 
 def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
@@ -309,6 +342,73 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     return report(best_F, "max_iters")
 
 
+def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
+    """Damped Gauss-Newton on a stack of frames F (n, k, N), each row on its own.
+
+    Every iteration takes one normal-space step per live row from one stacked
+    _normal_preimage call and evaluates each trial on the whole live stack; a
+    row whose Phi does not decrease halves its own step and tries again (25
+    tries). A row leaves the stack when Phi <= opts.tol (converged) or when
+    no damped step decreases its Phi (stalled); at most min(opts.max_iters,
+    60) iterations run.
+
+    Returns (frames, phi, iterations, trace, stalled): per row, its final Phi,
+    its accepted steps and whether it stalled; trace[i, j] is Phi of row j
+    after i accepted steps, held at its final value once the row leaves.
+    """
+    n = len(F)
+    F = F.copy()
+    delta, gap = _gaps(F, target)
+    phi = _phi(delta, gap)
+    trace = [phi]
+    iters = np.zeros(n, dtype=int)
+    stalled = np.zeros(n, dtype=bool)
+    # the live rows with their frames, defects and Phi; while every row is
+    # live no row is indexed out. A row leaving after `it` completed
+    # iterations took `it` steps.
+    rows, X, p, tol = np.arange(n), F, phi, opts.tol
+    it, cap = 0, min(opts.max_iters, 60)
+    while it < cap:
+        keep = p > tol
+        live = np.count_nonzero(keep)
+        if not live:
+            break
+        if live < len(rows):
+            F[rows[~keep]], iters[rows[~keep]] = X[~keep], it
+            rows, X, p, delta, gap = rows[keep], X[keep], p[keep], delta[keep], gap[keep]
+        dF = _normal_preimage(X, delta, gap)
+        Xn = X + dF
+        dn, gn = _gaps(Xn, target)
+        pn = _phi(dn, gn)
+        ok = pn < p
+        if np.count_nonzero(ok) < len(rows):
+            step = np.ones(len(rows))
+            for _ in range(24):
+                step[~ok] *= 0.5
+                Xt = X + step[:, None, None] * dF
+                dt, gt = _gaps(Xt, target)
+                pt = _phi(dt, gt)
+                new = ~ok & (pt < p)
+                Xn[new], dn[new], gn[new], pn[new] = Xt[new], dt[new], gt[new], pt[new]
+                ok |= new
+                if np.count_nonzero(ok) == len(rows):
+                    break
+            else:
+                # stalled rows leave with their last accepted frame
+                F[rows[~ok]], iters[rows[~ok]], stalled[rows[~ok]] = X[~ok], it, True
+                rows, Xn, pn, dn, gn = rows[ok], Xn[ok], pn[ok], dn[ok], gn[ok]
+        X, p, delta, gap = Xn, pn, dn, gn
+        if len(rows) == n:
+            phi = p
+        else:
+            phi = phi.copy()
+            phi[rows] = p
+        trace.append(phi)
+        it += 1
+    F[rows], iters[rows] = X, it
+    return F, phi, iters, np.array(trace), stalled
+
+
 def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     """Damped Gauss-Newton on the constraint map; returns (frame, FlowReport).
 
@@ -319,39 +419,16 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     rank-deficient iterate takes the same step, with its kernel rows filled
     by the missing operator energy, so it regains rank.
     Steps are halved until Phi decreases; a step that cannot decrease Phi ends
-    the run as "stalled".
+    the run as "stalled". The run is the Newton loop on a stack of one frame.
     """
     opts = options or FlowOptions()
-    F = _target_frame(F0, target).copy()
-    delta, gap = _gaps(F, target)
-    phi = _phi(delta, gap)
-    trace = [phi]
-
-    def report(status, message=""):
-        return F, _report("newton", trace, status, message)
-
-    if phi <= opts.tol:
-        return report("converged")
-
-    for _ in range(min(opts.max_iters, 60)):
-        dF = _normal_preimage(F, -delta, -gap)
-        step = 1.0
-        accepted = False
-        for _ in range(25):
-            Fn = F + step * dF
-            dn, gn = _gaps(Fn, target)
-            phin = _phi(dn, gn)
-            if phin < phi:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return report("stalled", "no damped step decreases the residual")
-        F, phi, delta, gap = Fn, phin, dn, gn
-        trace.append(phi)
-        if phi <= opts.tol:
-            return report("converged")
-    return report("max_iters")
+    Fs, phi, iters, trace, stalled = _newton(_target_frame(F0, target)[None], target, opts)
+    trace = trace[: iters[0] + 1, 0]
+    if phi[0] <= opts.tol:
+        return Fs[0], _report("newton", trace, "converged")
+    if stalled[0]:
+        return Fs[0], _report("newton", trace, "stalled", "no damped step decreases the residual")
+    return Fs[0], _report("newton", trace, "max_iters")
 
 
 def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):

@@ -5,16 +5,18 @@ joined by a path that stays on that fiber (for regular targets). connect()
 produces an explicit discrete witness: gauge-align the endpoints with a
 unitary V from the commutant of S, then unwind the gauge along the
 one-parameter unitary group from V to the identity, which moves on the fiber
-exactly. The endpoints and the unwind samples are the anchors; one bridge pass
-subdivides every gap wider than delta between consecutive anchors by
-projecting midpoints onto the fiber (retrying a midpoint with seeded tangent
-kicks when its projection is rejected), so the chord from F0 to V F1 is
-bridged like every other gap. An unwind sample off the fiber is dropped.
+exactly. The endpoints and the unwind samples are the anchors; a bridge pass
+subdivides every gap wider than delta between consecutive anchors, level by
+level: the midpoints of all open gaps of a level are projected onto the fiber
+in one stacked Newton solve (a midpoint whose projection is rejected is
+retried with seeded tangent kicks), and the halves still wider than delta
+form the next level. So the chord from F0 to V F1 is bridged like every other
+gap. An unwind sample off the fiber is dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,10 +30,11 @@ from ._linalg import (
 from .core import _frame_pair, as_frame_matrix
 from .errors import ClusteringError, ConnectError
 from .fiber import FiberTarget
-from .flows import FlowOptions, _normal_preimage, _residual, project_to_fiber
+from .flows import FlowOptions, _gaps, _newton, _normal_preimage, _phi, _residual
 
 __all__ = [
     "ConnectOptions",
+    "ConnectReport",
     "FramePath",
     "PathCheck",
     "gauge_align",
@@ -69,13 +72,35 @@ class ConnectOptions:
             raise ValueError("path_tol and delta must be positive")
 
 
+@dataclass
+class ConnectReport:
+    """Counts of one connect() run; deterministic for a fixed seed.
+
+    projections counts the frames projected onto the fiber (bridge midpoints
+    and kicked retries), newton_iterations their accepted Newton steps, kicks
+    the tangent kicks tried, levels the bridge levels.
+    """
+
+    projections: int = 0
+    newton_iterations: int = 0
+    kicks: int = 0
+    levels: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(eq=False)
 class FramePath:
-    """Discrete path on a fiber: times in [0, 1] with one frame per time."""
+    """Discrete path on a fiber: times in [0, 1] with one frame per time.
+
+    report holds the counts of the connect() run that traced the path.
+    """
 
     times: np.ndarray
     frames: np.ndarray
     target: FiberTarget
+    report: ConnectReport | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -101,16 +126,12 @@ class FramePath:
         return zip(self.times, self.frames)
 
     def residuals(self) -> np.ndarray:
-        Fs = self.frames
-        if not np.all(np.isfinite(Fs)):
+        if not np.all(np.isfinite(self.frames)):
             raise ValueError("frames contain non-finite entries")
-        delta = Fs @ Fs.conj().transpose(0, 2, 1) - self.target.operator
-        gap = np.sum(np.abs(Fs) ** 2, axis=1) - self.target.norms_sq
-        return np.sum(np.abs(delta) ** 2, axis=(1, 2)) + np.sum(gap**2, axis=1)
+        return _phi(*_gaps(self.frames, self.target))
 
     def step_norms(self) -> np.ndarray:
-        d = np.diff(self.frames, axis=0)
-        return np.sqrt(np.sum(np.abs(d) ** 2, axis=(1, 2)))
+        return _frobenius(np.diff(self.frames, axis=0))
 
 
 @dataclass(frozen=True)
@@ -194,6 +215,12 @@ def gauge_align(F0, F1, operator, cluster_tol: float = _CLUSTER_TOL) -> np.ndarr
     return V @ F1
 
 
+def _frobenius(D: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each frame of a stack, summed as np.linalg.norm sums one frame."""
+    re, im = D.real.reshape(len(D), -1), D.imag.reshape(len(D), -1)
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def _tangent_kick(rng: np.random.Generator, F: np.ndarray, size: float) -> np.ndarray:
     """Random perturbation of norm `size`, projected onto the fiber tangent space at F.
 
@@ -216,9 +243,13 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     """Discrete on-fiber path from F0 to F1; both must lie on the target fiber.
 
     The anchors are F0, the on-fiber gauge-unwind samples (the first is the
-    aligned endpoint V F1) and F1; one bridge pass projects midpoints into
-    every gap wider than delta between consecutive anchors, so every interior
-    sample is a bridge midpoint or an exact unwind sample.
+    aligned endpoint V F1) and F1. The bridge pass then runs level by level
+    over the sequence of samples: each level stacks the midpoints of every
+    gap still wider than delta, projects the stack in one Newton solve, checks
+    each midpoint in sequence order (accepted within half of path_tol^2, else
+    retried with seeded tangent kicks; it must shorten both halves of its
+    gap) and splits the gaps. Every interior sample is a bridge midpoint or an
+    exact unwind sample; the path's report counts the work.
 
     Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
     ConnectError (with the chord parameter near the failure in .t) when the
@@ -239,79 +270,108 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     delta_abs = opts.delta * scale
     rng = np.random.default_rng(opts.seed)
     k = target.k
+    report = ConnectReport()
 
     if np.linalg.norm(F1 - F0) <= 1e-14 * max(1.0, scale):
-        return FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target)
+        return FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report)
 
     proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
     accept_tol = 0.5 * ptol2
 
-    def project(X, kick_base):
-        # on-fiber projection of X, else of X plus a seeded tangent kick at
-        # kick_base; None when every try is rejected
-        G, _rep = project_to_fiber(X, target, proj_opts)
-        if _residual(G, target) <= accept_tol:
-            return G
+    def project(X):
+        # Newton projection of the stack X; the frames and which rows are accepted
+        G, phi, iters, _trace, _stalled = _newton(X, target, proj_opts)
+        report.projections += len(X)
+        report.newton_iterations += int(iters.sum())
+        return G, phi <= accept_tol
+
+    def kicked(X, base, t):
+        # projection of X plus a seeded tangent kick at base, until one is accepted
         for _ in range(_KICKS):
-            Xk = X + _tangent_kick(rng, kick_base, _KICK_SCALE * scale)
-            G, _rep = project_to_fiber(Xk, target, proj_opts)
-            if _residual(G, target) <= accept_tol:
-                return G
-        return None
+            report.kicks += 1
+            G, ok = project((X + _tangent_kick(rng, base, _KICK_SCALE * scale))[None])
+            if ok[0]:
+                return G[0]
+        raise ConnectError("projection failed while bridging fiber points", t=t)
 
-    def bridge(Fa, Fb, depth, ta, tb):
-        # both ends on the fiber; subdivide their chord until steps fit delta
-        t = 0.5 * (ta + tb)
+    def gap_after(dist, depth, ta, tb):
+        # the open gap (dist, depth, ta, tb) between two on-fiber samples, None when it fits delta
+        if dist <= delta_abs:
+            return None
         if depth > _EXTRA_DEPTH:
-            raise ConnectError("bridging between fiber points exceeded depth", t=t)
-        gap = float(np.linalg.norm(Fb - Fa))
-        M = project(0.5 * (Fa + Fb), kick_base=Fa)
-        if M is None:
-            raise ConnectError("projection failed while bridging fiber points", t=t)
-        if max(np.linalg.norm(M - Fa), np.linalg.norm(Fb - M)) >= gap * (1.0 - 1e-12):
-            raise ConnectError("bridging made no progress between fiber points", t=t)
-        left = [] if np.linalg.norm(M - Fa) <= delta_abs else bridge(Fa, M, depth + 1, ta, t)
-        right = [] if np.linalg.norm(Fb - M) <= delta_abs else bridge(M, Fb, depth + 1, t, tb)
-        return left + [M] + right
+            raise ConnectError("bridging between fiber points exceeded depth", t=0.5 * (ta + tb))
+        return dist, depth, ta, tb
 
-    # (chord parameter, on-fiber frame) anchors: the chord runs from F0 to the
-    # aligned endpoint V F1, and the unwind from V F1 to F1 sits at parameter 1
-    anchors = [(0.0, F0)]
+    # the anchors are F0, the on-fiber unwind samples and F1; the chord runs
+    # from F0 to the first of them, the aligned endpoint V F1, over chord
+    # parameters 0 to 1, and the unwind from V F1 to F1 sits at parameter 1
+    unwind = np.empty((0, k, target.N), dtype=complex)
     V = _commutant_gauge(F0, F1, target.operator, _CLUSTER_TOL)
     if np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k):
         Z, theta = unitary_log_factors(V)
         nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 - F1) / (0.5 * delta_abs))))
-        for s in np.linspace(0.0, 1.0, nsteps + 1)[:-1]:
-            Fs = ((Z * np.exp(1j * (1.0 - s) * theta)) @ Z.conj().T) @ F1
-            if _residual(Fs, target) <= accept_tol:
-                anchors.append((1.0, Fs))
-    anchors.append((1.0, F1))
+        s = np.linspace(0.0, 1.0, nsteps + 1)[:-1]
+        Fs = ((Z * np.exp(1j * (1.0 - s)[:, None] * theta)[:, None, :]) @ Z.conj().T) @ F1
+        unwind = Fs[_phi(*_gaps(Fs, target)) <= accept_tol]
+    anchors = np.concatenate((F0[None], unwind, F1[None]))
 
-    # each top-level bridge starts below zero by the halvings a straight chord
-    # of its gap needs, so _EXTRA_DEPTH counts only the halvings beyond those
-    frames = [F0]
-    for (ta, Fa), (tb, Fb) in zip(anchors, anchors[1:]):
-        gap = float(np.linalg.norm(Fb - Fa))
-        if gap > delta_abs:
-            frames.extend(bridge(Fa, Fb, -int(np.ceil(np.log2(gap / delta_abs))), ta, tb))
-        frames.append(Fb)
+    # samples[i] and samples[i + 1] bound gaps[i]: None once it fits delta,
+    # else (distance, depth, ta, tb). A top-level gap starts below zero by the
+    # halvings a straight chord of it needs, so _EXTRA_DEPTH counts only those
+    # beyond.
+    samples = list(anchors)
+    gaps = []
+    for i, dist in enumerate(_frobenius(np.diff(anchors, axis=0))):
+        depth = -int(np.ceil(np.log2(max(dist, delta_abs) / delta_abs)))
+        gaps.append(gap_after(float(dist), depth, 0.0 if i == 0 else 1.0, 1.0))
+    while any(gaps):
+        report.levels += 1
+        open_gaps = [i for i, g in enumerate(gaps) if g is not None]
+        A = np.stack([samples[i] for i in open_gaps])
+        B = np.stack([samples[i + 1] for i in open_gaps])
+        X = 0.5 * (A + B)
+        G, ok = project(X)
+        DA, DB = _frobenius(G - A), _frobenius(B - G)
+        new_samples, new_gaps = [F0], []
+        j = 0
+        for i, g in enumerate(gaps):
+            if g is not None:
+                Fa, Fb = samples[i], samples[i + 1]
+                dist, depth, ta, tb = g
+                t = 0.5 * (ta + tb)
+                if ok[j]:
+                    M, da, db = G[j], float(DA[j]), float(DB[j])
+                else:
+                    M = kicked(X[j], Fa, t)
+                    da, db = float(np.linalg.norm(M - Fa)), float(np.linalg.norm(Fb - M))
+                j += 1
+                if max(da, db) >= dist * (1.0 - 1e-12):
+                    raise ConnectError("bridging made no progress between fiber points", t=t)
+                new_samples.append(M)
+                new_gaps += [gap_after(da, depth + 1, ta, t), gap_after(db, depth + 1, t, tb)]
+            else:
+                new_gaps.append(None)
+            new_samples.append(samples[i + 1])
+        samples, gaps = new_samples, new_gaps
 
-    # prune near-duplicate samples; F0 and F1 stay, and the early return for
-    # F1 == F0 keeps the step between them, so every time step is positive
+    # prune near-duplicate samples, when any consecutive pair is that close;
+    # F0 and F1 stay, and the early return for F1 == F0 keeps the step between
+    # them, so every time step is positive
     thresh = 1e-13 * max(1.0, scale)
-    kept = [F0]
-    for F in frames[1:-1]:
-        if np.linalg.norm(F - kept[-1]) > thresh:
-            kept.append(F)
-    while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
-        kept.pop()
-    kept.append(F1)
-
-    arr = np.stack(kept)
-    seg = np.sqrt(np.sum(np.abs(np.diff(arr, axis=0)) ** 2, axis=(1, 2)))
+    arr = np.stack(samples)
+    seg = _frobenius(np.diff(arr, axis=0))
+    if np.any(seg <= thresh):
+        kept = [F0]
+        for F in samples[1:-1]:
+            if np.linalg.norm(F - kept[-1]) > thresh:
+                kept.append(F)
+        while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
+            kept.pop()
+        arr = np.stack(kept + [F1])
+        seg = _frobenius(np.diff(arr, axis=0))
     times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
     times[-1] = 1.0
-    path = FramePath(times, arr, target)
+    path = FramePath(times, arr, target, report)
 
     check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
     if not check:

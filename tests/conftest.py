@@ -122,3 +122,66 @@ def tangent_part_bruteforce(F, G):
     coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     tang = rhs - basis @ coef
     return (tang[: k * N] + 1j * tang[k * N :]).reshape(k, N)
+
+
+def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
+    """Reference samples of connect(F0, F1, target): the depth-first bridge.
+
+    The anchors are built as connect builds them (F0, the on-fiber samples of
+    the gauge unwind from V F1 to F1, then F1), with V the blockwise
+    Procrustes unitary over the eigenvalue clusters of the operator and the
+    unwind from numpy's eigendecomposition of V. Each gap wider than delta is
+    then bridged recursively, one project_to_fiber call per midpoint, left
+    half before right half. Only public package functions are used.
+    """
+    from fiberframe import FlowOptions, fiber_residual, project_to_fiber
+
+    k = F0.shape[0]
+    scale = np.linalg.norm(F0)
+    step = delta * scale
+    accept = 0.5 * path_tol**2
+    opts = FlowOptions(tol=min(1e-20, 0.01 * path_tol**2))
+
+    w, Q = np.linalg.eigh(target.operator)
+    blocks = np.zeros((k, k), dtype=complex)
+    start = 0
+    for end in range(1, k + 1):
+        if end == k or w[end] - w[end - 1] > 1e-8 * abs(w[-1]):
+            cl = slice(start, end)
+            X, _s, Yh = np.linalg.svd((Q[:, cl].conj().T @ F0) @ (Q[:, cl].conj().T @ F1).conj().T)
+            blocks[cl, cl] = X @ Yh
+            start = end
+    V = Q @ blocks @ Q.conj().T
+
+    anchors = [F0]
+    if np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k):
+        lam, Z = np.linalg.eig(V)
+        Zinv = np.linalg.inv(Z)
+        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 - F1) / (0.5 * step))))
+        for s in np.linspace(0.0, 1.0, nsteps + 1)[:-1]:
+            Fs = (Z * np.exp(1j * (1.0 - s) * np.angle(lam))) @ Zinv @ F1
+            if fiber_residual(Fs, target) <= accept:
+                anchors.append(Fs)
+    anchors.append(F1)
+
+    def bridge(Fa, Fb):
+        M, _rep = project_to_fiber(0.5 * (Fa + Fb), target, opts)
+        assert fiber_residual(M, target) <= accept
+        left = bridge(Fa, M) if np.linalg.norm(M - Fa) > step else []
+        right = bridge(M, Fb) if np.linalg.norm(Fb - M) > step else []
+        return left + [M] + right
+
+    samples = [F0]
+    for Fa, Fb in zip(anchors, anchors[1:]):
+        if np.linalg.norm(Fb - Fa) > step:
+            samples += bridge(Fa, Fb)
+        samples.append(Fb)
+    # near-duplicates of the last kept sample go, then kept samples near F1
+    thresh = 1e-13 * max(1.0, scale)
+    kept = [F0]
+    for F in samples[1:-1]:
+        if np.linalg.norm(F - kept[-1]) > thresh:
+            kept.append(F)
+    while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
+        kept.pop()
+    return np.stack(kept + [F1])

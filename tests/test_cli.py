@@ -185,6 +185,22 @@ class TestConnect:
         assert chk.ok, chk.message
         assert header["seed"] == 0
 
+    def test_report_in_json_only(self, tmp_path, capsys):
+        t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
+        pfile = str(tmp_path / "path.jsonl")
+        code, out, _ = run(capsys, "--json", "connect", files[0], files[1], tfile, "--out", pfile)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["report"] == {"projections": 31, "newton_iterations": 77, "kicks": 0, "levels": 5}
+        code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", pfile)
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "status",
+            "samples",
+            "max_residual",
+            "max_step",
+            "out",
+        ]
+
     def test_off_fiber_endpoint_fails(self, tmp_path, capsys):
         t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
         F = read_frame(files[0]) * 1.05

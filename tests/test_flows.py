@@ -28,7 +28,7 @@ from fiberframe import (
     project_to_fiber,
     random_frame_on_fiber,
 )
-from fiberframe.flows import _normal_preimage
+from fiberframe.flows import _newton, _normal_preimage
 
 
 def perturbed_fiber_point(target, seed, rel=1e-2):
@@ -288,6 +288,83 @@ class TestNormalStep:
         dF = _normal_preimage(F, R, b)
         dG = _normal_preimage((U @ F) * D, U @ R @ U.conj().T, b)
         assert np.linalg.norm(dG - (U @ dF) * D) <= 1e-10 * np.linalg.norm(dF)
+
+
+class TestStackedSolve:
+    """The kernel and the Newton loop on a stack agree with their rows solved one at a time."""
+
+    @staticmethod
+    def _mixed_stack():
+        # k = N: a generic row, a rank-deficient row (the kernel-row rule) and a
+        # scaled unitary, with the Newton right-hand sides of funtf(3, 3). At
+        # 0.25 I the norms matrix T rounds to exactly 0, so its system is
+        # singular and only lstsq solves it (at 2 I, T is only nearly 0)
+        rng = np.random.default_rng(31)
+        t = FiberTarget.funtf(3, 3)
+        Fs = np.stack([rand_frame(rng, 3, 3), rand_rank_deficient(rng, 3, 3), 0.25 * np.eye(3, dtype=complex)])
+        R = t.operator - Fs @ Fs.conj().transpose(0, 2, 1)
+        b = t.norms_sq - np.sum(np.abs(Fs) ** 2, axis=1)
+        return Fs, R, b
+
+    @staticmethod
+    def _spy_lstsq(monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        return calls
+
+    def test_kernel_rows_match_single_calls(self, monkeypatch):
+        Fs, R, b = self._mixed_stack()
+        calls = self._spy_lstsq(monkeypatch)
+        stacked = _normal_preimage(Fs, R, b)
+        # only the scaled unitary's matrix is singular, so only it takes lstsq
+        assert len(calls) == 1
+        assert np.linalg.norm(calls[0]) <= 1e-12
+        for i in range(len(Fs)):
+            single = _normal_preimage(Fs[i], R[i], b[i])
+            assert np.linalg.norm(stacked[i] - single) <= 1e-12 * np.linalg.norm(single)
+        # without the singular row no frame falls back
+        calls.clear()
+        _normal_preimage(Fs[:2], R[:2], b[:2])
+        assert not calls
+
+    def test_loop_rows_match_newton_refine(self):
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        rng = np.random.default_rng(5)
+        # on the fiber (0 iterations), near it, farther out, rank deficient
+        starts = [
+            random_frame_on_fiber(t, seed=1),
+            perturbed_fiber_point(t, seed=2, rel=1e-3),
+            perturbed_fiber_point(t, seed=22, rel=0.2),
+            rand_rank_deficient(rng, 2, 3, rank=1),
+        ]
+        opts = FlowOptions(tol=1e-24)
+        Fs, phi, iters, trace, stalled = _newton(np.stack(starts), t, opts)
+        reps = [newton_refine(F0, t, opts) for F0 in starts]
+        assert reps[0][1].iterations == 0
+        assert len({rep.iterations for _F, rep in reps}) >= 3
+        for i, (F, rep) in enumerate(reps):
+            assert rep.converged and not stalled[i]
+            assert iters[i] == rep.iterations
+            assert np.linalg.norm(Fs[i] - F) <= 1e-12 * np.linalg.norm(F)
+            assert_allclose(trace[: iters[i] + 1, i], rep.residual_trace, rtol=1e-9, atol=1e-30)
+            # after a row leaves, its trace holds its final Phi
+            assert np.all(trace[iters[i] :, i] == phi[i])
+
+    def test_capped_rows_report_max_iters(self):
+        t = FiberTarget.funtf(2, 4)
+        starts = np.stack([perturbed_fiber_point(t, seed=s, rel=0.1) for s in (3, 4)])
+        Fs, phi, iters, _trace, stalled = _newton(starts, t, FlowOptions(max_iters=1, tol=1e-24))
+        assert list(iters) == [1, 1] and not stalled.any()
+        for i in range(2):
+            F, rep = newton_refine(starts[i], t, FlowOptions(max_iters=1, tol=1e-24))
+            assert rep.status == "max_iters"
+            assert np.linalg.norm(Fs[i] - F) <= 1e-12 * np.linalg.norm(F)
 
 
 class TestCompositeProjection:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import rand_hermitian, rand_unitary, tangent_part_bruteforce
+from conftest import connect_depth_first, rand_hermitian, rand_unitary, tangent_part_bruteforce
 
 from fiberframe import (
     ConnectError,
     ConnectOptions,
+    ConnectReport,
     FiberTarget,
     FramePath,
     connect,
@@ -217,6 +218,17 @@ class TestConnect:
         with pytest.raises(ValueError):
             ConnectOptions(delta=-1.0)
 
+    def test_report_counts(self):
+        # levels, rows projected and their Newton iterations of one small fixed path
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        path = connect(F0, F1, t)
+        assert len(path) == 96
+        assert path.report == ConnectReport(projections=31, newton_iterations=77, kicks=0, levels=5)
+        again = connect(F0, F1, t, ConnectOptions(seed=7))
+        assert again.report == path.report
+        assert connect(F0, F0, t).report == ConnectReport()
+
     def test_connect_error_carries_parameter(self):
         err = ConnectError("boom", t=0.25)
         assert err.t == 0.25
@@ -261,6 +273,29 @@ class TestConnect:
         assert chk.ok, chk.message
 
 
+class TestConnectPathOrder:
+    """The level-by-level bridge gives the samples of the depth-first recursive
+    bridge, with one projection per midpoint, in the same order."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(2, 4),
+            FiberTarget.funtf(2, 5),
+            FiberTarget.funtf(2, 6),
+            FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)),
+        ],
+        ids=["funtf_2_4", "funtf_2_5", "funtf_2_6", "diag_2_1_N3"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_depth_first_bridge(self, target, seed):
+        F0, F1 = _pair(target, 2 * seed + 40, 2 * seed + 41)
+        path = connect(F0, F1, target)
+        ref = connect_depth_first(F0, F1, target)
+        assert len(path) == len(ref)
+        assert np.max(np.linalg.norm(path.frames - ref, axis=(1, 2))) <= 1e-12 * np.linalg.norm(F0)
+
+
 class TestConnectEquivariance:
     """F -> U F D (U unitary commuting with S, D diagonal phases) maps the fiber
     onto itself, and connect maps the path with it."""
@@ -293,32 +328,51 @@ class TestConnectRecovery:
     """A bridge midpoint whose projection is rejected is retried with seeded tangent kicks."""
 
     @staticmethod
-    def _reject_calls(monkeypatch, rejected):
-        # project_to_fiber as connect sees it, returning an off-fiber frame on the calls in `rejected`
-        seen = []
-        real = homotopy.project_to_fiber
+    def _reject_rows(monkeypatch, rejected):
+        # the stacked Newton projection as connect sees it; rows are numbered
+        # from 1 in projection order, calls from 1, and a row with
+        # rejected(row, call) comes back doubled, off the fiber, with its residual
+        calls = []
+        real = homotopy._newton
 
-        def patched(X, target, options=None):
-            seen.append(X)
-            G, rep = real(X, target, options)
-            return (2.0 * G if rejected(len(seen)) else G), rep
+        def patched(X, target, opts):
+            G, phi, *rest = real(X, target, opts)
+            first = sum(len(c) for c in calls) + 1
+            calls.append(X.copy())
+            for r in range(len(X)):
+                if rejected(first + r, len(calls)):
+                    G[r] *= 2.0
+                    phi[r] = fiber_residual(G[r], target)
+            return (G, phi, *rest)
 
-        monkeypatch.setattr(homotopy, "project_to_fiber", patched)
-        return seen
+        monkeypatch.setattr(homotopy, "_newton", patched)
+        return calls
 
     def test_rejected_midpoint_recovered_by_kick(self, monkeypatch):
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
-        # call 3 projects a bridge midpoint, calls 4-7 its first four tangent
-        # kicks are rejected too, and call 8, the fifth kick, is accepted
-        seen = self._reject_calls(monkeypatch, lambda n: 3 <= n <= 7)
+        # row 3 is a bridge midpoint; it and the next four calls, its first
+        # four tangent kicks (a stack of one each), are rejected, and the
+        # fifth kick is accepted
+        hit = []
+
+        def rejected(row, call):
+            if row == 3:
+                hit.append(call)
+            return row == 3 or (bool(hit) and hit[0] < call <= hit[0] + 4)
+
+        calls = self._reject_rows(monkeypatch, rejected)
         path = connect(F0, F1, t)
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert chk.ok, chk.message
-        assert len(seen) > 8
+        c = hit[0]
+        assert len(calls) > c + 5
+        assert path.report.kicks == 5
+        midpoint = np.concatenate(calls)[2]
         kick = 1e-4 * np.linalg.norm(F0)
-        for X in seen[3:8]:
-            assert np.linalg.norm(X - seen[2]) == pytest.approx(kick, rel=1e-9)
+        for X in calls[c : c + 5]:
+            assert len(X) == 1
+            assert np.linalg.norm(X[0] - midpoint) == pytest.approx(kick, rel=1e-9)
 
     @pytest.mark.parametrize(
         "target",
@@ -330,7 +384,7 @@ class TestConnectRecovery:
     )
     def test_every_projection_rejected_raises_with_t(self, monkeypatch, target):
         F0, F1 = _pair(target, 2, 9)
-        self._reject_calls(monkeypatch, lambda n: True)
+        self._reject_rows(monkeypatch, lambda row, call: True)
         with pytest.raises(ConnectError) as info:
             connect(F0, F1, target)
         assert isinstance(info.value.t, float)
