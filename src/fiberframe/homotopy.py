@@ -50,6 +50,9 @@ _KICK_SCALE = 1e-4
 _CLUSTER_TOL = 1e-8
 # bridge halvings allowed beyond those a straight chord of the same gap needs
 _EXTRA_DEPTH = 12
+# bytes of kernel temporaries one stacked projection may hold; a level with
+# more rows is projected in several runs
+_STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -278,11 +281,18 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
     accept_tol = 0.5 * ptol2
 
+    # a row of the Newton kernel holds about 24 k^2 N + 8 N^2 bytes (its pair
+    # products, their real factor and its N x N system)
+    chunk = max(1, _STACK_BYTES // (24 * k * k * target.N + 8 * target.N**2))
+
     def project(X):
         # Newton projection of the stack X; the frames and which rows are accepted
-        G, phi, iters, _trace, _stalled = _newton(X, target, proj_opts)
+        G, phi = np.empty_like(X), np.empty(len(X))
+        for i in range(0, len(X), chunk):
+            rows = slice(i, i + chunk)
+            G[rows], phi[rows], iters, _trace, _stalled = _newton(X[rows], target, proj_opts)
+            report.newton_iterations += int(iters.sum())
         report.projections += len(X)
-        report.newton_iterations += int(iters.sum())
         return G, phi <= accept_tol
 
     def kicked(X, base, t):

@@ -229,6 +229,27 @@ class TestConnect:
         assert again.report == path.report
         assert connect(F0, F0, t).report == ConnectReport()
 
+    def test_level_split_into_runs_gives_same_path(self, monkeypatch):
+        # a level larger than the memory cap is projected in several runs,
+        # here one row each, with the same samples and counts
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(t, 2, 9)
+        whole = connect(F0, F1, t)
+        runs = []
+        real = homotopy._newton
+
+        def spy(X, target, opts):
+            runs.append(len(X))
+            return real(X, target, opts)
+
+        monkeypatch.setattr(homotopy, "_STACK_BYTES", 1)
+        monkeypatch.setattr(homotopy, "_newton", spy)
+        split = connect(F0, F1, t)
+        assert max(runs) == 1 and len(runs) == whole.report.projections
+        assert len(split) == len(whole)
+        assert np.max(np.linalg.norm(split.frames - whole.frames, axis=(1, 2))) <= 1e-12 * np.linalg.norm(F0)
+        assert split.report == whole.report
+
     def test_connect_error_carries_parameter(self):
         err = ConnectError("boom", t=0.25)
         assert err.t == 0.25
