@@ -248,9 +248,10 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     The anchors are F0, the on-fiber gauge-unwind samples (the first is the
     aligned endpoint V F1) and F1. The bridge pass then runs level by level
     over the sequence of samples: each level stacks the midpoints of every
-    gap still wider than delta, projects the stack in one Newton solve, checks
+    gap still wider than delta, projects the stack in one Newton solve (in
+    several when its kernel temporaries would pass _STACK_BYTES), checks
     each midpoint in sequence order (accepted within half of path_tol^2, else
-    retried with seeded tangent kicks; it must shorten both halves of its
+    retried with seeded tangent kicks; both halves must be shorter than the
     gap) and splits the gaps. Every interior sample is a bridge midpoint or an
     exact unwind sample; the path's report counts the work.
 
