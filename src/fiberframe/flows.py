@@ -117,14 +117,19 @@ def _gaps(F: np.ndarray, target: FiberTarget):
     return target.operator - F @ F.conj().swapaxes(-1, -2), target.norms_sq - _norms_squared(F)
 
 
-def _phi(delta: np.ndarray, gap: np.ndarray, w: float = 1.0):
-    """Phi from the defects: a float for one frame, an array for a stack."""
-    d = delta.reshape(delta.shape[:-2] + (-1,))
-    return np.vecdot(d, d).real + w * np.vecdot(gap, gap)
+def _phi(delta: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Phi of each frame of a stack from its defects (n, k, k) and (n, N).
+
+    Each sum is one BLAS dot per frame, as _residual sums one frame.
+    """
+    d = delta.reshape(len(delta), -1)
+    return np.vecdot(d, d).real + np.vecdot(gap, gap)
 
 
 def _residual(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> float:
-    return float(_phi(*_gaps(F, target), w))
+    """Phi of one frame."""
+    delta, gap = _gaps(F, target)
+    return float(np.vdot(delta, delta).real + w * np.dot(gap, gap))
 
 
 def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) -> np.ndarray:
@@ -142,14 +147,18 @@ def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> np
 
 @lru_cache(maxsize=None)
 def _pairs(k: int):
-    """Index pairs a <= b below k, diagonal first, and m = 1 on the diagonal, 2 off it."""
+    """Index pairs a <= b below k, diagonal first.
+
+    Returns a, b, the flat index a k + b, and m = 1 on the diagonal, 2 off it.
+    """
     d = np.arange(k)
     ia, ib = np.triu_indices(k, 1)
     ia, ib = np.concatenate((d, ia)), np.concatenate((d, ib))
+    ab = ia * k + ib
     m = np.where(ia == ib, 1.0, 2.0)
-    for a in (ia, ib, m):
+    for a in (ia, ib, ab, m):
         a.setflags(write=False)
-    return ia, ib, m
+    return ia, ib, ab, m
 
 
 def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
@@ -172,8 +181,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     (b, a) terms are conjugates, so the sum is B^T B, B real k^2 x N with rows
     w_ab Re P_ab (a <= b) and w_ab Im P_ab (a < b), w_ab^2 = m_ab K_ab (m = 1 on
     the diagonal, 2 off it): a symmetric rank-k^2 update, about 8x fewer flops
-    than the complex product. It is formed frame by frame, since numpy sends
-    only the two-dimensional B.T @ B to the symmetric update.
+    than the complex product.
 
     The same solve serves every rank. A pair of singular directions whose
     s_a^2 + s_b^2 is below (_RANK_RTOL s_0)^2 has no first-order response, so
@@ -185,6 +193,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     shape = F.shape
     k, N = shape[-2:]
     F, R, b = F.reshape(-1, k, N), R.reshape(-1, k, k), b.reshape(-1, N)
+    n = len(F)
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
     Ft = s[:, :, None] * Vh
     Ftc = Ft.conj()
@@ -194,21 +203,19 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     K = 1.0 / np.where(s2 > (_RANK_RTOL * s[:, :1, None]) ** 2, s2, np.inf)
     Rt = U.conj().swapaxes(1, 2) @ R @ U
     # P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
-    ia, ib, m = _pairs(k)
+    ia, ib, ab, m = _pairs(k)
     P = Ftc.take(ia, axis=1)
     P *= Ft.take(ib, axis=1)
     diag = np.add.reduce(P.real[:, :k], axis=1)
-    w = np.sqrt(m * K[:, ia, ib])
+    w = np.sqrt(m * K.reshape(n, -1).take(ab, axis=1))
     P *= w[:, :, None]
-    c = 0.5 * b - ((w * Rt[:, ia, ib])[:, None] @ P)[:, 0].real
+    c = 0.5 * b - ((w * Rt.reshape(n, -1).take(ab, axis=1))[:, None] @ P)[:, 0].real
     # B keeps what T needs of P. Freeing P before the N x N work lowers the
     # peak of temporaries: at (16, 128) the higher peak had the heap trimmed
     # and faulted back in on every call.
     B = np.concatenate((P.real, P.imag[:, k:]), axis=1)
     del P
-    T = np.empty((len(B), N, N))
-    for Bi, Ti in zip(B, T):
-        np.matmul(Bi.T, Bi, out=Ti)
+    T = B.swapaxes(1, 2) @ B
     T *= -2.0
     T.reshape(-1, N * N)[:, :: N + 1] += diag
     T += 1.0 / N
@@ -217,7 +224,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
         g = np.linalg.solve(T, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         g = np.empty_like(c)
-        for i in range(len(c)):
+        for i in range(n):
             try:
                 g[i] = np.linalg.solve(T[i], rhs[i])
             except np.linalg.LinAlgError:

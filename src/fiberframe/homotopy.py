@@ -365,21 +365,22 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             new_samples.append(samples[i + 1])
         samples, gaps = new_samples, new_gaps
 
-    # prune near-duplicate samples, when any consecutive pair is that close;
-    # F0 and F1 stay, and the early return for F1 == F0 keeps the step between
-    # them, so every time step is positive
+    # prune near-duplicate samples; F0 and F1 stay, and the early return for
+    # F1 == F0 keeps the step between them, so every time step is positive.
+    # The pruning loop runs only when some consecutive pair is that close:
+    # with none, it keeps every sample.
     thresh = 1e-13 * max(1.0, scale)
-    arr = np.stack(samples)
-    seg = _frobenius(np.diff(arr, axis=0))
-    if np.any(seg <= thresh):
+    kept = samples
+    if np.any(_frobenius(np.diff(np.stack(samples), axis=0)) <= thresh):
         kept = [F0]
         for F in samples[1:-1]:
             if np.linalg.norm(F - kept[-1]) > thresh:
                 kept.append(F)
         while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
             kept.pop()
-        arr = np.stack(kept + [F1])
-        seg = _frobenius(np.diff(arr, axis=0))
+        kept.append(F1)
+    arr = np.stack(kept)
+    seg = _frobenius(np.diff(arr, axis=0))
     times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
     times[-1] = 1.0
     path = FramePath(times, arr, target, report)
