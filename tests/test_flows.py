@@ -28,7 +28,7 @@ from fiberframe import (
     project_to_fiber,
     random_frame_on_fiber,
 )
-from fiberframe.flows import _newton, _normal_preimage
+from fiberframe.flows import _gaps, _newton, _normal_preimage, _phi
 
 
 def perturbed_fiber_point(target, seed, rel=1e-2):
@@ -355,6 +355,16 @@ class TestStackedSolve:
             assert_allclose(trace[: iters[i] + 1, i], rep.residual_trace, rtol=1e-9, atol=1e-30)
             # after a row leaves, its trace holds its final Phi
             assert np.all(trace[iters[i] :, i] == phi[i])
+
+    def test_stacked_residual_sums_match_single_frames(self):
+        # the loop's residuals are summed as fiber_residual sums one frame, so
+        # a stack of one decides every step exactly as a single frame would
+        t = FiberTarget.funtf(3, 7)
+        Fs = np.stack([perturbed_fiber_point(t, seed=s, rel=10.0**-s) for s in range(1, 6)])
+        phi = _phi(*_gaps(Fs, t))
+        for i, F in enumerate(Fs):
+            assert phi[i] == fiber_residual(F, t)
+            assert _phi(*_gaps(F[None], t))[0] == phi[i]
 
     def test_capped_rows_report_max_iters(self):
         t = FiberTarget.funtf(2, 4)

@@ -60,6 +60,16 @@ class TestFramePath:
         ref = np.array([fiber_residual(F, t) for F in Fs])
         assert np.allclose(path.residuals(), ref, rtol=1e-12, atol=1e-30)
 
+    def test_step_norms_match_frobenius_norm(self):
+        # each step is summed as np.linalg.norm sums one frame (at 8 x 64 a
+        # pairwise sum of the squares would round differently)
+        t = FiberTarget.funtf(8, 64)
+        rng = np.random.default_rng(8)
+        F0 = random_frame_on_fiber(t, seed=2)
+        Fs = np.stack([F0 + eps * rng.standard_normal(F0.shape) for eps in (0.0, 1e-9, 1e-3, 0.5)])
+        path = FramePath(np.linspace(0.0, 1.0, 4), Fs, t)
+        assert np.array_equal(path.step_norms(), [np.linalg.norm(D) for D in np.diff(Fs, axis=0)])
+
     def test_residuals_reject_non_finite_sample(self):
         t = FiberTarget.funtf(2, 4)
         F = random_frame_on_fiber(t, seed=0)
