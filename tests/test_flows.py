@@ -230,9 +230,11 @@ class TestNewtonRefine:
             assert fiber_residual(F, t) <= 1e-20
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("c", [2.0, 0.5])
+    @pytest.mark.parametrize("c", [2.0, 0.5, 0.25])
     def test_scaled_unitary_start_converges(self, k, c):
-        # at a scaled unitary the step's norms system T g = c is T = 0: only lstsq solves it
+        # at a scaled unitary the step's norms matrix T is 0 up to rounding: where
+        # it rounds to exactly 0 (at 0.25 I, and at the scaled unitaries later
+        # iterates reach from 2 I and 0.5 I) only lstsq solves the step
         t = FiberTarget.funtf(k, k)
         F0 = c * np.eye(k, dtype=complex)
         for solver in (newton_refine, project_to_fiber):
@@ -267,13 +269,33 @@ class TestNormalStep:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_scaled_unitary_matches_min_norm_step(self, k):
-        # T = 0 here, so the lstsq branch gives the step; at k = N the norms equations
-        # repeat the diagonal of the operator equations, so b = diag(R) for consistency
+        # T is only nearly 0 at 2 I, so LU gives the step (at 0.25 I, in the next
+        # test, it rounds to exactly 0). At k = N the norms equations repeat the
+        # diagonal of the operator equations, so b = diag(R) for consistency
         F = 2.0 * np.eye(k, dtype=complex)
         R = rand_hermitian(np.random.default_rng(k), k)
         b = R.diagonal().real
         ref = min_norm_step_bruteforce(F, R, b)
         assert np.linalg.norm(_normal_preimage(F, R, b) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_singular_norms_matrix_takes_lstsq(self, k, monkeypatch):
+        # at 0.25 I the norms matrix T rounds to exactly 0: LU fails, and the
+        # lstsq branch gives the minimum-norm step
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(a, *args, **kwargs):
+            calls.append(1)
+            return real(a, *args, **kwargs)
+
+        F = 0.25 * np.eye(k, dtype=complex)
+        R = rand_hermitian(np.random.default_rng(k), k)
+        b = R.diagonal().real
+        ref = min_norm_step_bruteforce(F, R, b)
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        assert np.linalg.norm(_normal_preimage(F, R, b) - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("k,N", [(2, 4), (5, 8), (6, 6), (16, 40)])
     def test_unitary_torus_equivariance(self, k, N):
