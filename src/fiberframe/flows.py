@@ -207,6 +207,9 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     P = Ftc.take(ia, axis=1)
     P *= Ft.take(ib, axis=1)
     diag = np.add.reduce(P.real[:, :k], axis=1)
+    # pair entries by flat index: K[:, ia, ib] would come out transposed in
+    # memory, and the product for c would then round differently from the
+    # BLAS dot it takes for one frame
     w = np.sqrt(m * K.reshape(n, -1).take(ab, axis=1))
     P *= w[:, :, None]
     c = 0.5 * b - ((w * Rt.reshape(n, -1).take(ab, axis=1))[:, None] @ P)[:, 0].real
