@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClusteringError
+# The package's fixed numerical decisions, each made in one place:
+# relative singular-value threshold of the full-row-rank test (s_min >= RANK_RTOL s_max);
+# also the floor of positive (semi)definiteness, for eigenvalues relative to
+# max(1, largest) and for the squared norms of a regular value
+RANK_RTOL = 1e-12
+# relative Frobenius distance to the Hermitian part beyond which a matrix is not Hermitian
+HERMITIAN_TOL = 1e-10
+# relative eigenvalue gap below which eigenvalues form one cluster; gaps from
+# CLUSTER_AMBIGUITY times that on split, and gaps in between are ambiguous
+CLUSTER_TOL = 1e-8
+CLUSTER_AMBIGUITY = 10.0
+# slack of the majorization test relative to max(1, total): sums equal and
+# partial sums ordered up to this
+MAJORIZATION_TOL = 1e-10
 
 
 def as_complex_matrix(A, name="matrix") -> np.ndarray:
@@ -40,17 +53,17 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def hermitian_deviation(A: np.ndarray) -> float:
-    """Relative Frobenius distance from A to its Hermitian part."""
-    return float(np.linalg.norm(A - A.conj().T) / max(1.0, np.linalg.norm(A)))
+def is_hermitian(A: np.ndarray) -> bool:
+    """Whether a square A is within relative Frobenius distance HERMITIAN_TOL of Hermitian."""
+    return bool(np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(A)))
 
 
-def as_hermitian(A, tol=1e-10, name="matrix") -> np.ndarray:
+def as_hermitian(A, name="matrix") -> np.ndarray:
     A = as_complex_matrix(A, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if hermitian_deviation(A) > tol:
-        raise ValueError(f"{name} is not Hermitian within tolerance {tol}")
+    if not is_hermitian(A):
+        raise ValueError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
     return hermitize(A)
 
 
@@ -60,10 +73,10 @@ def eigh_desc(A: np.ndarray):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def psd_sqrt(A: np.ndarray, rtol=1e-12) -> np.ndarray:
+def psd_sqrt(A: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix."""
     w, V = np.linalg.eigh(A)
-    floor = -rtol * max(1.0, abs(w[-1]))
+    floor = -RANK_RTOL * max(1.0, abs(w[-1]))
     if w[0] < floor:
         raise ValueError("matrix is not positive semidefinite")
     w = np.clip(w, 0.0, None)
@@ -76,18 +89,18 @@ def polar_unitary(A: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
-def full_row_rank(s: np.ndarray, k: int, rtol: float) -> bool:
+def full_row_rank(s: np.ndarray, k: int) -> bool:
     """Whether the singular values s of a k x N matrix certify full row rank (needs N >= k)."""
-    return bool(s.size == k and s[0] > 0.0 and s[-1] >= rtol * s[0])
+    return bool(s.size == k and s[0] > 0.0 and s[-1] >= RANK_RTOL * s[0])
 
 
-def frame_polar_isometry(F: np.ndarray, rank_rtol=1e-12) -> np.ndarray:
+def frame_polar_isometry(F: np.ndarray) -> np.ndarray:
     """Partial isometry Q (Q Q* = Id_k) closest to the k x N matrix F.
 
-    Raises ValueError when F does not have full row rank relative to rank_rtol.
+    Raises ValueError when F does not have full row rank.
     """
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    if not full_row_rank(s, F.shape[0], rank_rtol):
+    if not full_row_rank(s, F.shape[0]):
         raise ValueError("rank-deficient matrix has no well-defined polar isometry")
     return U @ Vh
 
@@ -118,30 +131,27 @@ def unitary_log_factors(V: np.ndarray):
     return Z, np.angle(np.exp(1j * (2.0 * np.arctan(mu) - phi)))
 
 
-def cluster_by_gap(values_desc: np.ndarray, rel_tol: float, ambiguity_factor: float = 10.0):
+def cluster_by_gap(values_desc: np.ndarray):
     """Group a descending sequence into clusters split at large relative gaps.
 
-    A gap below rel_tol * scale merges, a gap at or above ambiguity_factor times
-    that splits, anything between raises ClusteringError because the grouping
-    would depend on the tolerance choice.
+    A gap below CLUSTER_TOL * max(1, |first value|) merges, a gap at or above
+    CLUSTER_AMBIGUITY times that splits; with any gap in between the grouping
+    is ambiguous and the result is None.
     """
-    values_desc = np.asarray(values_desc, dtype=np.float64)
-    n = values_desc.size
-    if n == 0:
-        return []
     scale = max(1.0, float(np.abs(values_desc[0])))
-    merge_below = rel_tol * scale
-    split_at = ambiguity_factor * merge_below
+    merge_below = CLUSTER_TOL * scale
     clusters = [[0]]
-    for i in range(1, n):
-        gap = float(values_desc[i - 1] - values_desc[i])
+    for i, gap in enumerate(values_desc[:-1] - values_desc[1:], start=1):
         if gap < merge_below:
             clusters[-1].append(i)
-        elif gap >= split_at:
+        elif gap >= CLUSTER_AMBIGUITY * merge_below:
             clusters.append([i])
         else:
-            raise ClusteringError(
-                f"eigenvalue gap {gap:.3e} falls in the ambiguity band "
-                f"[{merge_below:.3e}, {split_at:.3e}); adjust cluster_tol"
-            )
+            return None
     return clusters
+
+
+def spectral_clusters(A: np.ndarray):
+    """Descending eigenvalues w, eigenvector columns U and cluster_by_gap(w) of a Hermitian A."""
+    w, U = eigh_desc(A)
+    return w, U, cluster_by_gap(w)

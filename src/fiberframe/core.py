@@ -101,23 +101,23 @@ class FrameBounds:
         return self.upper - self.lower <= tol * max(mid, np.finfo(float).tiny)
 
 
-def frame_bounds(F, rtol: float = 1e-10) -> FrameBounds:
+def frame_bounds(F) -> FrameBounds:
     """Optimal constants A, B with A ||v||^2 <= sum |<v, f_j>|^2 <= B ||v||^2.
 
     These are the squared extreme singular values of F. Raises NotAFrameError
-    when the columns do not span C^k (relative rank tolerance rtol).
+    when the columns do not span C^k (the full-row-rank test of the package).
     """
     F = as_frame_matrix(F)
     s = np.linalg.svd(F, compute_uv=False)
-    if not full_row_rank(s, F.shape[0], rtol):
+    if not full_row_rank(s, F.shape[0]):
         raise NotAFrameError("columns do not span the ambient space")
     return FrameBounds(lower=float(s[-1] ** 2), upper=float(s[0] ** 2))
 
 
-def is_frame(F, rtol: float = 1e-10) -> bool:
+def is_frame(F) -> bool:
     """True when the columns span C^k."""
     try:
-        frame_bounds(F, rtol=rtol)
+        frame_bounds(F)
     except NotAFrameError:
         return False
     return True

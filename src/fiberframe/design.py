@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_hermitian, as_real_vector, cluster_by_gap, eigh_desc, haar_unitary
-from .errors import ClusteringError, InadmissibleError
+from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary, spectral_clusters
+from .errors import InadmissibleError
 from .fiber import FiberTarget, as_spectrum
 from .flows import FlowOptions, _residual, project_to_fiber
 
@@ -62,23 +62,29 @@ class AdmissibilityCheck:
         )
 
 
-def is_admissible(spectrum, norms_sq, tol: float = 1e-10) -> AdmissibilityCheck:
-    """Existence test for a frame with the given spectrum and squared norms.
-
-    Checks sum(r) = sum(lambda) and the descending partial-sum inequalities
-    sum of the ell largest r <= sum of the ell largest lambda for ell = 1..k,
-    all with absolute slack tol * max(1, sum(lambda)).
-    """
+def _spectrum_and_norms(spectrum, norms_sq):
+    """Validated descending spectrum and non-empty, strictly positive squared norms."""
     lam = as_spectrum(spectrum)
     r = as_real_vector(norms_sq, "norms_sq")
     if r.size == 0 or np.any(r <= 0.0):
         raise ValueError("norms_sq must be non-empty and strictly positive")
-    return _admissibility(lam, r, tol)
+    return lam, r
 
 
-def _admissibility(lam: np.ndarray, r: np.ndarray, tol: float = 1e-10) -> AdmissibilityCheck:
+def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
+    """Existence test for a frame with the given spectrum and squared norms.
+
+    Checks sum(r) = sum(lambda) and the descending partial-sum inequalities
+    sum of the ell largest r <= sum of the ell largest lambda for ell = 1..k,
+    all with absolute slack 1e-10 * max(1, sum(lambda)).
+    """
+    return _admissibility(*_spectrum_and_norms(spectrum, norms_sq))
+
+
+def _admissibility(lam: np.ndarray, r: np.ndarray) -> AdmissibilityCheck:
+    """The majorization test of r by a descending lam, with slack MAJORIZATION_TOL."""
     k, N = lam.size, r.size
-    slack = tol * max(1.0, float(np.sum(lam)))
+    slack = MAJORIZATION_TOL * max(1.0, float(np.sum(lam)))
     if N < k:
         return AdmissibilityCheck(False, kind="shape", lhs=float(N), rhs=float(k))
     total_r, total_lam = float(np.sum(r)), float(np.sum(lam))
@@ -114,23 +120,24 @@ def hermitian_with_diagonal(values, diagonal) -> np.ndarray:
     """Real symmetric matrix with the given spectrum and the given diagonal.
 
     Requires the diagonal to be majorized by the spectrum (equal sums, sorted
-    partial-sum inequalities); raises ValueError otherwise. Targets are fixed
-    largest first: one plane rotation of the two active values bracketing the
-    target sets one diagonal entry exactly and leaves the remaining active
-    block diagonal, so the recursion never strands.
+    partial-sum inequalities, the test of is_admissible); raises ValueError
+    otherwise. Targets are fixed largest first: one plane rotation of the two
+    active values bracketing the target sets one diagonal entry exactly and
+    leaves the remaining active block diagonal, so the recursion never strands.
     """
     vals = np.sort(as_real_vector(values, "values"))[::-1]
     d = as_real_vector(diagonal, "diagonal")
-    n = d.size
-    if vals.size != n:
-        raise ValueError(f"need {n} spectrum values, got {vals.size}")
-    scale = max(1.0, float(np.max(np.abs(vals))) * n)
-    if abs(float(np.sum(vals)) - float(np.sum(d))) > 1e-8 * scale:
-        raise ValueError("spectrum and diagonal sums differ")
-    ds = np.sort(d)[::-1]
-    if np.any(np.cumsum(ds) > np.cumsum(vals) + 1e-8 * scale):
-        raise ValueError("diagonal is not majorized by the spectrum")
+    if vals.size != d.size:
+        raise ValueError(f"need {d.size} spectrum values, got {vals.size}")
+    check = _admissibility(vals, d)
+    if not check:
+        raise ValueError(f"diagonal is not majorized by the spectrum: {check.describe()}")
+    return _rotation_chain(vals, d)
 
+
+def _rotation_chain(vals: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """hermitian_with_diagonal for descending vals that majorize d."""
+    n = d.size
     order = np.argsort(-d, kind="stable")
     W = np.zeros((n, n))
     W[np.diag_indices(n)] = vals
@@ -178,14 +185,12 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     by column phases, which moves the frame around the fiber without touching
     spectrum or norms. Raises InadmissibleError when no such frame exists.
     """
-    lam = as_spectrum(spectrum)
-    r = as_real_vector(norms_sq, "norms_sq")
-    check = is_admissible(lam, r)
+    lam, r = _spectrum_and_norms(spectrum, norms_sq)
+    check = _admissibility(lam, r)
     if not check:
         raise InadmissibleError(check.describe(), check)
     k, N = lam.size, r.size
-    vals = np.concatenate([lam, np.zeros(N - k)])
-    G = hermitian_with_diagonal(vals, r).astype(complex)
+    G = _rotation_chain(np.concatenate([lam, np.zeros(N - k)]), r).astype(complex)
     if rng is not None:
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
         G = G * np.outer(phase, phase.conj())
@@ -197,11 +202,8 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
 
 def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator | None = None):
     """Frame with the given (positive definite) frame operator and squared norms."""
-    S = as_hermitian(operator, name="operator")
-    w_desc, U = eigh_desc(S)
-    lam = as_spectrum(w_desc)
-    F0 = construct_frame(lam, norms_sq, rng=rng)
-    return U @ F0
+    w, U = eigh_desc(as_hermitian(operator, name="operator"))
+    return U @ construct_frame(w, norms_sq, rng=rng)
 
 
 def random_admissible_norms(spectrum, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,16 +255,11 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     seed 1 gives residual 1.4e-17).
     """
     rng = np.random.default_rng(seed)
-    S, r = target.operator, target.norms_sq
-    F = construct_frame_with_operator(S, r, rng=rng)
+    w, U, clusters = spectral_clusters(target.operator)
+    F = U @ construct_frame(w, target.norms_sq, rng=rng)
     N = target.N
     F = F * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))[None, :]
 
-    w_desc, U = eigh_desc(S)
-    try:
-        clusters = cluster_by_gap(w_desc, 1e-8)
-    except ClusteringError:
-        clusters = None
     if clusters is not None:
         B = np.zeros((target.k, target.k), dtype=complex)
         for cl in clusters:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_hermitian, cluster_by_gap, polar_unitary
+from ._linalg import as_hermitian, polar_unitary, spectral_clusters
 from .core import _frame_pair, as_frame_matrix, gram
+from .errors import ClusteringError
 
 __all__ = [
     "FlagType",
@@ -50,16 +51,17 @@ class FlagType:
         return sum(self.multiplicities)
 
 
-def flag_type(operator, cluster_tol: float = 1e-8) -> FlagType:
+def flag_type(operator) -> FlagType:
     """Cluster the spectrum of a Hermitian operator into a flag type.
 
-    Eigenvalues are grouped when their relative gap is below cluster_tol; a
-    gap inside the ambiguity band just above the tolerance raises
-    ClusteringError rather than silently picking a side.
+    Eigenvalues are grouped when their gap is below 1e-8 times max(1, largest
+    eigenvalue); a gap inside the ambiguity band from there to ten times that
+    raises ClusteringError rather than silently picking a side.
     """
     S = as_hermitian(operator, name="operator")
-    w = np.linalg.eigvalsh(S)[::-1]
-    clusters = cluster_by_gap(w, cluster_tol)
+    w, _U, clusters = spectral_clusters(S)
+    if clusters is None:
+        raise ClusteringError(f"a gap of the spectrum {w.tolist()} falls in the ambiguity band")
     reps = tuple(float(np.mean(w[cl])) for cl in clusters)
     mults = tuple(len(cl) for cl in clusters)
     return FlagType(eigenvalues=reps, multiplicities=mults)

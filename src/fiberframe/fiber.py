@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_hermitian, as_real_vector
+from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector
 from .momentum import _regular_value
 
 __all__ = ["as_spectrum", "FiberTarget"]
@@ -50,11 +50,11 @@ class FiberTarget:
             raise ValueError("norms_sq entries must be strictly positive")
         if r.size < S.shape[0]:
             raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
-        check = _regular_value(S, -0.5 * r, 1e-12)
+        check = _regular_value(S, -0.5 * r)
         if not check:
             raise ValueError(f"target is not a regular momentum value: {check.reason}")
         total = float(np.sum(r))
-        if abs(float(np.trace(S).real) - total) > 1e-10 * max(1.0, total):
+        if abs(float(np.trace(S).real) - total) > MAJORIZATION_TOL * max(1.0, total):
             raise ValueError("trace(operator) must equal sum(norms_sq); fiber is empty")
         object.__setattr__(self, "operator", S)
         object.__setattr__(self, "norms_sq", r)

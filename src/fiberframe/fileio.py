@@ -64,6 +64,7 @@ def _frame_obj(F: np.ndarray) -> dict:
 
 
 def write_frame_json(F, path) -> None:
+    """Write a frame as one JSON object {"k", "N", "re", "im"}."""
     obj = _frame_obj(as_frame_matrix(F))
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f)
@@ -71,6 +72,7 @@ def write_frame_json(F, path) -> None:
 
 
 def read_frame_json(path) -> np.ndarray:
+    """Read a frame written by write_frame_json; its shape must match the declared (k, N)."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError("frame file must contain a JSON object")
@@ -84,6 +86,7 @@ def read_frame_json(path) -> np.ndarray:
 
 
 def write_frame_csv(F, path) -> None:
+    """Write a frame as CSV: one row per frame row, one complex literal per entry."""
     F = as_frame_matrix(F)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -92,6 +95,7 @@ def write_frame_csv(F, path) -> None:
 
 
 def read_frame_csv(path) -> np.ndarray:
+    """Read a CSV frame: a non-empty rectangular table of complex literals; blank lines are skipped."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         for line in csv.reader(f):
@@ -132,6 +136,7 @@ def _target_obj(target: FiberTarget) -> dict:
 
 
 def write_target(target: FiberTarget, path) -> None:
+    """Write a fiber target as JSON {"S": {"re", "im"}, "r": [...]}, readable by read_target."""
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_target_obj(target), f)
         f.write("\n")

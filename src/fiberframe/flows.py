@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import as_hermitian, frame_polar_isometry, full_row_rank, psd_sqrt
+from ._linalg import RANK_RTOL, as_hermitian, frame_polar_isometry, full_row_rank, psd_sqrt
 from .core import _norms_squared, as_frame_matrix
 from .fiber import FiberTarget
 
@@ -46,8 +46,6 @@ __all__ = [
 _STEP_INIT = 0.1
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-# relative singular-value threshold below which an iterate counts as rank deficient
-_RANK_RTOL = 1e-12
 # steps (gradient) or rounds (alternating) without meaningful progress that end a run as stalled
 _STALL_ITERS = 50
 
@@ -184,9 +182,9 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     than the complex product.
 
     The same solve serves every rank. A pair of singular directions whose
-    s_a^2 + s_b^2 is below (_RANK_RTOL s_0)^2 has no first-order response, so
+    s_a^2 + s_b^2 is below (RANK_RTOL s_0)^2 has no first-order response, so
     its weight is 0 (a pseudo-inverse). A kernel direction a (s_a below
-    _RANK_RTOL s_0) takes sqrt(R~_aa) Vh[a] in its row: that row is orthogonal
+    RANK_RTOL s_0) takes sqrt(R~_aa) Vh[a] in its row: that row is orthogonal
     to the rows of F, so the iterate regains rank with the missing energy. At
     full rank neither rule changes the step.
     """
@@ -200,7 +198,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     sq = s**2
     s2 = sq[:, :, None] + sq[:, None, :]
     # 1 / inf = 0: pairs below the rank threshold get weight 0
-    K = 1.0 / np.where(s2 > (_RANK_RTOL * s[:, :1, None]) ** 2, s2, np.inf)
+    K = 1.0 / np.where(s2 > (RANK_RTOL * s[:, :1, None]) ** 2, s2, np.inf)
     Rt = U.conj().swapaxes(1, 2) @ R @ U
     # P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
     ia, ib, ab, m = _pairs(k)
@@ -235,7 +233,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     Ftg = Ft * g[:, None]
     Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
     dFt = Wt @ Ft + Ftg
-    ker = s < _RANK_RTOL * s[:, :1]
+    ker = s < RANK_RTOL * s[:, :1]
     if np.count_nonzero(ker):
         dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker]
     return (U @ dFt).reshape(shape)
@@ -261,7 +259,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
 
     step = _STEP_INIT
     for _ in range(opts.max_iters):
-        if not full_row_rank(np.linalg.svd(F, compute_uv=False), F.shape[0], _RANK_RTOL):
+        if not full_row_rank(np.linalg.svd(F, compute_uv=False), F.shape[0]):
             return report("lost_rank", "iterate is numerically rank deficient")
         G = _residual_gradient(F, target)
         gnorm2 = float(np.vdot(G, G).real)
@@ -289,16 +287,14 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     return report("max_iters")
 
 
-def project_frame_operator(F, operator, operator_sqrt=None, rank_rtol: float = _RANK_RTOL):
+def project_frame_operator(F, operator):
     """Closest-in-spirit move onto {G : G G* = S}: F -> S^(1/2) (F F*)^(-1/2) F.
 
     Computed through the polar isometry of F for stability. Raises ValueError
     when F is rank deficient (the move is undefined there).
     """
     F = as_frame_matrix(F)
-    if operator_sqrt is None:
-        operator_sqrt = psd_sqrt(as_hermitian(operator, name="operator"))
-    return operator_sqrt @ frame_polar_isometry(F, rank_rtol)
+    return psd_sqrt(as_hermitian(operator, name="operator")) @ frame_polar_isometry(F)
 
 
 def project_norms(F, norms_sq) -> np.ndarray:
@@ -337,7 +333,7 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
 
     for it in range(1, opts.max_iters + 1):
         try:
-            F = S_sqrt @ frame_polar_isometry(F, _RANK_RTOL)
+            F = S_sqrt @ frame_polar_isometry(F)
             F = _project_norms(F, target.norms_sq)
         except ValueError as exc:
             return report(best_F, "lost_rank", str(exc))

@@ -20,15 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._linalg import (
-    as_hermitian,
-    cluster_by_gap,
-    polar_unitary,
-    eigh_desc,
-    unitary_log_factors,
-)
+from ._linalg import as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
 from .core import _frame_pair, as_frame_matrix
-from .errors import ClusteringError, ConnectError
+from .errors import ConnectError
 from .fiber import FiberTarget
 from .flows import FlowOptions, _gaps, _newton, _normal_preimage, _phi, _residual
 
@@ -46,8 +40,6 @@ __all__ = [
 # seeded tangent kicks tried on a rejected sample, and their size relative to ||F0||
 _KICKS = 5
 _KICK_SCALE = 1e-4
-# relative eigenvalue gap below which the gauge treats eigenvalues as one cluster
-_CLUSTER_TOL = 1e-8
 # bridge halvings allowed beyond those a straight chord of the same gap needs
 _EXTRA_DEPTH = 12
 # bytes of kernel temporaries one stacked projection may hold; a level with
@@ -185,16 +177,14 @@ def validate_path(path: FramePath, tol: float = 1e-8, delta: float = 0.05, endpo
     )
 
 
-def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray, cluster_tol: float):
+def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray):
     """Unitary V commuting with the operator's spectral blocks minimizing ||F0 - V F1||.
 
     Falls back to the identity when the spectrum cannot be clustered safely.
     """
     k = F0.shape[0]
-    w, U = eigh_desc(operator)
-    try:
-        clusters = cluster_by_gap(w, cluster_tol)
-    except ClusteringError:
+    _w, U, clusters = spectral_clusters(operator)
+    if clusters is None:
         return np.eye(k, dtype=complex)
     A = U.conj().T @ F0
     B = U.conj().T @ F1
@@ -205,7 +195,7 @@ def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray, clust
     return U @ blocks @ U.conj().T
 
 
-def gauge_align(F0, F1, operator, cluster_tol: float = _CLUSTER_TOL) -> np.ndarray:
+def gauge_align(F0, F1, operator) -> np.ndarray:
     """Best commutant-unitary alignment V F1 of F1 toward F0.
 
     V commutes with the clustered spectral projections of the operator, so it
@@ -214,7 +204,7 @@ def gauge_align(F0, F1, operator, cluster_tol: float = _CLUSTER_TOL) -> np.ndarr
     """
     F0, F1 = _frame_pair(F0, F1)
     S = as_hermitian(operator, name="operator")
-    V = _commutant_gauge(F0, F1, S, cluster_tol)
+    V = _commutant_gauge(F0, F1, S)
     return V @ F1
 
 
@@ -317,7 +307,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # from F0 to the first of them, the aligned endpoint V F1, over chord
     # parameters 0 to 1, and the unwind from V F1 to F1 sits at parameter 1
     unwind = np.empty((0, k, target.N), dtype=complex)
-    V = _commutant_gauge(F0, F1, target.operator, _CLUSTER_TOL)
+    V = _commutant_gauge(F0, F1, target.operator)
     if np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k):
         Z, theta = unitary_log_factors(V)
         nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 - F1) / (0.5 * delta_abs))))

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    RANK_RTOL,
     as_complex_matrix,
     as_hermitian,
     as_real_vector,
     full_row_rank,
-    hermitian_deviation,
     hermitize,
+    is_hermitian,
 )
 from .core import as_frame_matrix, frame_operator, norms_squared
 from .errors import NotAFrameError
@@ -64,7 +65,7 @@ class LieAlgebraElement:
         B = as_complex_matrix(self.skew, "skew")
         if B.shape[0] != B.shape[1]:
             raise ValueError(f"skew part must be square, got {B.shape}")
-        if hermitian_deviation(1j * B) > 1e-10:
+        if not is_hermitian(1j * B):
             raise ValueError("skew part is not anti-Hermitian within tolerance")
         t = as_real_vector(self.torus, "torus")
         object.__setattr__(self, "skew", B)
@@ -107,6 +108,7 @@ class MomentumValue:
 
 
 def momentum(F) -> MomentumValue:
+    """Joint momentum of F: the operator F F* and the torus vector -||f_j||^2 / 2."""
     F = as_frame_matrix(F)
     return MomentumValue(operator=momentum_unitary(F), torus=momentum_torus(F))
 
@@ -153,32 +155,34 @@ def defining_property_residual(F, X, xi: LieAlgebraElement) -> float:
     return abs(lhs - rhs)
 
 
-def invert_momentum_derivative(F, W, rank_rtol: float = 1e-12) -> np.ndarray:
+def invert_momentum_derivative(F, W) -> np.ndarray:
     """Direction X with F X* + X F* = W for Hermitian W, when F has full rank.
 
-    Uses the explicit right inverse X = W (F F*)^{-1} F / 2. Raises
-    NotAFrameError when F is rank deficient: then any v in the left kernel of
-    F* gives v* (F X* + X F*) v = 0, so W with v* W v != 0 are unreachable.
+    Uses the explicit right inverse X = W (F F*)^{-1} F / 2, evaluated as
+    W U diag(1/s) Vh / 2 from the thin SVD F = U diag(s) Vh, so its error
+    grows with cond(F) rather than cond(F)^2. Raises NotAFrameError when F is
+    rank deficient: then any v in the left kernel of F* gives
+    v* (F X* + X F*) v = 0, so W with v* W v != 0 are unreachable.
     """
     F = as_frame_matrix(F)
     W = as_hermitian(W, name="W")
     k = F.shape[0]
     if W.shape != (k, k):
         raise ValueError(f"W has shape {W.shape}, expected {(k, k)}")
-    if not full_row_rank(np.linalg.svd(F, compute_uv=False), k, rank_rtol):
+    U, s, Vh = np.linalg.svd(F, full_matrices=False)
+    if not full_row_rank(s, k):
         raise NotAFrameError("derivative is not surjective: frame is rank deficient")
-    S = F @ F.conj().T
-    return 0.5 * W @ np.linalg.solve(S, F)
+    return 0.5 * (W @ (U / s)) @ Vh
 
 
-def left_kernel_vector(F, rank_rtol: float = 1e-10) -> np.ndarray:
+def left_kernel_vector(F) -> np.ndarray:
     """Unit vector v with F* v = 0, certifying non-surjectivity of the derivative.
 
     Raises NotAFrameError when F has full row rank (no such vector exists).
     """
     F = as_frame_matrix(F)
     U, s, _ = np.linalg.svd(F, full_matrices=True)
-    if full_row_rank(s, F.shape[0], rank_rtol):
+    if full_row_rank(s, F.shape[0]):
         raise NotAFrameError("frame has full rank; left kernel is trivial")
     return U[:, -1]
 
@@ -194,7 +198,7 @@ class RegularValueCheck:
         return self.ok
 
 
-def is_regular_value(S, torus, tol: float = 1e-12) -> RegularValueCheck:
+def is_regular_value(S, torus) -> RegularValueCheck:
     """Whether (S, torus) is a regular value of the joint momentum map.
 
     Requires S Hermitian positive definite and every torus entry strictly
@@ -204,16 +208,16 @@ def is_regular_value(S, torus, tol: float = 1e-12) -> RegularValueCheck:
     S = as_complex_matrix(S, "S")
     if S.shape[0] != S.shape[1]:
         return RegularValueCheck(False, "operator part is not square")
-    if hermitian_deviation(S) > 1e-10:
+    if not is_hermitian(S):
         return RegularValueCheck(False, "operator part is not Hermitian")
-    return _regular_value(hermitize(S), as_real_vector(torus, "torus"), tol)
+    return _regular_value(hermitize(S), as_real_vector(torus, "torus"))
 
 
-def _regular_value(S: np.ndarray, t: np.ndarray, tol: float) -> RegularValueCheck:
+def _regular_value(S: np.ndarray, t: np.ndarray) -> RegularValueCheck:
     """is_regular_value for an already Hermitian S and a real vector t."""
     w = np.linalg.eigvalsh(S)
-    if w[0] <= tol * max(1.0, w[-1]):
+    if w[0] <= RANK_RTOL * max(1.0, w[-1]):
         return RegularValueCheck(False, "operator part is not positive definite")
-    if np.any(t >= -0.5 * tol):
+    if np.any(t >= -0.5 * RANK_RTOL):
         return RegularValueCheck(False, "torus part has a non-negative entry")
     return RegularValueCheck(True)

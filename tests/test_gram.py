@@ -33,14 +33,14 @@ class TestFlagType:
         assert ft.dimension == 3
 
     def test_near_degenerate_merges(self):
-        ft = flag_type(np.diag([1.0, 1.0 + 1e-12, 2.0]).astype(complex), cluster_tol=1e-8)
+        ft = flag_type(np.diag([1.0, 1.0 + 1e-12, 2.0]).astype(complex))
         assert ft.multiplicities == (1, 2)
 
     def test_ambiguous_gap_raises(self):
-        # gap of 5e-8 sits between cluster_tol and 10 * cluster_tol
+        # relative gap of 5e-8 sits between the merge threshold 1e-8 and ten times it
         S = np.diag([1.0, 1.0 + 5e-8, 2.0]).astype(complex)
         with pytest.raises(ClusteringError):
-            flag_type(S, cluster_tol=1e-8)
+            flag_type(S)
 
     def test_validation(self):
         with pytest.raises(ValueError):

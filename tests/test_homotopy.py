@@ -4,6 +4,7 @@ import pytest
 from conftest import connect_depth_first, rand_hermitian, rand_unitary, tangent_part_bruteforce
 
 from fiberframe import (
+    ClusteringError,
     ConnectError,
     ConnectOptions,
     ConnectReport,
@@ -11,6 +12,7 @@ from fiberframe import (
     FramePath,
     connect,
     fiber_residual,
+    flag_type,
     frame_operator,
     gauge_align,
     norms_squared,
@@ -18,6 +20,7 @@ from fiberframe import (
     validate_path,
 )
 from fiberframe import homotopy
+from fiberframe._linalg import spectral_clusters
 from fiberframe.homotopy import _tangent_kick
 
 
@@ -138,6 +141,30 @@ class TestGaugeAlign:
         F0, F1 = _pair(t, 0, 1)
         with pytest.raises(ValueError, match="Hermitian"):
             gauge_align(F0, F1, np.array([[2.0, 5.0], [0.0, 2.0]]))
+
+
+class TestAmbiguityBand:
+    # the relative eigenvalue gap 5e-8 lies between the merge threshold 1e-8
+    # and the split threshold 1e-7, so the spectrum has no safe clustering
+    target = FiberTarget(np.diag([1.0 + 5e-8, 1.0]).astype(complex), np.full(4, (2.0 + 5e-8) / 4))
+
+    def test_spectrum_has_no_clusters(self):
+        assert spectral_clusters(self.target.operator)[2] is None
+
+    def test_flag_type_raises(self):
+        with pytest.raises(ClusteringError, match="ambiguity band") as exc:
+            flag_type(self.target.operator)
+        assert "cluster_tol" not in str(exc.value)
+
+    def test_random_frame_on_fiber_stays_on_fiber(self):
+        for seed in range(3):
+            assert fiber_residual(random_frame_on_fiber(self.target, seed=seed), self.target) <= 1e-20
+
+    def test_connect_falls_back_to_identity_gauge(self):
+        F0, F1 = _pair(self.target, 0, 1)
+        assert np.array_equal(gauge_align(F0, F1, self.target.operator), F1)
+        path = connect(F0, F1, self.target)
+        assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
 
 
 class TestTangentKick:

@@ -8,7 +8,7 @@ import pytest
 from conftest import rand_frame, rand_unitary
 
 import fiberframe
-from fiberframe._linalg import frame_polar_isometry, full_row_rank, unitary_log_factors
+from fiberframe._linalg import RANK_RTOL, frame_polar_isometry, full_row_rank, unitary_log_factors
 
 
 def _unitary(kind, k, rng):
@@ -50,17 +50,16 @@ class TestUnitaryLogFactors:
 
 class TestFullRowRank:
     def test_edge_of_tolerance_counts_as_full(self):
-        rtol = 1e-10
-        assert full_row_rank(np.array([2.0, rtol * 2.0]), 2, rtol)
-        assert not full_row_rank(np.array([2.0, np.nextafter(rtol * 2.0, 0.0)]), 2, rtol)
+        assert full_row_rank(np.array([2.0, RANK_RTOL * 2.0]), 2)
+        assert not full_row_rank(np.array([2.0, np.nextafter(RANK_RTOL * 2.0, 0.0)]), 2)
 
     def test_zero_matrix(self):
         s = np.linalg.svd(np.zeros((2, 4)), compute_uv=False)
-        assert not full_row_rank(s, 2, 1e-12)
+        assert not full_row_rank(s, 2)
 
     def test_fewer_columns_than_rows(self):
         F = rand_frame(np.random.default_rng(0), 3, 2)
-        assert not full_row_rank(np.linalg.svd(F, compute_uv=False), 3, 1e-12)
+        assert not full_row_rank(np.linalg.svd(F, compute_uv=False), 3)
 
     def test_polar_isometry_needs_full_row_rank(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from fiberframe import (
     defining_property_residual,
     infinitesimal_field,
     invert_momentum_derivative,
+    is_frame,
     is_regular_value,
     left_kernel_vector,
     momentum,
@@ -26,6 +27,12 @@ from fiberframe import (
     norms_squared,
     symplectic_form,
 )
+
+
+def frame_with_condition(rng, k, N, ratio):
+    # singular values spaced geometrically from 1 down to ratio = s_min / s_max
+    V = rand_unitary(rng, N)[:k]
+    return (rand_unitary(rng, k) * np.geomspace(1.0, ratio, k)) @ V
 
 
 def rand_algebra(rng, k, N):
@@ -184,6 +191,36 @@ class TestSurjectivity:
         rng = np.random.default_rng(11)
         with pytest.raises(NotAFrameError):
             left_kernel_vector(rand_frame(rng, 3, 6))
+
+    def test_right_inverse_accurate_when_ill_conditioned(self):
+        # solving the normal equations with F F* squares cond(F) = 1e6 (relative residual 4e-5)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            F = frame_with_condition(rng, 3, 6, 1e-6)
+            W = rand_hermitian(rng, 3)
+            X = invert_momentum_derivative(F, W)
+            assert np.linalg.norm(momentum_derivative_unitary(F, X) - W) <= 1e-9 * np.linalg.norm(W)
+
+    @pytest.mark.parametrize("ratio", [1e-11, 1e-13])
+    def test_exactly_one_of_inverse_and_kernel_vector(self, ratio):
+        # on either side of the rank threshold 1e-12, the derivative is
+        # surjective or certified not to be, never both, and is_frame agrees
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            F = frame_with_condition(rng, 3, 6, ratio)
+            try:
+                invert_momentum_derivative(F, rand_hermitian(rng, 3))
+                surjective = True
+            except NotAFrameError:
+                surjective = False
+            try:
+                left_kernel_vector(F)
+                has_kernel_vector = True
+            except NotAFrameError:
+                has_kernel_vector = False
+            assert surjective != has_kernel_vector
+            assert surjective == (ratio > 1e-12)
+            assert is_frame(F) == surjective
 
 
 class TestRegularValues:

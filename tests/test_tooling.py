@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps package functions by name when a workload runs
 with --trace 1; a traced name that no longer resolves, or a return value its
 post hooks cannot read, breaks that run. These checks load the tracer's
-tables and call its hooks without installing anything.
+tables and call its hooks without installing anything. A last check keeps
+every public name of the package documented.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fiberframe
 from fiberframe import FiberTarget, FlowOptions, connect, newton_refine, project_to_fiber, random_frame_on_fiber
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,3 +53,12 @@ def test_post_hooks_read_real_returns():
     assert counts["homotopy.project.accepted"] == 1
     assert counts["flows.newton_refine.iters"] == refined[1].iterations
     assert counts["homotopy.samples"] == len(path)
+
+
+def test_public_names_have_docstrings():
+    undocumented = [
+        name
+        for name in fiberframe.__all__
+        if name != "__version__" and not (getattr(fiberframe, name).__doc__ or "").strip()
+    ]
+    assert undocumented == []
