@@ -6,9 +6,15 @@ import numpy as np
 
 # The package's fixed numerical decisions, each made in one place:
 # relative singular-value threshold of the full-row-rank test (s_min >= RANK_RTOL s_max);
-# also the floor of positive (semi)definiteness, for eigenvalues relative to
-# max(1, largest) and for the squared norms of a regular value
+# also the floor of positive definiteness: a regular value's operator
+# eigenvalues and squared norms exceed RANK_RTOL times their largest, and
+# psd_sqrt allows eigenvalues down to -RANK_RTOL max(1, largest)
 RANK_RTOL = 1e-12
+# smallest eigenvalue of F F*, relative to the largest, from which eigh(F F*)
+# gives the Newton step; below it (s_min < 1e-2 s_max) the step takes the thin
+# SVD of F. eigh resolves s^2 only to about eps s_max^2, so the step's error
+# grows as eps (s_max / s_min)^2
+EIGEN_RTOL = 1e-4
 # relative Frobenius distance to the Hermitian part beyond which a matrix is not Hermitian
 HERMITIAN_TOL = 1e-10
 # relative eigenvalue gap below which eigenvalues form one cluster; gaps from

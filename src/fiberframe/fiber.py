@@ -84,10 +84,5 @@ class FiberTarget:
         lam = as_spectrum(spectrum)
         return cls(operator=np.diag(lam).astype(complex), norms_sq=norms_sq)
 
-    def scaled_identity(self) -> bool:
-        S = self.operator
-        c = float(np.trace(S).real) / self.k
-        return bool(np.linalg.norm(S - c * np.eye(self.k)) <= 1e-12 * max(1.0, abs(c) * self.k))
-
     def __repr__(self) -> str:
         return f"FiberTarget(k={self.k}, N={self.N}, trace={float(np.trace(self.operator).real):g})"

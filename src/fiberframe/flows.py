@@ -8,13 +8,14 @@ with weight w = 1 (fiber_residual and its gradient take another w; the flows
 always use w = 1). Three routes are provided: Armijo-backtracking gradient
 descent on Phi in the ambient matrix space, alternation of the two exact
 constraint projections (operator part, then column rescaling), and damped
-normal-space Gauss-Newton, which is project_to_fiber. A Newton step costs one
-thin SVD of F, a real rank-k^2 update B^T B with B of shape k^2 x N
-(O(k^2 N^2) real flops) and an N x N LU solve. The Newton loop runs on a
-stack of frames, each row on its own: newton_refine is a stack of one, and
-connect projects every bridge midpoint of a level in one stacked run, so the
-per-call cost of the small solves is paid once per stack. Public functions
-validate their arguments once; their loops call private kernels.
+normal-space Gauss-Newton, which is project_to_fiber. A Newton step costs the
+k x k Hermitian eigendecomposition of F F* (a frame too ill-conditioned for
+it takes the thin SVD of F), a real rank-k^2 update B^T B with B of shape
+k^2 x N (O(k^2 N^2) real flops) and an N x N LU solve. The Newton loop runs
+on a stack of frames, each row on its own: newton_refine is a stack of one,
+and connect projects every bridge midpoint of a level in one stacked run, so
+the per-call cost of the small solves is paid once per stack. Public
+functions validate their arguments once; their loops call private kernels.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, as_hermitian, frame_polar_isometry, full_row_rank, psd_sqrt
+from ._linalg import EIGEN_RTOL, RANK_RTOL, as_hermitian, frame_polar_isometry, full_row_rank, psd_sqrt
 from .core import _norms_squared, as_frame_matrix
 from .fiber import FiberTarget
 
@@ -166,40 +167,54 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     (..., N); each frame of the stack is solved independently.
 
     The minimizer lies in the range of the derivative's adjoint, the normal
-    space {W F + F diag(g) : W Hermitian, g real}. In the singular basis
-    F = U diag(s) Vh the operator equations are diagonal, so W is eliminated
+    space {W F + F diag(g) : W Hermitian, g real}. In the eigenbasis of the
+    unitary momentum, F F* = U diag(s^2) U*, the operator equations are a
+    diagonal Lyapunov equation, W~_ab (s_a^2 + s_b^2) = (R~ - 2 F~ diag(g)
+    F~*)_ab with F~ = U* F, W~ = U* W U and R~ = U* R U, so W is eliminated
     entrywise and the norms equations leave T g = c, real symmetric N x N with
     the all-ones kernel (trace(S) = sum(r)). (T + 1 1^T / N) g = c - mean(c)
     gives its minimum-norm (mean-zero) g, one batched LU solve for the stack;
     when a frame's matrix is singular (k = N with F a scaled unitary, where T
     can round to exactly 0), that frame alone is solved by lstsq of T.
 
-    With F~ = diag(s) Vh and K_ab = 1 / (s_a^2 + s_b^2), T = diag(|f~_j|^2) -
-    2 Re sum_ab K_ab P_ab P_ab^*, P_ab,j = conj(F~_aj) F~_bj. Its (a, b) and
-    (b, a) terms are conjugates, so the sum is B^T B, B real k^2 x N with rows
-    w_ab Re P_ab (a <= b) and w_ab Im P_ab (a < b), w_ab^2 = m_ab K_ab (m = 1 on
-    the diagonal, 2 off it): a symmetric rank-k^2 update, about 8x fewer flops
+    With K_ab = 1 / (s_a^2 + s_b^2), T = diag(|f~_j|^2) - 2 Re sum_ab K_ab
+    P_ab P_ab^*, P_ab,j = conj(F~_aj) F~_bj. Its (a, b) and (b, a) terms are
+    conjugates, so the sum is B^T B, B real k^2 x N with rows w_ab Re P_ab
+    (a <= b) and w_ab Im P_ab (a < b), w_ab^2 = m_ab K_ab (m = 1 on the
+    diagonal, 2 off it): a symmetric rank-k^2 update, about 8x fewer flops
     than the complex product.
 
-    The same solve serves every rank. A pair of singular directions whose
-    s_a^2 + s_b^2 is below (RANK_RTOL s_0)^2 has no first-order response, so
-    its weight is 0 (a pseudo-inverse). A kernel direction a (s_a below
-    RANK_RTOL s_0) takes sqrt(R~_aa) Vh[a] in its row: that row is orthogonal
-    to the rows of F, so the iterate regains rank with the missing energy. At
-    full rank neither rule changes the step.
+    eigh(F F*) resolves s^2 only to about eps s_max^2, and the step's error
+    grows as eps (s_max / s_min)^2. A frame whose smallest eigenvalue is
+    below EIGEN_RTOL times its largest takes the thin SVD F = U diag(s) Vh
+    instead, with F~ = diag(s) Vh; the frames of a stack that need it share
+    one batched SVD.
+
+    The same solve serves every rank. A pair of directions whose s_a^2 +
+    s_b^2 is below (RANK_RTOL s_max)^2 has no first-order response, so its
+    weight is 0 (a pseudo-inverse). A kernel direction a (s_a below RANK_RTOL
+    s_max, so of an SVD frame) takes sqrt(R~_aa) Vh[a] in its row: that row is
+    orthogonal to the rows of F, so the iterate regains rank with the missing
+    energy. At full rank neither rule changes the step.
     """
     shape = F.shape
     k, N = shape[-2:]
     F, R, b = F.reshape(-1, k, N), R.reshape(-1, k, k), b.reshape(-1, N)
     n = len(F)
-    U, s, Vh = np.linalg.svd(F, full_matrices=False)
-    Ft = s[:, :, None] * Vh
+    sq, U = np.linalg.eigh(F @ F.conj().swapaxes(1, 2))
+    Uc = U.conj().swapaxes(1, 2)
+    Ft = Uc @ F
+    # frames eigh cannot resolve take the thin SVD (descending, where eigh ascends)
+    ill = sq[:, 0] < EIGEN_RTOL * sq[:, -1]
+    if np.count_nonzero(ill):
+        Uw, s, Vh = np.linalg.svd(F[ill], full_matrices=False)
+        U[ill], Uc[ill], sq[ill], Ft[ill] = Uw, Uw.conj().swapaxes(1, 2), s**2, s[:, :, None] * Vh
     Ftc = Ft.conj()
-    sq = s**2
+    rank_floor = RANK_RTOL**2 * np.max(sq, axis=1, keepdims=True)
     s2 = sq[:, :, None] + sq[:, None, :]
     # 1 / inf = 0: pairs below the rank threshold get weight 0
-    K = 1.0 / np.where(s2 > (RANK_RTOL * s[:, :1, None]) ** 2, s2, np.inf)
-    Rt = U.conj().swapaxes(1, 2) @ R @ U
+    K = 1.0 / np.where(s2 > rank_floor[:, :, None], s2, np.inf)
+    Rt = Uc @ R @ U
     # P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
     ia, ib, ab, m = _pairs(k)
     P = Ftc.take(ia, axis=1)
@@ -233,9 +248,10 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     Ftg = Ft * g[:, None]
     Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
     dFt = Wt @ Ft + Ftg
-    ker = s < RANK_RTOL * s[:, :1]
+    # only an SVD frame can have kernel directions: sq >= EIGEN_RTOL max(sq) elsewhere
+    ker = sq < rank_floor
     if np.count_nonzero(ker):
-        dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker]
+        dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker[ill]]
     return (U @ dFt).reshape(shape)
 
 
@@ -421,7 +437,7 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     The constraints (F F* - S, norms^2 - r) are quadratic in F, so near the
     fiber the minimum-norm Newton step converges quadratically. That step lies
     in the normal space {W F + F diag(g)} of the fiber, so it is solved in its
-    k^2 + N coordinates, eliminated in the singular basis of F. A
+    k^2 + N coordinates, eliminated in the eigenbasis of F F*. A
     rank-deficient iterate takes the same step, with its kernel rows filled
     by the missing operator energy, so it regains rank.
     Steps are halved until Phi decreases; a step that cannot decrease Phi ends

@@ -203,7 +203,9 @@ def is_regular_value(S, torus) -> RegularValueCheck:
 
     Requires S Hermitian positive definite and every torus entry strictly
     negative (each equals -||f_j||^2 / 2 on the fiber, and zero columns are
-    the critical degeneration).
+    the critical degeneration), both relative to scale: the smallest
+    eigenvalue of S above RANK_RTOL times the largest, and every torus entry
+    below -RANK_RTOL times the largest |entry|.
     """
     S = as_complex_matrix(S, "S")
     if S.shape[0] != S.shape[1]:
@@ -216,8 +218,8 @@ def is_regular_value(S, torus) -> RegularValueCheck:
 def _regular_value(S: np.ndarray, t: np.ndarray) -> RegularValueCheck:
     """is_regular_value for an already Hermitian S and a real vector t."""
     w = np.linalg.eigvalsh(S)
-    if w[0] <= RANK_RTOL * max(1.0, w[-1]):
+    if w[0] <= RANK_RTOL * w[-1]:
         return RegularValueCheck(False, "operator part is not positive definite")
-    if np.any(t >= -0.5 * RANK_RTOL):
+    if np.any(t >= -RANK_RTOL * np.max(np.abs(t), initial=0.0)):
         return RegularValueCheck(False, "torus part has a non-negative entry")
     return RegularValueCheck(True)

@@ -28,7 +28,6 @@ class TestFiberTarget:
         t = FiberTarget.funtf(3, 7)
         assert_allclose(t.operator, (7 / 3) * np.eye(3))
         assert_allclose(t.norms_sq, np.ones(7))
-        assert t.scaled_identity()
 
     def test_from_spectrum(self):
         t = FiberTarget.from_spectrum([1.0, 2.0], [1.0, 1.0, 1.0])

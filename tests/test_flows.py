@@ -28,7 +28,21 @@ from fiberframe import (
     project_to_fiber,
     random_frame_on_fiber,
 )
+from fiberframe._linalg import EIGEN_RTOL
 from fiberframe.flows import _gaps, _newton, _normal_preimage, _phi
+
+
+def spy_linalg(monkeypatch, name):
+    """Record the first argument of every np.linalg.<name> call from here on."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 def perturbed_fiber_point(target, seed, rel=1e-2):
@@ -282,20 +296,49 @@ class TestNormalStep:
     def test_singular_norms_matrix_takes_lstsq(self, k, monkeypatch):
         # at 0.25 I the norms matrix T rounds to exactly 0: LU fails, and the
         # lstsq branch gives the minimum-norm step
-        calls = []
-        real = np.linalg.lstsq
-
-        def spy(a, *args, **kwargs):
-            calls.append(1)
-            return real(a, *args, **kwargs)
-
         F = 0.25 * np.eye(k, dtype=complex)
         R = rand_hermitian(np.random.default_rng(k), k)
         b = R.diagonal().real
         ref = min_norm_step_bruteforce(F, R, b)
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        calls = spy_linalg(monkeypatch, "lstsq")
         assert np.linalg.norm(_normal_preimage(F, R, b) - ref) <= 1e-10 * np.linalg.norm(ref)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k,N", [(4, 16), (8, 64)])
+    @pytest.mark.parametrize("ratio", [1e-1, 1.5e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_matches_min_norm_step_across_eigen_floor(self, k, N, ratio, monkeypatch):
+        # F = Q1 diag(s) Q2* with s_min / s_max = ratio: above the floor
+        # (ratio^2 >= EIGEN_RTOL) the step comes from eigh(F F*), below it
+        # from the thin SVD. The step's condition number grows as s_max /
+        # s_min, so at 1e-6 neither this solve nor the brute force's pinv is
+        # closer than about 1e-10 to the exact step (checked in 40 digits)
+        rng = np.random.default_rng(k * N)
+        F = (rand_unitary(rng, k) * np.geomspace(1.0, ratio, k)) @ rand_unitary(rng, N)[:k]
+        R = rand_hermitian(rng, k)
+        b = rng.standard_normal(N)
+        b += (np.trace(R).real - b.sum()) / N
+        ref = min_norm_step_bruteforce(F, R, b)
+        calls = spy_linalg(monkeypatch, "svd")
+        dF = _normal_preimage(F, R, b)
+        assert np.linalg.norm(dF - ref) <= max(1e-10, 1e-15 / ratio) * np.linalg.norm(ref)
+        # at the floor itself either side is right
+        if not 0.5 <= ratio**2 / EIGEN_RTOL <= 2.0:
+            assert len(calls) == (ratio**2 < EIGEN_RTOL)
+
+    def test_well_conditioned_newton_takes_no_svd(self, monkeypatch):
+        # frames above the eigen floor, as on every benchmark workload: the
+        # kernel and the Newton loop around it never call the SVD
+        t = FiberTarget.funtf(4, 16)
+        Fs = np.stack([perturbed_fiber_point(t, seed=s, rel=0.1) for s in range(4)])
+        R, b = _gaps(Fs, t)
+        calls = spy_linalg(monkeypatch, "svd")
+        stacked = _normal_preimage(Fs, R, b)
+        _F, phi, _iters, _trace, _stalled = _newton(Fs, t, FlowOptions(tol=1e-24))
+        assert not calls
+        assert np.all(phi <= 1e-24)
+        for i in range(len(Fs)):
+            ref = min_norm_step_bruteforce(Fs[i], R[i], b[i])
+            assert np.linalg.norm(stacked[i] - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("k,N", [(2, 4), (5, 8), (6, 6), (16, 40)])
     def test_unitary_torus_equivariance(self, k, N):
@@ -328,25 +371,17 @@ class TestStackedSolve:
         b = t.norms_sq - np.sum(np.abs(Fs) ** 2, axis=1)
         return Fs, R, b
 
-    @staticmethod
-    def _spy_lstsq(monkeypatch):
-        calls = []
-        real = np.linalg.lstsq
-
-        def spy(a, *args, **kwargs):
-            calls.append(np.array(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        return calls
-
     def test_kernel_rows_match_single_calls(self, monkeypatch):
         Fs, R, b = self._mixed_stack()
-        calls = self._spy_lstsq(monkeypatch)
+        calls = spy_linalg(monkeypatch, "lstsq")
+        svd_calls = spy_linalg(monkeypatch, "svd")
         stacked = _normal_preimage(Fs, R, b)
         # only the scaled unitary's matrix is singular, so only it takes lstsq
         assert len(calls) == 1
         assert np.linalg.norm(calls[0]) <= 1e-12
+        # only the rank-deficient frame is below the eigen floor: one batched SVD of one frame
+        assert [len(a) for a in svd_calls] == [1]
+        assert np.linalg.norm(svd_calls[0][0] - Fs[1]) == 0.0
         for i in range(len(Fs)):
             single = _normal_preimage(Fs[i], R[i], b[i])
             assert np.linalg.norm(stacked[i] - single) <= 1e-12 * np.linalg.norm(single)

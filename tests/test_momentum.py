@@ -11,6 +11,7 @@ from conftest import (
 )
 
 from fiberframe import (
+    FiberTarget,
     LieAlgebraElement,
     NotAFrameError,
     defining_property_residual,
@@ -239,3 +240,19 @@ class TestRegularValues:
 
     def test_rejects_non_hermitian(self):
         assert not is_regular_value(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([-1.0, -1.0]))
+
+    @pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
+    def test_scale_relative(self, c):
+        # F -> sqrt(c) F maps the fiber of (S, r) onto that of (c S, c r), so
+        # scaling a target keeps it regular, and a singular S or a zero norm
+        # stays critical at every scale
+        t = FiberTarget.funtf(2, 4)
+        scaled = FiberTarget(c * t.operator, c * t.norms_sq)
+        assert_allclose(scaled.operator, c * t.operator)
+        assert is_regular_value(c * t.operator, -0.5 * c * t.norms_sq)
+        chk = is_regular_value(c * np.diag([2.0, 1e-13]), -0.5 * c * np.ones(3))
+        assert not chk and "positive definite" in chk.reason
+        with pytest.raises(ValueError, match="positive definite"):
+            FiberTarget(c * np.diag([2.0, 0.0]), c * np.ones(2))
+        chk = is_regular_value(c * t.operator, -0.5 * c * np.array([2.0, 2.0, 0.0, 0.0]))
+        assert not chk and "torus" in chk.reason
