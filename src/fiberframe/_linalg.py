@@ -8,12 +8,12 @@ import numpy as np
 # relative singular-value threshold of the full-row-rank test (s_min >= RANK_RTOL s_max);
 # also the floor of positive definiteness: a regular value's operator
 # eigenvalues and squared norms exceed RANK_RTOL times their largest, and
-# psd_sqrt allows eigenvalues down to -RANK_RTOL max(1, largest)
+# psd_sqrt allows eigenvalues down to -RANK_RTOL times the largest magnitude
 RANK_RTOL = 1e-12
-# smallest eigenvalue of F F*, relative to the largest, from which eigh(F F*)
-# gives the Newton step; below it (s_min < 1e-2 s_max) the step takes the thin
-# SVD of F. eigh resolves s^2 only to about eps s_max^2, so the step's error
-# grows as eps (s_max / s_min)^2
+# smallest eigenvalue of F F*, relative to the largest, above which eigh(F F*)
+# gives the Newton step; at or below it (s_min <= 1e-2 s_max) the step takes
+# the thin SVD of F. eigh resolves s^2 only to about eps s_max^2, so the
+# step's error grows as eps (s_max / s_min)^2
 EIGEN_RTOL = 1e-4
 # relative Frobenius distance to the Hermitian part beyond which a matrix is not Hermitian
 HERMITIAN_TOL = 1e-10
@@ -82,7 +82,7 @@ def eigh_desc(A: np.ndarray):
 def psd_sqrt(A: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix."""
     w, V = np.linalg.eigh(A)
-    floor = -RANK_RTOL * max(1.0, abs(w[-1]))
+    floor = -RANK_RTOL * max(-w[0], w[-1])
     if w[0] < floor:
         raise ValueError("matrix is not positive semidefinite")
     w = np.clip(w, 0.0, None)

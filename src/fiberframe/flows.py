@@ -185,8 +185,8 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     than the complex product.
 
     eigh(F F*) resolves s^2 only to about eps s_max^2, and the step's error
-    grows as eps (s_max / s_min)^2. A frame whose smallest eigenvalue is
-    below EIGEN_RTOL times its largest takes the thin SVD F = U diag(s) Vh
+    grows as eps (s_max / s_min)^2. A frame whose smallest eigenvalue is at
+    most EIGEN_RTOL times its largest takes the thin SVD F = U diag(s) Vh
     instead, with F~ = diag(s) Vh; the frames of a stack that need it share
     one batched SVD.
 
@@ -195,7 +195,8 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     weight is 0 (a pseudo-inverse). A kernel direction a (s_a below RANK_RTOL
     s_max, so of an SVD frame) takes sqrt(R~_aa) Vh[a] in its row: that row is
     orthogonal to the rows of F, so the iterate regains rank with the missing
-    energy. At full rank neither rule changes the step.
+    energy. At full rank neither rule changes the step, and a stack with no
+    SVD frame skips both.
     """
     shape = F.shape
     k, N = shape[-2:]
@@ -204,16 +205,22 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     sq, U = np.linalg.eigh(F @ F.conj().swapaxes(1, 2))
     Uc = U.conj().swapaxes(1, 2)
     Ft = Uc @ F
-    # frames eigh cannot resolve take the thin SVD (descending, where eigh ascends)
-    ill = sq[:, 0] < EIGEN_RTOL * sq[:, -1]
-    if np.count_nonzero(ill):
+    # frames eigh cannot resolve (and a zero frame) take the thin SVD
+    # (descending, where eigh ascends)
+    ill = sq[:, 0] <= EIGEN_RTOL * sq[:, -1]
+    svd = np.count_nonzero(ill)
+    if svd:
         Uw, s, Vh = np.linalg.svd(F[ill], full_matrices=False)
         U[ill], Uc[ill], sq[ill], Ft[ill] = Uw, Uw.conj().swapaxes(1, 2), s**2, s[:, :, None] * Vh
     Ftc = Ft.conj()
-    rank_floor = RANK_RTOL**2 * np.max(sq, axis=1, keepdims=True)
     s2 = sq[:, :, None] + sq[:, None, :]
-    # 1 / inf = 0: pairs below the rank threshold get weight 0
-    K = 1.0 / np.where(s2 > rank_floor[:, :, None], s2, np.inf)
+    if svd:
+        rank_floor = RANK_RTOL**2 * np.max(sq, axis=1, keepdims=True)
+        # 1 / inf = 0: pairs below the rank threshold get weight 0
+        K = 1.0 / np.where(s2 > rank_floor[:, :, None], s2, np.inf)
+    else:
+        # an eigh frame has sq > EIGEN_RTOL max(sq), far above the rank floor
+        K = 1.0 / s2
     Rt = Uc @ R @ U
     # P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
     ia, ib, ab, m = _pairs(k)
@@ -248,10 +255,11 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     Ftg = Ft * g[:, None]
     Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
     dFt = Wt @ Ft + Ftg
-    # only an SVD frame can have kernel directions: sq >= EIGEN_RTOL max(sq) elsewhere
-    ker = sq < rank_floor
-    if np.count_nonzero(ker):
-        dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker[ill]]
+    # only an SVD frame can have kernel directions
+    if svd:
+        ker = sq < rank_floor
+        if np.count_nonzero(ker):
+            dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker[ill]]
     return (U @ dFt).reshape(shape)
 
 

@@ -2,16 +2,22 @@
 
 Any two frames with equal frame operator S and equal squared norms can be
 joined by a path that stays on that fiber (for regular targets). connect()
-produces an explicit discrete witness: gauge-align the endpoints with a
-unitary V from the commutant of S, then unwind the gauge along the
-one-parameter unitary group from V to the identity, which moves on the fiber
-exactly. The endpoints and the unwind samples are the anchors; a bridge pass
-subdivides every gap wider than delta between consecutive anchors, level by
-level: the midpoints of all open gaps of a level are projected onto the fiber
-in one stacked Newton solve (a midpoint whose projection is rejected is
-retried with seeded tangent kicks), and the halves still wider than delta
-form the next level. So the chord from F0 to V F1 is bridged like every other
-gap. An unwind sample off the fiber is dropped.
+produces an explicit discrete witness. The fiber is a level set of the
+momentum map of U(k) x T^N, so the unitaries commuting with S (U(k)_S, the
+stabilizer of S) and the column phases T^N both move a frame exactly along
+it. The endpoints are aligned over U(k)_S x T^N first: a unitary V
+commuting with S and column phases D = diag(exp(i phi)) with V F1 D close to
+F0, by alternating exact minimisation. The unwind s -> Z exp(i (1 - s) theta) Z*
+F1 diag(exp(i (1 - s) phi)), with V = Z diag(exp(i theta)) Z*, then runs
+from V F1 D to F1 on the fiber exactly. The endpoints and the unwind samples
+are the anchors; a bridge pass subdivides every gap wider than delta between
+consecutive anchors, level by level: the midpoints of all open gaps of a
+level are projected onto the fiber in one stacked Newton solve (a midpoint
+whose projection is rejected is retried with seeded tangent kicks), and the
+halves still wider than delta form the next level. So the chord from F0 to
+V F1 D is bridged like every other gap. An unwind sample off the fiber (V
+commutes with S only up to the widths of its eigenvalue clusters) is
+dropped.
 """
 
 from __future__ import annotations
@@ -73,13 +79,17 @@ class ConnectReport:
 
     projections counts the frames projected onto the fiber (bridge midpoints
     and kicked retries), newton_iterations their accepted Newton steps, kicks
-    the tangent kicks tried, levels the bridge levels.
+    the tangent kicks tried, levels the bridge levels. unwind counts the
+    exact unwind samples kept as anchors, unwind_dropped those the accept
+    filter dropped.
     """
 
     projections: int = 0
     newton_iterations: int = 0
     kicks: int = 0
     levels: int = 0
+    unwind: int = 0
+    unwind_dropped: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -177,13 +187,12 @@ def validate_path(path: FramePath, tol: float = 1e-8, delta: float = 0.05, endpo
     )
 
 
-def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray):
-    """Unitary V commuting with the operator's spectral blocks minimizing ||F0 - V F1||.
+def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, U: np.ndarray, clusters):
+    """Unitary V minimizing ||F0 - V F1|| among those commuting with the spectral blocks (U, clusters).
 
-    Falls back to the identity when the spectrum cannot be clustered safely.
+    The identity when the spectrum cannot be clustered safely (clusters is None).
     """
     k = F0.shape[0]
-    _w, U, clusters = spectral_clusters(operator)
     if clusters is None:
         return np.eye(k, dtype=complex)
     A = U.conj().T @ F0
@@ -204,8 +213,29 @@ def gauge_align(F0, F1, operator) -> np.ndarray:
     """
     F0, F1 = _frame_pair(F0, F1)
     S = as_hermitian(operator, name="operator")
-    V = _commutant_gauge(F0, F1, S)
-    return V @ F1
+    _w, U, clusters = spectral_clusters(S)
+    return _commutant_gauge(F0, F1, U, clusters) @ F1
+
+
+def _symmetry_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray):
+    """V in the commutant U(k)_S and column angles phi with V F1 diag(exp(i phi)) close to F0.
+
+    Alternating exact block minimisation of ||F0 - V F1 diag(exp(i phi))||
+    over V (the commutant Procrustes optimum for the current phases) and phi
+    (the phases of the column inner products <(V F1)_j, F0_j>, 0 where one
+    vanishes). It starts from the closer of the two one-group optima, V for
+    phi = 0 (gauge_align's) and phi for V = I, and then solves V and phi once
+    more. No step lengthens the distance, so V F1 D is never farther from F0
+    than gauge_align's V F1. From V, the alternation would close a pure
+    column-phase difference F1 = F0 D only linearly.
+    """
+    _w, U, clusters = spectral_clusters(operator)
+    V = _commutant_gauge(F0, F1, U, clusters)
+    phi = np.angle(np.vecdot(F1, F0, axis=0))
+    if np.linalg.norm(F0 - V @ F1) <= np.linalg.norm(F0 - F1 * np.exp(1j * phi)):
+        phi = np.angle(np.vecdot(V @ F1, F0, axis=0))
+    V = _commutant_gauge(F0, F1 * np.exp(1j * phi), U, clusters)
+    return V, np.angle(np.vecdot(V @ F1, F0, axis=0))
 
 
 def _frobenius(D: np.ndarray) -> np.ndarray:
@@ -235,15 +265,19 @@ def _tangent_kick(rng: np.random.Generator, F: np.ndarray, size: float) -> np.nd
 def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) -> FramePath:
     """Discrete on-fiber path from F0 to F1; both must lie on the target fiber.
 
-    The anchors are F0, the on-fiber gauge-unwind samples (the first is the
-    aligned endpoint V F1) and F1. The bridge pass then runs level by level
-    over the sequence of samples: each level stacks the midpoints of every
-    gap still wider than delta, projects the stack in one Newton solve (in
-    several when its kernel temporaries would pass _STACK_BYTES), checks
-    each midpoint in sequence order (accepted within half of path_tol^2, else
-    retried with seeded tangent kicks; both halves must be shorter than the
-    gap) and splits the gaps. Every interior sample is a bridge midpoint or an
-    exact unwind sample; the path's report counts the work.
+    The anchors are F0, the on-fiber unwind samples and F1. The unwind runs
+    over U(k)_S x T^N from the aligned endpoint V F1 D (V a unitary commuting
+    with the operator's spectral clusters and D column phases, alternated to
+    bring F1 close to F0) to F1, in ceil(||V F1 D - F1|| / (delta ||F0|| / 2))
+    samples, of which those that pass the accept filter are kept; the report
+    counts both. The bridge pass then runs level by level over the sequence
+    of samples: each level stacks the midpoints of every gap still wider
+    than delta, projects the stack in one Newton solve (in several when its
+    kernel temporaries would pass _STACK_BYTES), checks each midpoint in
+    sequence order (accepted within half of path_tol^2, else retried with
+    seeded tangent kicks; both halves must be shorter than the gap) and
+    splits the gaps. Every interior sample is a bridge midpoint or an exact
+    unwind sample; the path's report counts the work.
 
     Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
     ConnectError (with the chord parameter near the failure in .t) when the
@@ -304,16 +338,20 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         return dist, depth, ta, tb
 
     # the anchors are F0, the on-fiber unwind samples and F1; the chord runs
-    # from F0 to the first of them, the aligned endpoint V F1, over chord
-    # parameters 0 to 1, and the unwind from V F1 to F1 sits at parameter 1
+    # from F0 to the first of them, the aligned endpoint V F1 D, over chord
+    # parameters 0 to 1, and the unwind from V F1 D to F1 sits at parameter 1
     unwind = np.empty((0, k, target.N), dtype=complex)
-    V = _commutant_gauge(F0, F1, target.operator)
-    if np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k):
-        Z, theta = unitary_log_factors(V)
-        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 - F1) / (0.5 * delta_abs))))
-        s = np.linspace(0.0, 1.0, nsteps + 1)[:-1]
-        Fs = ((Z * np.exp(1j * (1.0 - s)[:, None] * theta)[:, None, :]) @ Z.conj().T) @ F1
+    V, phi = _symmetry_gauge(F0, F1, target.operator)
+    rotate = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
+    if rotate or np.linalg.norm(phi) > 1e-12 * np.sqrt(target.N):
+        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 * np.exp(1j * phi) - F1) / (0.5 * delta_abs))))
+        u = 1.0 - np.linspace(0.0, 1.0, nsteps + 1)[:-1]
+        Fs = F1 * np.exp(1j * u[:, None, None] * phi)
+        if rotate:
+            Z, theta = unitary_log_factors(V)
+            Fs = ((Z * np.exp(1j * u[:, None] * theta)[:, None, :]) @ Z.conj().T) @ Fs
         unwind = Fs[_phi(*_gaps(Fs, target)) <= accept_tol]
+        report.unwind, report.unwind_dropped = len(unwind), nsteps - len(unwind)
     anchors = np.concatenate((F0[None], unwind, F1[None]))
 
     # samples[i] and samples[i + 1] bound gaps[i]: None once it fits delta,
@@ -358,10 +396,11 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # prune near-duplicate samples; F0 and F1 stay, and the early return for
     # F1 == F0 keeps the step between them, so every time step is positive.
     # The pruning loop runs only when some consecutive pair is that close:
-    # with none, it keeps every sample.
+    # with none, it keeps every sample and their steps are the path's.
     thresh = 1e-13 * max(1.0, scale)
-    kept = samples
-    if np.any(_frobenius(np.diff(np.stack(samples), axis=0)) <= thresh):
+    arr = np.stack(samples)
+    seg = _frobenius(np.diff(arr, axis=0))
+    if np.any(seg <= thresh):
         kept = [F0]
         for F in samples[1:-1]:
             if np.linalg.norm(F - kept[-1]) > thresh:
@@ -369,8 +408,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
             kept.pop()
         kept.append(F1)
-    arr = np.stack(kept)
-    seg = _frobenius(np.diff(arr, axis=0))
+        arr = np.stack(kept)
+        seg = _frobenius(np.diff(arr, axis=0))
     times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
     times[-1] = 1.0
     path = FramePath(times, arr, target, report)

@@ -128,38 +128,58 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     """Reference samples of connect(F0, F1, target): the depth-first bridge.
 
     The anchors are built as connect builds them (F0, the on-fiber samples of
-    the gauge unwind from V F1 to F1, then F1), with V the blockwise
-    Procrustes unitary over the eigenvalue clusters of the operator and the
-    unwind from numpy's eigendecomposition of V. Each gap wider than delta is
-    then bridged recursively, one project_to_fiber call per midpoint, left
-    half before right half. Only public package functions are used.
+    the unwind from V F1 D to F1, then F1). V, the blockwise Procrustes
+    unitary over the eigenvalue clusters of the operator, and D, the phases
+    of the column inner products, are alternated from the closer of V alone
+    and D alone, then each solved once more; the unwind multiplies numpy's
+    eigendecomposition of V and the column phases, each raised to the power
+    1 - s. Each gap wider than delta is then bridged
+    recursively, one project_to_fiber call per midpoint, left half before
+    right half. Only public package functions are used.
     """
     from fiberframe import FlowOptions, fiber_residual, project_to_fiber
 
-    k = F0.shape[0]
+    k, N = F0.shape
     scale = np.linalg.norm(F0)
     step = delta * scale
     accept = 0.5 * path_tol**2
     opts = FlowOptions(tol=min(1e-20, 0.01 * path_tol**2))
 
     w, Q = np.linalg.eigh(target.operator)
-    blocks = np.zeros((k, k), dtype=complex)
-    start = 0
-    for end in range(1, k + 1):
-        if end == k or w[end] - w[end - 1] > 1e-8 * abs(w[-1]):
-            cl = slice(start, end)
-            X, _s, Yh = np.linalg.svd((Q[:, cl].conj().T @ F0) @ (Q[:, cl].conj().T @ F1).conj().T)
-            blocks[cl, cl] = X @ Yh
-            start = end
-    V = Q @ blocks @ Q.conj().T
+
+    def procrustes(G):
+        # blockwise polar factor over the eigenvalue clusters
+        blocks = np.zeros((k, k), dtype=complex)
+        start = 0
+        for end in range(1, k + 1):
+            if end == k or w[end] - w[end - 1] > 1e-8 * abs(w[-1]):
+                cl = slice(start, end)
+                X, _s, Yh = np.linalg.svd((Q[:, cl].conj().T @ F0) @ (Q[:, cl].conj().T @ G).conj().T)
+                blocks[cl, cl] = X @ Yh
+                start = end
+        return Q @ blocks @ Q.conj().T
+
+    def column_phases(G):
+        c = np.array([np.vdot(G[:, j], F0[:, j]) for j in range(N)])
+        return np.where(c == 0, 1.0, c / np.where(c == 0, 1.0, np.abs(c)))
+
+    V, phases = procrustes(F1), column_phases(F1)
+    if np.linalg.norm(F0 - V @ F1) <= np.linalg.norm(F0 - F1 * phases):
+        phases = column_phases(V @ F1)
+    V = procrustes(F1 * phases)
+    phases = column_phases(V @ F1)
+    angles = np.angle(phases)
 
     anchors = [F0]
-    if np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k):
+    rotate = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
+    if rotate or np.linalg.norm(angles) > 1e-12 * np.sqrt(N):
         lam, Z = np.linalg.eig(V)
         Zinv = np.linalg.inv(Z)
-        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 - F1) / (0.5 * step))))
+        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 * phases - F1) / (0.5 * step))))
         for s in np.linspace(0.0, 1.0, nsteps + 1)[:-1]:
-            Fs = (Z * np.exp(1j * (1.0 - s) * np.angle(lam))) @ Zinv @ F1
+            Fs = F1 * np.exp(1j * (1.0 - s) * angles)
+            if rotate:
+                Fs = (Z * np.exp(1j * (1.0 - s) * np.angle(lam))) @ Zinv @ Fs
             if fiber_residual(Fs, target) <= accept:
                 anchors.append(Fs)
     anchors.append(F1)

@@ -191,7 +191,14 @@ class TestConnect:
         code, out, _ = run(capsys, "--json", "connect", files[0], files[1], tfile, "--out", pfile)
         assert code == 0
         obj = json.loads(out)
-        assert obj["report"] == {"projections": 31, "newton_iterations": 77, "kicks": 0, "levels": 5}
+        assert obj["report"] == {
+            "projections": 15,
+            "newton_iterations": 38,
+            "kicks": 0,
+            "levels": 4,
+            "unwind": 66,
+            "unwind_dropped": 0,
+        }
         code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", pfile)
         assert [line.split(":")[0] for line in out.splitlines()] == [
             "status",

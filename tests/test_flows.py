@@ -150,6 +150,16 @@ class TestProjections:
         with pytest.raises(ValueError):
             project_frame_operator(rand_rank_deficient(rng, 3, 5), np.eye(3) * (5 / 3))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0])
+    def test_operator_projection_indefinite_raises(self, scale):
+        # the semidefinite floor is relative to the operator: diag(1, -1) is
+        # rejected at every scale, diag(1, 0) accepted
+        F = rand_frame(np.random.default_rng(11), 2, 4)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            project_frame_operator(F, scale * np.diag([1.0, -1.0]))
+        S = scale * np.diag([1.0, 0.0])
+        assert np.linalg.norm(frame_operator(project_frame_operator(F, S)) - S) <= 1e-12 * scale
+
     def test_norm_projection_exact(self):
         rng = np.random.default_rng(10)
         r = np.array([2.0, 0.5, 1.0, 1.5])

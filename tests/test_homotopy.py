@@ -143,6 +143,30 @@ class TestGaugeAlign:
             gauge_align(F0, F1, np.array([[2.0, 5.0], [0.0, 2.0]]))
 
 
+class TestSymmetryGauge:
+    """connect aligns F1 over the commutant unitaries and the column phases."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(3, 7),
+            FiberTarget.from_spectrum([4.0, 1.0], np.full(4, 1.25)),
+            FiberTarget.from_spectrum([2.0 + 1e-9, 2.0 - 1e-9], np.ones(4)),
+            FiberTarget.from_spectrum([2.0, 1.0], [2.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10]),
+        ],
+        ids=["funtf_3_7", "spread_N4", "gap_2e-9", "norm_at_top_eigenvalue"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_never_farther_than_commutant_alignment(self, target, seed):
+        F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
+        V, phi = homotopy._symmetry_gauge(F0, F1, target.operator)
+        aligned = V @ F1 * np.exp(1j * phi)
+        commutant_only = gauge_align(F0, F1, target.operator)
+        assert np.linalg.norm(F0 - aligned) <= np.linalg.norm(F0 - commutant_only) * (1.0 + 1e-12)
+        # V F1 D stays on the fiber up to the cluster widths
+        assert fiber_residual(aligned, target) <= 1e-16
+
+
 class TestAmbiguityBand:
     # the relative eigenvalue gap 5e-8 lies between the merge threshold 1e-8
     # and the split threshold 1e-7, so the spectrum has no safe clustering
@@ -225,6 +249,8 @@ class TestConnect:
         path = connect(F0, F1, t)
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert chk.ok, chk.message
+        # the exact torus unwind alone joins F0 to F1 = F0 D
+        assert path.report.projections == 0
 
     def test_off_fiber_endpoint_rejected(self):
         t = FiberTarget.funtf(2, 4)
@@ -260,11 +286,23 @@ class TestConnect:
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
         path = connect(F0, F1, t)
-        assert len(path) == 96
-        assert path.report == ConnectReport(projections=31, newton_iterations=77, kicks=0, levels=5)
+        assert len(path) == 83
+        assert path.report == ConnectReport(
+            projections=15, newton_iterations=38, kicks=0, levels=4, unwind=66, unwind_dropped=0
+        )
         again = connect(F0, F1, t, ConnectOptions(seed=7))
         assert again.report == path.report
         assert connect(F0, F0, t).report == ConnectReport()
+
+    def test_off_fiber_unwind_samples_dropped(self):
+        # the commutant of a merged eigenvalue cluster of width 1e-8 moves S by
+        # up to that width, so some unwind samples miss the accept filter;
+        # the path is bridged around them
+        t = FiberTarget.from_spectrum([2.0 + 5e-9, 2.0 - 5e-9], np.ones(4))
+        F0, F1 = _pair(t, 0, 1)
+        path = connect(F0, F1, t)
+        assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
+        assert path.report.unwind > 0 and path.report.unwind_dropped > 0
 
     def test_level_split_into_runs_gives_same_path(self, monkeypatch):
         # a level larger than the memory cap is projected in several runs,
