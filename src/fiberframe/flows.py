@@ -259,7 +259,8 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     if svd:
         ker = sq < rank_floor
         if np.count_nonzero(ker):
-            dFt[ker] += np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))[:, None] * Vh[ker[ill]]
+            fill = np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))
+            dFt[ker] += fill[:, None] * Vh[ker[ill]]
     return (U @ dFt).reshape(shape)
 
 

@@ -217,25 +217,29 @@ def gauge_align(F0, F1, operator) -> np.ndarray:
     return _commutant_gauge(F0, F1, U, clusters) @ F1
 
 
+def _column_angles(F0: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Angles phi minimizing ||F0 - G diag(exp(i phi))||: those of <g_j, f0_j>, 0 where one vanishes."""
+    return np.angle(np.vecdot(G, F0, axis=0))
+
+
 def _symmetry_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray):
     """V in the commutant U(k)_S and column angles phi with V F1 diag(exp(i phi)) close to F0.
 
     Alternating exact block minimisation of ||F0 - V F1 diag(exp(i phi))||
-    over V (the commutant Procrustes optimum for the current phases) and phi
-    (the phases of the column inner products <(V F1)_j, F0_j>, 0 where one
-    vanishes). It starts from the closer of the two one-group optima, V for
-    phi = 0 (gauge_align's) and phi for V = I, and then solves V and phi once
-    more. No step lengthens the distance, so V F1 D is never farther from F0
-    than gauge_align's V F1. From V, the alternation would close a pure
+    over V (the commutant Procrustes optimum for the current phases) and phi.
+    It starts from the closer of the two one-group optima, V for phi = 0
+    (gauge_align's) and phi for V = I, and then solves V and phi once more.
+    No step lengthens the distance, so V F1 D is never farther from F0 than
+    gauge_align's V F1. From V, the alternation would close a pure
     column-phase difference F1 = F0 D only linearly.
     """
     _w, U, clusters = spectral_clusters(operator)
     V = _commutant_gauge(F0, F1, U, clusters)
-    phi = np.angle(np.vecdot(F1, F0, axis=0))
+    phi = _column_angles(F0, F1)
     if np.linalg.norm(F0 - V @ F1) <= np.linalg.norm(F0 - F1 * np.exp(1j * phi)):
-        phi = np.angle(np.vecdot(V @ F1, F0, axis=0))
+        phi = _column_angles(F0, V @ F1)
     V = _commutant_gauge(F0, F1 * np.exp(1j * phi), U, clusters)
-    return V, np.angle(np.vecdot(V @ F1, F0, axis=0))
+    return V, _column_angles(F0, V @ F1)
 
 
 def _frobenius(D: np.ndarray) -> np.ndarray:

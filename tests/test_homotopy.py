@@ -31,6 +31,19 @@ def _pair(target, seed_a, seed_b):
     )
 
 
+# clustered spectra, a spread operator and norms at the majorization boundary
+hard_fibers = pytest.mark.parametrize(
+    "target",
+    [
+        FiberTarget.funtf(3, 7),
+        FiberTarget.from_spectrum([4.0, 1.0], np.full(4, 1.25)),
+        FiberTarget.from_spectrum([2.0 + 1e-9, 2.0 - 1e-9], np.ones(4)),
+        FiberTarget.from_spectrum([2.0, 1.0], [2.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10]),
+    ],
+    ids=["funtf_3_7", "spread_N4", "gap_2e-9", "norm_at_top_eigenvalue"],
+)
+
+
 class TestFramePath:
     def test_basic_accessors(self):
         t = FiberTarget.funtf(2, 4)
@@ -146,16 +159,7 @@ class TestGaugeAlign:
 class TestSymmetryGauge:
     """connect aligns F1 over the commutant unitaries and the column phases."""
 
-    @pytest.mark.parametrize(
-        "target",
-        [
-            FiberTarget.funtf(3, 7),
-            FiberTarget.from_spectrum([4.0, 1.0], np.full(4, 1.25)),
-            FiberTarget.from_spectrum([2.0 + 1e-9, 2.0 - 1e-9], np.ones(4)),
-            FiberTarget.from_spectrum([2.0, 1.0], [2.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10]),
-        ],
-        ids=["funtf_3_7", "spread_N4", "gap_2e-9", "norm_at_top_eigenvalue"],
-    )
+    @hard_fibers
     @pytest.mark.parametrize("seed", range(3))
     def test_never_farther_than_commutant_alignment(self, target, seed):
         F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
@@ -340,16 +344,7 @@ class TestConnect:
         assert chk.ok, chk.message
         assert np.min(path.step_norms()) > 1e-13 * np.linalg.norm(F0)
 
-    @pytest.mark.parametrize(
-        "target",
-        [
-            FiberTarget.funtf(3, 7),
-            FiberTarget.from_spectrum([4.0, 1.0], np.full(4, 1.25)),
-            FiberTarget.from_spectrum([2.0 + 1e-9, 2.0 - 1e-9], np.ones(4)),
-            FiberTarget.from_spectrum([2.0, 1.0], [2.0 - 1e-9, 0.5 + 5e-10, 0.5 + 5e-10]),
-        ],
-        ids=["funtf_3_7", "spread_N4", "gap_2e-9", "norm_at_top_eigenvalue"],
-    )
+    @hard_fibers
     @pytest.mark.parametrize("seed", range(3))
     def test_hard_fiber_pair_validates(self, target, seed):
         F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
