@@ -2,15 +2,14 @@
 
 The distance to the fiber is measured by
 
-    Phi(F) = ||F F* - S||_F^2 + w * sum_j (||f_j||^2 - r_j)^2
+    Phi(F) = ||F F* - S||_F^2 + sum_j (||f_j||^2 - r_j)^2.
 
-with weight w = 1 (fiber_residual and its gradient take another w; the flows
-always use w = 1). Three routes are provided: Armijo-backtracking gradient
-descent on Phi in the ambient matrix space, alternation of the two exact
-constraint projections (operator part, then column rescaling), and damped
-normal-space Gauss-Newton, which is project_to_fiber. A Newton step costs the
-k x k Hermitian eigendecomposition of F F* (a frame too ill-conditioned for
-it takes the thin SVD of F), a real rank-k^2 update B^T B with B of shape
+Three routes are provided: Armijo-backtracking gradient descent on Phi in
+the ambient matrix space, alternation of the two exact constraint
+projections (operator part, then column rescaling), and damped normal-space
+Gauss-Newton, which is project_to_fiber. A Newton step costs the k x k
+Hermitian eigendecomposition of F F* (a frame too ill-conditioned for it
+takes the thin SVD of F), a real rank-k^2 update B^T B with B of shape
 k^2 x N (O(k^2 N^2) real flops) and an N x N LU solve. The Newton loop runs
 on a stack of frames, each row on its own: newton_refine is a stack of one,
 and connect projects every bridge midpoint of a level in one stacked run, so
@@ -103,9 +102,9 @@ def _target_frame(F, target: FiberTarget) -> np.ndarray:
     return F
 
 
-def fiber_residual(F, target: FiberTarget, norm_weight: float = 1.0) -> float:
+def fiber_residual(F, target: FiberTarget) -> float:
     """Squared momentum distance Phi(F) to the target fiber."""
-    return _residual(_target_frame(F, target), target, norm_weight)
+    return _residual(_target_frame(F, target), target)
 
 
 def _gaps(F: np.ndarray, target: FiberTarget):
@@ -125,23 +124,23 @@ def _phi(delta: np.ndarray, gap: np.ndarray) -> np.ndarray:
     return np.vecdot(d, d).real + np.vecdot(gap, gap)
 
 
-def _residual(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> float:
+def _residual(F: np.ndarray, target: FiberTarget) -> float:
     """Phi of one frame."""
     delta, gap = _gaps(F, target)
-    return float(np.vdot(delta, delta).real + w * np.dot(gap, gap))
+    return float(np.vdot(delta, delta).real + np.dot(gap, gap))
 
 
-def fiber_residual_gradient(F, target: FiberTarget, norm_weight: float = 1.0) -> np.ndarray:
+def fiber_residual_gradient(F, target: FiberTarget) -> np.ndarray:
     """Gradient of Phi for the real inner product Re trace(A* B).
 
-    grad Phi = 4 (F F* - S) F + 4 w F diag(||f_j||^2 - r_j).
+    grad Phi = 4 (F F* - S) F + 4 F diag(||f_j||^2 - r_j).
     """
-    return _residual_gradient(_target_frame(F, target), target, norm_weight)
+    return _residual_gradient(_target_frame(F, target), target)
 
 
-def _residual_gradient(F: np.ndarray, target: FiberTarget, w: float = 1.0) -> np.ndarray:
+def _residual_gradient(F: np.ndarray, target: FiberTarget) -> np.ndarray:
     delta, gap = _gaps(F, target)
-    return -4.0 * (delta @ F) - (4.0 * w) * (F * gap[None, :])
+    return -4.0 * (delta @ F) - 4.0 * (F * gap[None, :])
 
 
 @lru_cache(maxsize=None)

@@ -10,14 +10,14 @@ commuting with S and column phases D = diag(exp(i phi)) with V F1 D close to
 F0, by alternating exact minimisation. The unwind s -> Z exp(i (1 - s) theta) Z*
 F1 diag(exp(i (1 - s) phi)), with V = Z diag(exp(i theta)) Z*, then runs
 from V F1 D to F1 on the fiber exactly. The endpoints and the unwind samples
-are the anchors; a bridge pass subdivides every gap wider than delta between
-consecutive anchors, level by level: the midpoints of all open gaps of a
-level are projected onto the fiber in one stacked Newton solve (a midpoint
-whose projection is rejected is retried with seeded tangent kicks), and the
-halves still wider than delta form the next level. So the chord from F0 to
-V F1 D is bridged like every other gap. An unwind sample off the fiber (V
-commutes with S only up to the widths of its eigenvalue clusters) is
-dropped.
+are the anchors. The path is one ordered array of frames, and a bridge pass
+subdivides its gaps wider than delta level by level: the midpoints of all
+open gaps of a level are projected onto the fiber in one stacked Newton
+solve (a midpoint whose projection is rejected is retried with seeded
+tangent kicks) and merged into the array, and the halves still wider than
+delta are the next level's open gaps. So the chord from F0 to V F1 D is
+bridged like every other gap. An unwind sample off the fiber (V commutes
+with S only up to the widths of its eigenvalue clusters) is dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ __all__ = [
 # seeded tangent kicks tried on a rejected sample, and their size relative to ||F0||
 _KICKS = 5
 _KICK_SCALE = 1e-4
-# bridge halvings allowed beyond those a straight chord of the same gap needs
+# the bridge gives up when gaps stay open after _EXTRA_DEPTH + 1 levels beyond
+# the halvings a straight chord of the widest anchor gap needs
 _EXTRA_DEPTH = 12
 # bytes of kernel temporaries one stacked projection may hold; a level with
 # more rows is projected in several runs
@@ -274,19 +275,23 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     with the operator's spectral clusters and D column phases, alternated to
     bring F1 close to F0) to F1, in ceil(||V F1 D - F1|| / (delta ||F0|| / 2))
     samples, of which those that pass the accept filter are kept; the report
-    counts both. The bridge pass then runs level by level over the sequence
-    of samples: each level stacks the midpoints of every gap still wider
-    than delta, projects the stack in one Newton solve (in several when its
-    kernel temporaries would pass _STACK_BYTES), checks each midpoint in
-    sequence order (accepted within half of path_tol^2, else retried with
-    seeded tangent kicks; both halves must be shorter than the gap) and
-    splits the gaps. Every interior sample is a bridge midpoint or an exact
-    unwind sample; the path's report counts the work.
+    counts both. Near-duplicate anchors are pruned. The bridge pass then
+    runs level by level over the ordered array of samples: each level stacks
+    the midpoints of every gap still wider than delta, projects the stack in
+    one Newton solve (in several when its kernel temporaries would pass
+    _STACK_BYTES), retries each rejected midpoint (accepted within half of
+    path_tol^2) with seeded tangent kicks in path order and merges the
+    midpoints in; both halves of a gap must be shorter than it. Every
+    interior sample is a bridge midpoint or an exact unwind sample; the
+    path's report counts the work.
 
     Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
-    ConnectError (with the chord parameter near the failure in .t) when the
-    bridge pass cannot close a gap between anchors. The result is validated
-    before being returned and is deterministic for a fixed seed.
+    ConnectError (with the chord parameter of the failing midpoint in .t)
+    when the bridge pass cannot close a gap between anchors: a midpoint
+    rejected after every kick, a half no shorter than its gap, or a gap
+    still open after _EXTRA_DEPTH + 1 levels beyond the halvings that the
+    widest anchor gap needs. The result is validated before being returned
+    and is deterministic for a fixed seed.
     """
     opts = options or ConnectOptions()
     F0, F1 = _frame_pair(F0, F1)
@@ -333,14 +338,6 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
                 return G[0]
         raise ConnectError("projection failed while bridging fiber points", t=t)
 
-    def gap_after(dist, depth, ta, tb):
-        # the open gap (dist, depth, ta, tb) between two on-fiber samples, None when it fits delta
-        if dist <= delta_abs:
-            return None
-        if depth > _EXTRA_DEPTH:
-            raise ConnectError("bridging between fiber points exceeded depth", t=0.5 * (ta + tb))
-        return dist, depth, ta, tb
-
     # the anchors are F0, the on-fiber unwind samples and F1; the chord runs
     # from F0 to the first of them, the aligned endpoint V F1 D, over chord
     # parameters 0 to 1, and the unwind from V F1 D to F1 sits at parameter 1
@@ -356,64 +353,54 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             Fs = ((Z * np.exp(1j * u[:, None] * theta)[:, None, :]) @ Z.conj().T) @ Fs
         unwind = Fs[_phi(*_gaps(Fs, target)) <= accept_tol]
         report.unwind, report.unwind_dropped = len(unwind), nsteps - len(unwind)
-    anchors = np.concatenate((F0[None], unwind, F1[None]))
+    arr = np.concatenate((F0[None], unwind, F1[None]))
+    t = np.minimum(np.arange(len(arr)), 1.0)
 
-    # samples[i] and samples[i + 1] bound gaps[i]: None once it fits delta,
-    # else (distance, depth, ta, tb). A top-level gap starts below zero by the
-    # halvings a straight chord of it needs, so _EXTRA_DEPTH counts only those
-    # beyond.
-    samples = list(anchors)
-    gaps = []
-    for i, dist in enumerate(_frobenius(np.diff(anchors, axis=0))):
-        depth = -int(np.ceil(np.log2(max(dist, delta_abs) / delta_abs)))
-        gaps.append(gap_after(float(dist), depth, 0.0 if i == 0 else 1.0, 1.0))
-    while any(gaps):
-        report.levels += 1
-        open_gaps = [i for i, g in enumerate(gaps) if g is not None]
-        A = np.stack([samples[i] for i in open_gaps])
-        B = np.stack([samples[i + 1] for i in open_gaps])
-        X = 0.5 * (A + B)
-        G, ok = project(X)
-        DA, DB = _frobenius(G - A), _frobenius(B - G)
-        new_samples, new_gaps = [F0], []
-        j = 0
-        for i, g in enumerate(gaps):
-            if g is not None:
-                Fa, Fb = samples[i], samples[i + 1]
-                dist, depth, ta, tb = g
-                t = 0.5 * (ta + tb)
-                if ok[j]:
-                    M, da, db = G[j], float(DA[j]), float(DB[j])
-                else:
-                    M = kicked(X[j], Fa, t)
-                    da, db = float(np.linalg.norm(M - Fa)), float(np.linalg.norm(Fb - M))
-                j += 1
-                if max(da, db) >= dist * (1.0 - 1e-12):
-                    raise ConnectError("bridging made no progress between fiber points", t=t)
-                new_samples.append(M)
-                new_gaps += [gap_after(da, depth + 1, ta, t), gap_after(db, depth + 1, t, tb)]
-            else:
-                new_gaps.append(None)
-            new_samples.append(samples[i + 1])
-        samples, gaps = new_samples, new_gaps
-
-    # prune near-duplicate samples; F0 and F1 stay, and the early return for
+    # prune near-duplicate anchors; F0 and F1 stay, and the early return for
     # F1 == F0 keeps the step between them, so every time step is positive.
-    # The pruning loop runs only when some consecutive pair is that close:
-    # with none, it keeps every sample and their steps are the path's.
+    # The loop runs only when some consecutive pair is that close. Bridge
+    # midpoints need no pruning: each starts more than delta / 2 from its
+    # neighbours, and one projected onto a neighbour fails the progress check.
     thresh = 1e-13 * max(1.0, scale)
-    arr = np.stack(samples)
     seg = _frobenius(np.diff(arr, axis=0))
     if np.any(seg <= thresh):
-        kept = [F0]
-        for F in samples[1:-1]:
-            if np.linalg.norm(F - kept[-1]) > thresh:
-                kept.append(F)
-        while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
+        kept = [0]
+        for i in range(1, len(arr) - 1):
+            if np.linalg.norm(arr[i] - arr[kept[-1]]) > thresh:
+                kept.append(i)
+        while len(kept) > 1 and np.linalg.norm(F1 - arr[kept[-1]]) <= thresh:
             kept.pop()
-        kept.append(F1)
-        arr = np.stack(kept)
+        kept.append(len(arr) - 1)
+        arr, t = arr[kept], t[kept]
         seg = _frobenius(np.diff(arr, axis=0))
+
+    # arr holds the path in order with chord parameters t, and seg[i] is the
+    # distance from arr[i] to arr[i + 1]. Each level merges the midpoint of
+    # every open gap in after its left neighbour, so the new seg holds both
+    # halves of each gap. A level starts only while at most `budget` have run.
+    budget = int(np.ceil(np.log2(max(float(np.max(seg)), delta_abs) / delta_abs))) + _EXTRA_DEPTH
+    while True:
+        gap = np.flatnonzero(seg > delta_abs)
+        if not gap.size:
+            break
+        tm = 0.5 * (t[gap] + t[gap + 1])
+        if report.levels > budget:
+            raise ConnectError("bridging between fiber points exceeded depth", t=float(tm[0]))
+        report.levels += 1
+        X = 0.5 * (arr[gap] + arr[gap + 1])
+        G, ok = project(X)
+        for j in np.flatnonzero(~ok):
+            G[j] = kicked(X[j], arr[gap[j]], float(tm[j]))
+        order = np.argsort(np.concatenate((np.arange(len(arr)), gap + 0.5)), kind="stable")
+        arr, t = np.concatenate((arr, G))[order], np.concatenate((t, tm))[order]
+        wide = seg[gap] * (1.0 - 1e-12)
+        seg = _frobenius(np.diff(arr, axis=0))
+        # midpoint j now sits at gap[j] + j + 1, between the halves left[j] and left[j] + 1
+        left = gap + np.arange(gap.size)
+        stuck = np.flatnonzero(np.maximum(seg[left], seg[left + 1]) >= wide)
+        if stuck.size:
+            raise ConnectError("bridging made no progress between fiber points", t=float(tm[stuck[0]]))
+
     times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
     times[-1] = 1.0
     path = FramePath(times, arr, target, report)

@@ -480,3 +480,35 @@ class TestConnectRecovery:
             connect(F0, F1, target)
         assert isinstance(info.value.t, float)
         assert 0.0 <= info.value.t <= 1.0
+
+
+class TestConnectFailures:
+    """connect's two bridge failures raise ConnectError with the chord parameter of the failing gap."""
+
+    target = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+
+    def test_depth_budget_exhausted_raises(self, monkeypatch):
+        # the chord F0 to V F1 D needs four halvings and closes in five levels;
+        # at _EXTRA_DEPTH = -1 four levels run, after which its first
+        # sixteenth [0, 1/16] is still open
+        F0, F1 = _pair(self.target, 2, 9)
+        monkeypatch.setattr(homotopy, "_EXTRA_DEPTH", -1)
+        with pytest.raises(ConnectError, match="exceeded depth") as info:
+            connect(F0, F1, self.target)
+        assert info.value.t == 0.03125
+
+    def test_projection_onto_neighbour_raises_no_progress(self, monkeypatch):
+        # every midpoint is "projected" onto F0, so the chord's first midpoint
+        # leaves the gap F0 to V F1 D as wide as it was
+        F0, F1 = _pair(self.target, 2, 9)
+
+        def onto_F0(X, target, opts):
+            # _newton's (frames, phi, iterations, trace, stalled), every row at F0 and accepted
+            n = len(X)
+            frames = np.broadcast_to(F0, X.shape).copy()
+            return frames, np.zeros(n), np.zeros(n, dtype=int), np.zeros((1, n)), np.zeros(n, dtype=bool)
+
+        monkeypatch.setattr(homotopy, "_newton", onto_F0)
+        with pytest.raises(ConnectError, match="made no progress") as info:
+            connect(F0, F1, self.target)
+        assert info.value.t == 0.5

@@ -172,3 +172,33 @@ class TestRandomFrameOnFiber:
         for seed in range(5):
             F = random_frame_on_fiber(t, seed)
             assert fiber_residual(F, t) <= 1e-20
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e7, 1e8])
+    @pytest.mark.parametrize(
+        "base",
+        [
+            FiberTarget.funtf(2, 4),
+            FiberTarget.funtf(3, 7),
+            FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)),
+            FiberTarget.from_spectrum([4.0, 1.0], np.full(4, 1.25)),
+        ],
+        ids=["funtf_2_4", "funtf_3_7", "diag_2_1_N3", "spread_N4"],
+    )
+    def test_residual_bound_scales_with_fiber(self, base, c):
+        # F -> sqrt(c) F maps the fiber of (S, r) onto that of (c S, c r) and
+        # multiplies Phi by c^2, as the bound 1e-20 max(1, trace)^2 does
+        # (trace(S) = sum(r) on a non-empty fiber)
+        t = FiberTarget(c * base.operator, c * base.norms_sq)
+        bound = 1e-20 * max(1.0, float(np.sum(t.norms_sq))) ** 2
+        for seed in range(4):
+            F = random_frame_on_fiber(t, seed)
+            assert fiber_residual(F, t) <= bound
+            assert np.array_equal(F, random_frame_on_fiber(t, seed))
+
+    def test_missed_bound_raises(self, monkeypatch):
+        # a projection that leaves the scrambled frame off the fiber is an error, not a fallback
+        from fiberframe import design
+
+        monkeypatch.setattr(design, "project_to_fiber", lambda F, target, opts: (F, None))
+        with pytest.raises(RuntimeError, match="missed the fiber"):
+            random_frame_on_fiber(FiberTarget.funtf(2, 4), seed=0)
