@@ -12,7 +12,7 @@ Hermitian eigendecomposition of F F* (a frame too ill-conditioned for it
 takes the thin SVD of F), a real rank-k^2 update B^T B with B of shape
 k^2 x N (O(k^2 N^2) real flops) and an N x N LU solve. The Newton loop runs
 on a stack of frames, each row on its own: newton_refine is a stack of one,
-and connect projects every bridge midpoint of a level in one stacked run, so
+and connect projects every bridge point of a round in one stacked run, so
 the per-call cost of the small solves is paid once per stack. Public
 functions validate their arguments once; their loops call private kernels.
 """

@@ -11,13 +11,14 @@ F0, by alternating exact minimisation. The unwind s -> Z exp(i (1 - s) theta) Z*
 F1 diag(exp(i (1 - s) phi)), with V = Z diag(exp(i theta)) Z*, then runs
 from V F1 D to F1 on the fiber exactly. The endpoints and the unwind samples
 are the anchors. The path is one ordered array of frames, and a bridge pass
-subdivides its gaps wider than delta level by level: the midpoints of all
-open gaps of a level are projected onto the fiber in one stacked Newton
-solve (a midpoint whose projection is rejected is retried with seeded
-tangent kicks) and merged into the array, and the halves still wider than
-delta are the next level's open gaps. So the chord from F0 to V F1 D is
-bridged like every other gap. An unwind sample off the fiber (V commutes
-with S only up to the widths of its eigenvalue clusters) is dropped.
+subdivides its gaps wider than delta round by round: a round cuts each open
+gap into 2, 4 or 8 pieces (up to three bisection levels), projects the chord
+points of all open gaps onto the fiber in one stacked Newton solve (a point
+whose projection is rejected is retried with seeded tangent kicks) and
+merges them into the array, and the pieces still wider than delta are the
+next round's open gaps. So the chord from F0 to V F1 D is bridged like every
+other gap. An unwind sample off the fiber (V commutes with S only up to the
+widths of its eigenvalue clusters) is dropped.
 """
 
 from __future__ import annotations
@@ -46,10 +47,15 @@ __all__ = [
 # seeded tangent kicks tried on a rejected sample, and their size relative to ||F0||
 _KICKS = 5
 _KICK_SCALE = 1e-4
-# the bridge gives up when gaps stay open after _EXTRA_DEPTH + 1 levels beyond
-# the halvings a straight chord of the widest anchor gap needs
-_EXTRA_DEPTH = 12
-# bytes of kernel temporaries one stacked projection may hold; a level with
+# a bridge round cuts a gap into at most 2^_ROUND_LEVELS pieces: at k = 2 a
+# Newton run of 8 rows costs about as much as one of 1, but rows far from the
+# fiber take more iterations, so with no cap funtf(8,64) and delta = 1e-3 ran
+# 1.2-1.3x slower than bisection, against about 1.0x and 0.75x with this cap
+_ROUND_LEVELS = 3
+# the bridge gives up when gaps stay open after _EXTRA_DEPTH rounds beyond
+# those a straight chord of the widest anchor gap needs
+_EXTRA_DEPTH = 4
+# bytes of kernel temporaries one stacked projection may hold; a round with
 # more rows is projected in several runs
 _STACK_BYTES = 1 << 24
 
@@ -61,7 +67,7 @@ class ConnectOptions:
     path_tol bounds the fiber deviation of every sample in norm units (the
     squared residual stays below path_tol^2). delta bounds consecutive-sample
     distance relative to the Frobenius norm of the first endpoint. seed
-    drives the tangent kicks tried on a bridge midpoint whose projection is
+    drives the tangent kicks tried on a bridge point whose projection is
     rejected.
     """
 
@@ -78,9 +84,9 @@ class ConnectOptions:
 class ConnectReport:
     """Counts of one connect() run; deterministic for a fixed seed.
 
-    projections counts the frames projected onto the fiber (bridge midpoints
+    projections counts the frames projected onto the fiber (bridge points
     and kicked retries), newton_iterations their accepted Newton steps, kicks
-    the tangent kicks tried, levels the bridge levels. unwind counts the
+    the tangent kicks tried, levels the bridge rounds. unwind counts the
     exact unwind samples kept as anchors, unwind_dropped those the accept
     filter dropped.
     """
@@ -276,22 +282,23 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     bring F1 close to F0) to F1, in ceil(||V F1 D - F1|| / (delta ||F0|| / 2))
     samples, of which those that pass the accept filter are kept; the report
     counts both. Near-duplicate anchors are pruned. The bridge pass then
-    runs level by level over the ordered array of samples: each level stacks
-    the midpoints of every gap still wider than delta, projects the stack in
-    one Newton solve (in several when its kernel temporaries would pass
-    _STACK_BYTES), retries each rejected midpoint (accepted within half of
-    path_tol^2) with seeded tangent kicks in path order and merges the
-    midpoints in; both halves of a gap must be shorter than it. Every
-    interior sample is a bridge midpoint or an exact unwind sample; the
-    path's report counts the work.
+    runs round by round over the ordered array of samples: each round cuts
+    every gap of width w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w /
+    delta))) pieces, projects their chord points in one Newton solve (in
+    several when its kernel temporaries would pass _STACK_BYTES), retries
+    each rejected point (accepted within half of path_tol^2) with seeded
+    tangent kicks in path order and merges the points in; every piece of a
+    gap must be shorter than it. Every interior sample is a bridge point or
+    an exact unwind sample; the path's report counts the work.
 
     Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
-    ConnectError (with the chord parameter of the failing midpoint in .t)
-    when the bridge pass cannot close a gap between anchors: a midpoint
-    rejected after every kick, a half no shorter than its gap, or a gap
-    still open after _EXTRA_DEPTH + 1 levels beyond the halvings that the
-    widest anchor gap needs. The result is validated before being returned
-    and is deterministic for a fixed seed.
+    ConnectError when the bridge pass cannot close a gap between anchors: a
+    point rejected after every kick (its chord parameter in .t), a piece no
+    shorter than its gap, or a gap still open after _EXTRA_DEPTH rounds
+    beyond the ceil(h / _ROUND_LEVELS) that the h halvings of the widest
+    anchor gap need (the chord parameter of the gap's midpoint in .t). The
+    result is validated before being returned and is deterministic for a
+    fixed seed.
     """
     opts = options or ConnectOptions()
     F0, F1 = _frame_pair(F0, F1)
@@ -305,7 +312,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
 
     scale = float(np.linalg.norm(F0))
     delta_abs = opts.delta * scale
-    rng = np.random.default_rng(opts.seed)
+    rng = None
     k = target.k
     report = ConnectReport()
 
@@ -331,6 +338,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
 
     def kicked(X, base, t):
         # projection of X plus a seeded tangent kick at base, until one is accepted
+        nonlocal rng
+        rng = rng or np.random.default_rng(opts.seed)
         for _ in range(_KICKS):
             report.kicks += 1
             G, ok = project((X + _tangent_kick(rng, base, _KICK_SCALE * scale))[None])
@@ -359,8 +368,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # prune near-duplicate anchors; F0 and F1 stay, and the early return for
     # F1 == F0 keeps the step between them, so every time step is positive.
     # The loop runs only when some consecutive pair is that close. Bridge
-    # midpoints need no pruning: each starts more than delta / 2 from its
-    # neighbours, and one projected onto a neighbour fails the progress check.
+    # points are not pruned: each starts w / m > delta / 2 from its neighbours,
+    # and one projected onto the far end of its gap fails the progress check.
     thresh = 1e-13 * max(1.0, scale)
     seg = _frobenius(np.diff(arr, axis=0))
     if np.any(seg <= thresh):
@@ -375,31 +384,38 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         seg = _frobenius(np.diff(arr, axis=0))
 
     # arr holds the path in order with chord parameters t, and seg[i] is the
-    # distance from arr[i] to arr[i + 1]. Each level merges the midpoint of
-    # every open gap in after its left neighbour, so the new seg holds both
-    # halves of each gap. A level starts only while at most `budget` have run.
-    budget = int(np.ceil(np.log2(max(float(np.max(seg)), delta_abs) / delta_abs))) + _EXTRA_DEPTH
+    # distance from arr[i] to arr[i + 1]. Each round merges the chord points of
+    # every open gap in after its left end, so the new seg holds its pieces.
+    h = np.log2(max(float(np.max(seg)), delta_abs) / delta_abs)
+    budget = int(np.ceil(h / _ROUND_LEVELS)) + _EXTRA_DEPTH
     while True:
         gap = np.flatnonzero(seg > delta_abs)
         if not gap.size:
             break
-        tm = 0.5 * (t[gap] + t[gap + 1])
-        if report.levels > budget:
-            raise ConnectError("bridging between fiber points exceeded depth", t=float(tm[0]))
+        if report.levels >= budget:
+            t_mid = float(t[gap[0]] + t[gap[0] + 1]) / 2
+            raise ConnectError("bridging between fiber points exceeded depth", t=t_mid)
         report.levels += 1
-        X = 0.5 * (arr[gap] + arr[gap + 1])
+        m = 2 ** np.clip(np.ceil(np.log2(seg[gap] / delta_abs)), 1, _ROUND_LEVELS).astype(int)
+        # row r is chord point j = 1 .. m - 1 of gap rep[r], at fraction f[r] = j / m
+        rep = np.repeat(gap, m - 1)
+        f = (np.arange(rep.size) + 1 - np.repeat(np.cumsum(m - 1) - (m - 1), m - 1)) / np.repeat(m, m - 1)
+        X = arr[rep] + f[:, None, None] * (arr[rep + 1] - arr[rep])
+        ta, tb = t[rep], t[rep + 1]
+        tm = ta + f * (tb - ta)
         G, ok = project(X)
         for j in np.flatnonzero(~ok):
-            G[j] = kicked(X[j], arr[gap[j]], float(tm[j]))
-        order = np.argsort(np.concatenate((np.arange(len(arr)), gap + 0.5)), kind="stable")
+            G[j] = kicked(X[j], arr[rep[j]], float(tm[j]))
+        order = np.argsort(np.concatenate((np.arange(len(arr)), rep + f)), kind="stable")
         arr, t = np.concatenate((arr, G))[order], np.concatenate((t, tm))[order]
-        wide = seg[gap] * (1.0 - 1e-12)
+        wide = seg[rep] * (1.0 - 1e-12)
         seg = _frobenius(np.diff(arr, axis=0))
-        # midpoint j now sits at gap[j] + j + 1, between the halves left[j] and left[j] + 1
-        left = gap + np.arange(gap.size)
-        stuck = np.flatnonzero(np.maximum(seg[left], seg[left + 1]) >= wide)
+        # row r now sits at rep[r] + r + 1; every piece of its gap borders a row
+        at = rep + np.arange(rep.size) + 1
+        stuck = np.flatnonzero(np.maximum(seg[at - 1], seg[at]) >= wide)
         if stuck.size:
-            raise ConnectError("bridging made no progress between fiber points", t=float(tm[stuck[0]]))
+            t_mid = float(ta[stuck[0]] + tb[stuck[0]]) / 2
+            raise ConnectError("bridging made no progress between fiber points", t=t_mid)
 
     times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
     times[-1] = 1.0

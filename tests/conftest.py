@@ -133,9 +133,12 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     of the column inner products, are alternated from the closer of V alone
     and D alone, then each solved once more; the unwind multiplies numpy's
     eigendecomposition of V and the column phases, each raised to the power
-    1 - s. Each gap wider than delta is then bridged
-    recursively, one project_to_fiber call per midpoint, left half before
-    right half. Only public package functions are used.
+    1 - s. Each gap wider than delta, of width w, is then bridged
+    recursively: it is cut into m = 2^min(3, ceil(log2(w / delta))) pieces
+    at the chord points Fa + (j / m)(Fb - Fa), one project_to_fiber call per
+    point from left to right, and each piece still wider than delta is
+    bridged the same way, left before right. Only public package functions
+    are used.
     """
     from fiberframe import FlowOptions, fiber_residual, project_to_fiber
 
@@ -185,11 +188,19 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     anchors.append(F1)
 
     def bridge(Fa, Fb):
-        M, _rep = project_to_fiber(0.5 * (Fa + Fb), target, opts)
-        assert fiber_residual(M, target) <= accept
-        left = bridge(Fa, M) if np.linalg.norm(M - Fa) > step else []
-        right = bridge(M, Fb) if np.linalg.norm(Fb - M) > step else []
-        return left + [M] + right
+        m = 2 ** min(3, max(1, int(np.ceil(np.log2(np.linalg.norm(Fb - Fa) / step)))))
+        points = [Fa]
+        for j in range(1, m):
+            M, _rep = project_to_fiber(Fa + (j / m) * (Fb - Fa), target, opts)
+            assert fiber_residual(M, target) <= accept
+            points.append(M)
+        points.append(Fb)
+        out = []
+        for Ga, Gb in zip(points, points[1:]):
+            if np.linalg.norm(Gb - Ga) > step:
+                out += bridge(Ga, Gb)
+            out.append(Gb)
+        return out[:-1]
 
     samples = [F0]
     for Fa, Fb in zip(anchors, anchors[1:]):

@@ -193,9 +193,9 @@ class TestConnect:
         obj = json.loads(out)
         assert obj["report"] == {
             "projections": 15,
-            "newton_iterations": 38,
+            "newton_iterations": 40,
             "kicks": 0,
-            "levels": 4,
+            "levels": 2,
             "unwind": 66,
             "unwind_dropped": 0,
         }

@@ -286,13 +286,13 @@ class TestConnect:
             ConnectOptions(delta=-1.0)
 
     def test_report_counts(self):
-        # levels, rows projected and their Newton iterations of one small fixed path
+        # rounds, rows projected and their Newton iterations of one small fixed path
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
         path = connect(F0, F1, t)
         assert len(path) == 83
         assert path.report == ConnectReport(
-            projections=15, newton_iterations=38, kicks=0, levels=4, unwind=66, unwind_dropped=0
+            projections=15, newton_iterations=40, kicks=0, levels=2, unwind=66, unwind_dropped=0
         )
         again = connect(F0, F1, t, ConnectOptions(seed=7))
         assert again.report == path.report
@@ -328,6 +328,41 @@ class TestConnect:
         assert len(split) == len(whole)
         assert np.max(np.linalg.norm(split.frames - whole.frames, axis=(1, 2))) <= 1e-12 * np.linalg.norm(F0)
         assert split.report == whole.report
+
+    def test_round_cuts_gap_by_its_width(self, monkeypatch):
+        # the chord F0 to V F1 D is 15.7 delta wide, so the first round cuts it
+        # into 8 pieces; the next cuts a piece of width in (delta, 2 delta] at
+        # its midpoint and one in (2 delta, 4 delta] into quarters
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(t, 2, 9)
+        stacks = []
+        real = homotopy._newton
+
+        def spy(X, target, opts):
+            out = real(X, target, opts)
+            stacks.append((X.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(homotopy, "_newton", spy)
+        connect(F0, F1, t)
+        V, phi = homotopy._symmetry_gauge(F0, F1, t.operator)
+        E = V @ F1 * np.exp(1j * phi)
+        delta = 0.05 * np.linalg.norm(F0)
+        tol = 1e-14 * np.linalg.norm(F0)
+        first, projected = stacks[0]
+        assert len(first) == 7
+        chord = F0 + np.arange(1, 8)[:, None, None] / 8 * (E - F0)
+        assert np.max(np.linalg.norm(first - chord, axis=(1, 2))) <= tol
+        ends = [F0, *projected, E]
+        widths = [np.linalg.norm(B - A) / delta for A, B in zip(ends, ends[1:])]
+        assert all(1.0 < w <= 4.0 for w in widths)
+        assert any(w <= 2.0 for w in widths) and any(w > 2.0 for w in widths)
+        expected = []
+        for A, B, w in zip(ends, ends[1:], widths):
+            m = 2 if w <= 2.0 else 4
+            expected += [A + (j / m) * (B - A) for j in range(1, m)]
+        second = stacks[1][0][: len(expected)]
+        assert np.max(np.linalg.norm(second - np.array(expected), axis=(1, 2))) <= tol
 
     def test_connect_error_carries_parameter(self):
         err = ConnectError("boom", t=0.25)
@@ -365,8 +400,8 @@ class TestConnect:
 
 
 class TestConnectPathOrder:
-    """The level-by-level bridge gives the samples of the depth-first recursive
-    bridge, with one projection per midpoint, in the same order."""
+    """The round-by-round bridge gives the samples of the depth-first recursive
+    bridge, with one projection per chord point, in the same order."""
 
     @pytest.mark.parametrize(
         "target",
@@ -488,14 +523,14 @@ class TestConnectFailures:
     target = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
 
     def test_depth_budget_exhausted_raises(self, monkeypatch):
-        # the chord F0 to V F1 D needs four halvings and closes in five levels;
-        # at _EXTRA_DEPTH = -1 four levels run, after which its first
-        # sixteenth [0, 1/16] is still open
+        # the chord F0 to V F1 D needs four halvings, two rounds, and closes in
+        # two; at _EXTRA_DEPTH = -1 one round runs, after which its first
+        # eighth [0, 1/8] is still open
         F0, F1 = _pair(self.target, 2, 9)
         monkeypatch.setattr(homotopy, "_EXTRA_DEPTH", -1)
         with pytest.raises(ConnectError, match="exceeded depth") as info:
             connect(F0, F1, self.target)
-        assert info.value.t == 0.03125
+        assert info.value.t == 0.0625
 
     def test_projection_onto_neighbour_raises_no_progress(self, monkeypatch):
         # every midpoint is "projected" onto F0, so the chord's first midpoint
@@ -509,6 +544,23 @@ class TestConnectFailures:
             return frames, np.zeros(n), np.zeros(n, dtype=int), np.zeros((1, n)), np.zeros(n, dtype=bool)
 
         monkeypatch.setattr(homotopy, "_newton", onto_F0)
+        with pytest.raises(ConnectError, match="made no progress") as info:
+            connect(F0, F1, self.target)
+        assert info.value.t == 0.5
+
+    def test_row_projected_onto_gap_end_raises_no_progress(self, monkeypatch):
+        # the first round's last chord point, at 7/8, is "projected" onto F0,
+        # so its piece up to V F1 D is as wide as the chord; the error carries
+        # the chord's midpoint
+        F0, F1 = _pair(self.target, 2, 9)
+        real = homotopy._newton
+
+        def last_onto_F0(X, target, opts):
+            G, phi, *rest = real(X, target, opts)
+            G[6], phi[6] = F0, 0.0
+            return (G, phi, *rest)
+
+        monkeypatch.setattr(homotopy, "_newton", last_onto_F0)
         with pytest.raises(ConnectError, match="made no progress") as info:
             connect(F0, F1, self.target)
         assert info.value.t == 0.5
