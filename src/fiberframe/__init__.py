@@ -7,155 +7,25 @@ is non-empty, constructs frames on it, repairs nearby frames onto it, and
 traces explicit on-fiber paths between two frames sharing a fiber.
 """
 
-from .core import (
-    FrameBounds,
-    analysis,
-    as_frame_matrix,
-    frame_bounds,
-    frame_operator,
-    gram,
-    is_frame,
-    is_funtf,
-    is_tight,
-    norms_squared,
-    synthesis,
-)
-from .errors import ClusteringError, ConnectError, InadmissibleError, NotAFrameError
-from .fiber import FiberTarget, as_spectrum
-from .fileio import (
-    read_frame,
-    read_frame_csv,
-    read_frame_json,
-    read_path,
-    read_target,
-    write_frame,
-    write_frame_csv,
-    write_frame_json,
-    write_path,
-    write_target,
-)
-from .flows import (
-    FlowOptions,
-    FlowReport,
-    alternate_projections,
-    fiber_residual,
-    fiber_residual_gradient,
-    flow_to_fiber,
-    newton_refine,
-    project_frame_operator,
-    project_norms,
-    project_to_fiber,
-)
-from .equivalence import (
-    FlagType,
-    flag_type,
-    orbit_dimension,
-    reduced_dimension,
-    same_gram_class,
-    spectrum_correspondence_residual,
-    unitary_equivalent,
-)
-from .homotopy import ConnectOptions, ConnectReport, FramePath, PathCheck, connect, gauge_align, validate_path
-from .momentum import (
-    LieAlgebraElement,
-    MomentumValue,
-    RegularValueCheck,
-    defining_property_residual,
-    infinitesimal_field,
-    invert_momentum_derivative,
-    is_regular_value,
-    left_kernel_vector,
-    momentum,
-    momentum_derivative_torus,
-    momentum_derivative_unitary,
-    momentum_torus,
-    momentum_unitary,
-    symplectic_form,
-)
-from .design import (
-    AdmissibilityCheck,
-    construct_frame,
-    construct_frame_with_operator,
-    hermitian_with_diagonal,
-    is_admissible,
-    random_admissible_norms,
-    random_frame_on_fiber,
-)
+import sys as _sys
+
+from .core import *
+from .errors import *
+from .fiber import *
+from .fileio import *
+from .flows import *
+from .equivalence import *
+from .homotopy import *
+from .momentum import *
+from .design import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FrameBounds",
-    "analysis",
-    "as_frame_matrix",
-    "frame_bounds",
-    "frame_operator",
-    "gram",
-    "is_frame",
-    "is_funtf",
-    "is_tight",
-    "norms_squared",
-    "synthesis",
-    "ClusteringError",
-    "ConnectError",
-    "InadmissibleError",
-    "NotAFrameError",
-    "FiberTarget",
-    "as_spectrum",
-    "read_frame",
-    "read_frame_csv",
-    "read_frame_json",
-    "read_path",
-    "read_target",
-    "write_frame",
-    "write_frame_csv",
-    "write_frame_json",
-    "write_path",
-    "write_target",
-    "FlowOptions",
-    "FlowReport",
-    "alternate_projections",
-    "fiber_residual",
-    "fiber_residual_gradient",
-    "flow_to_fiber",
-    "newton_refine",
-    "project_frame_operator",
-    "project_norms",
-    "project_to_fiber",
-    "FlagType",
-    "flag_type",
-    "orbit_dimension",
-    "reduced_dimension",
-    "same_gram_class",
-    "spectrum_correspondence_residual",
-    "unitary_equivalent",
-    "ConnectOptions",
-    "ConnectReport",
-    "FramePath",
-    "PathCheck",
-    "connect",
-    "gauge_align",
-    "validate_path",
-    "LieAlgebraElement",
-    "MomentumValue",
-    "RegularValueCheck",
-    "defining_property_residual",
-    "infinitesimal_field",
-    "invert_momentum_derivative",
-    "is_regular_value",
-    "left_kernel_vector",
-    "momentum",
-    "momentum_derivative_torus",
-    "momentum_derivative_unitary",
-    "momentum_torus",
-    "momentum_unitary",
-    "symplectic_form",
-    "AdmissibilityCheck",
-    "construct_frame",
-    "construct_frame_with_operator",
-    "hermitian_with_diagonal",
-    "is_admissible",
-    "random_admissible_norms",
-    "random_frame_on_fiber",
+# Each public name is declared once, in its module's __all__. The function
+# momentum takes its submodule's name here, so the submodules are read from
+# sys.modules.
+__all__ = ["__version__"] + [
+    name
+    for module in ("core", "errors", "fiber", "fileio", "flows", "equivalence", "homotopy", "momentum", "design")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="verify frame properties and optional fiber membership")
     c.add_argument("frame", help="frame file (.json or .csv)")
     c.add_argument("--target", help="fiber target file (JSON)")
+    c.set_defaults(handler=_cmd_check)
 
     c = sub.add_parser("construct", help="build a frame with prescribed spectrum and norms")
     g = c.add_mutually_exclusive_group(required=True)
@@ -54,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--S", dest="operator_file", help="JSON file with the frame operator")
     c.add_argument("--r", type=float, nargs="+", required=True, help="squared column norms")
     c.add_argument("--out", help="output frame file (.json or .csv); default stdout JSON")
+    c.set_defaults(handler=_cmd_construct)
 
     c = sub.add_parser("tighten", help="repair a frame onto a fiber by descent/projection")
     c.add_argument("frame", help="frame file (.json or .csv)")
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "have no effect",
     )
     c.add_argument("--out", help="output frame file for the repaired frame")
+    c.set_defaults(handler=_cmd_tighten)
 
     c = sub.add_parser("connect", help="trace an on-fiber path between two frames")
     c.add_argument("frame_from", help="start frame file")
@@ -79,10 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("target", help="fiber target file (JSON)")
     c.add_argument("--delta", type=float, default=0.05, help="max relative step between samples")
     c.add_argument("--out", required=True, help="output path file (JSON Lines)")
+    c.set_defaults(handler=_cmd_connect)
 
     c = sub.add_parser("equiv", help="decide unitary equivalence of two frames")
     c.add_argument("frame_a")
     c.add_argument("frame_b")
+    c.set_defaults(handler=_cmd_equiv)
     return p
 
 
@@ -254,15 +259,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = _Output(args)
-    handlers = {
-        "check": _cmd_check,
-        "construct": _cmd_construct,
-        "tighten": _cmd_tighten,
-        "connect": _cmd_connect,
-        "equiv": _cmd_equiv,
-    }
     try:
-        code = handlers[args.command](args, out)
+        code = args.handler(args, out)
     except (NotAFrameError, InadmissibleError, ConnectError) as exc:
         out.add("error", str(exc))
         out.flush()

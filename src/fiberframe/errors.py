@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NotAFrameError", "InadmissibleError", "ClusteringError", "ConnectError"]
+
 
 class NotAFrameError(ValueError):
     """The matrix does not span the ambient space, so frame-only operations fail."""

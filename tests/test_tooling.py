@@ -3,12 +3,16 @@
 perfbench/tracing.py wraps package functions by name when a workload runs
 with --trace 1; a traced name that no longer resolves, or a return value its
 post hooks cannot read, breaks that run. These checks load the tracer's
-tables and call its hooks without installing anything. A last check keeps
-every public name of the package documented.
+tables and call its hooks without installing anything, and check that
+importing the package loads every module the tracer wraps. The last checks
+pin the package's export surface and keep every public name documented.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +66,35 @@ def test_public_names_have_docstrings():
         if name != "__version__" and not (getattr(fiberframe, name).__doc__ or "").strip()
     ]
     assert undocumented == []
+
+
+@pytest.mark.parametrize("entry", ["fiberframe", "fiberframe.cli"])
+def test_import_loads_traced_modules(entry):
+    # install() indexes sys.modules for every METHODS entry with no guard, so a
+    # traced module that the import leaves unloaded breaks a --trace 1 run. The
+    # CLI module is the one exception for `import fiberframe`: its FUNCTIONS
+    # entry is skipped when unloaded, and the CLI child process imports it.
+    traced = {m for m, _a, _n, _p in TABLES.FUNCTIONS} | {m for m, _c, _f, _n in TABLES.METHODS}
+    expected = sorted(m for m in traced if entry == "fiberframe.cli" or m != "fiberframe.cli")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fiberframe.__file__)))
+    code = f"import sys, {entry}; print(' '.join(m for m in {expected!r} if m not in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
+def test_exports_are_the_submodules_all():
+    names = ("core", "errors", "fiber", "fileio", "flows", "equivalence", "homotopy", "momentum", "design")
+    modules = [importlib.import_module(f"fiberframe.{name}") for name in names]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert len(fiberframe.__all__) == len(set(fiberframe.__all__))
+    assert set(fiberframe.__all__) == set(declared) | {"__version__"}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fiberframe, name) is getattr(module, name), name
+
+
+def test_momentum_export_is_the_function():
+    # the function shares its submodule's name, and the package binds the function
+    assert fiberframe.momentum is importlib.import_module("fiberframe.momentum").momentum
