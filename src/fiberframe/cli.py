@@ -70,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iters",
         type=int,
         default=2000,
-        help="iteration cap; with --method auto, Newton stops at 60 iterations, so values above 60 "
-        "have no effect",
+        help="most iterations of the repair run (Newton steps, gradient steps or alternating rounds)",
     )
     c.add_argument("--out", help="output frame file for the repaired frame")
     c.set_defaults(handler=_cmd_tighten)

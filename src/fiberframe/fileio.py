@@ -45,6 +45,22 @@ def _load_json(path):
         return json.load(f, parse_constant=_reject_constant)
 
 
+def _number(obj: dict, key: str, kind: type, name: str):
+    """obj[key] as kind, int or float; ValueError naming the field unless it is a JSON number of that kind."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"{name} field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """A JSON array as floats; ValueError naming the field when it is not an array of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+
+
 def _mat_to_obj(F: np.ndarray) -> dict:
     return {"re": F.real.tolist(), "im": F.imag.tolist()}
 
@@ -52,8 +68,7 @@ def _mat_to_obj(F: np.ndarray) -> dict:
 def _mat_from_obj(obj, name="matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError(f"{name} must be an object with 're' and 'im' arrays")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re, im = _floats(obj["re"], f"{name} 're'"), _floats(obj["im"], f"{name} 'im'")
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError(f"{name} 're' and 'im' must be equal-shape 2-d arrays")
     return as_complex_matrix(re + 1j * im, name)
@@ -80,7 +95,7 @@ def read_frame_json(path) -> np.ndarray:
         if key not in obj:
             raise ValueError(f"frame file is missing key {key!r}")
     F = _mat_from_obj(obj, "frame")
-    if F.shape != (int(obj["k"]), int(obj["N"])):
+    if F.shape != (_number(obj, "k", int, "frame"), _number(obj, "N", int, "frame")):
         raise ValueError(f"frame shape {F.shape} does not match declared (k, N)")
     return F
 
@@ -147,11 +162,11 @@ def read_target(path) -> FiberTarget:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "r" not in obj:
         raise ValueError("target file must be a JSON object with an 'r' array")
-    r = np.asarray(obj["r"], dtype=float)
+    r = _floats(obj["r"], "target 'r'")
     if "S" in obj:
         return FiberTarget(operator=_mat_from_obj(obj["S"], "S"), norms_sq=r)
     if "lambda" in obj:
-        return FiberTarget.from_spectrum(np.asarray(obj["lambda"], dtype=float), r)
+        return FiberTarget.from_spectrum(_floats(obj["lambda"], "target 'lambda'"), r)
     raise ValueError("target file needs either an 'S' matrix or a 'lambda' spectrum")
 
 
@@ -182,16 +197,19 @@ def read_path(path):
     header = json.loads(lines[0], parse_constant=_reject_constant)
     if not isinstance(header, dict) or header.get("kind") != "frame_path":
         raise ValueError("path file does not start with a frame_path header")
-    target = FiberTarget(
-        operator=_mat_from_obj(header["target"]["S"], "S"),
-        norms_sq=np.asarray(header["target"]["r"], dtype=float),
-    )
+    tobj = header.get("target")
+    if not isinstance(tobj, dict) or "S" not in tobj or "r" not in tobj:
+        raise ValueError("path header needs a 'target' object with 'S' and 'r'")
+    target = FiberTarget(operator=_mat_from_obj(tobj["S"], "S"), norms_sq=_floats(tobj["r"], "target 'r'"))
     times = []
     frames = []
     for ln in lines[1:]:
         obj = json.loads(ln, parse_constant=_reject_constant)
-        times.append(float(obj["t"]))
+        if not isinstance(obj, dict) or "t" not in obj:
+            raise ValueError("path sample must be an object with 't', 're' and 'im'")
+        times.append(_number(obj, "t", float, "path sample"))
         frames.append(_mat_from_obj(obj, "sample"))
-    if len(frames) != int(header.get("samples", len(frames))):
+    declared = _number(header, "samples", int, "path header") if "samples" in header else len(frames)
+    if len(frames) != declared:
         raise ValueError("sample count does not match the header")
     return FramePath(np.asarray(times), np.stack(frames), target), header

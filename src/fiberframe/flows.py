@@ -19,6 +19,7 @@ functions validate their arguments once; their loops call private kernels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,13 +55,20 @@ _STALL_ITERS = 50
 class FlowOptions:
     """Knobs shared by the repair flows.
 
-    max_iters caps the iterations of a run (a Newton run, and so
-    project_to_fiber, further stops at 60 iterations); tol bounds the
-    objective Phi at which a run counts as converged.
+    max_iters caps the iterations of a run, whichever its method (gradient
+    steps, alternating rounds or Newton steps); tol bounds the objective Phi
+    at which a run counts as converged. ValueError unless max_iters is an
+    integer >= 0 and tol a finite number >= 0.
     """
 
     max_iters: int = 2000
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
+        if not isinstance(self.tol, numbers.Real) or not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass
@@ -379,8 +387,8 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
     _normal_preimage call and evaluates each trial on the whole live stack; a
     row whose Phi does not decrease halves its own step and tries again (25
     tries). A row leaves the stack when Phi <= opts.tol (converged) or when
-    no damped step decreases its Phi (stalled); at most min(opts.max_iters,
-    60) iterations run.
+    no damped step decreases its Phi (stalled); at most opts.max_iters
+    iterations run.
 
     Returns (frames, phi, iterations, trace, stalled): per row, its final Phi,
     its accepted steps and whether it stalled; trace[i, j] is Phi of row j
@@ -396,9 +404,8 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
     # the live rows with their frames, defects and Phi; while every row is
     # live no row is indexed out. A row leaving after `it` completed
     # iterations took `it` steps.
-    rows, X, p, tol = np.arange(n), F, phi, opts.tol
-    it, cap = 0, min(opts.max_iters, 60)
-    while it < cap:
+    rows, X, p, tol, it = np.arange(n), F, phi, opts.tol, 0
+    while it < opts.max_iters:
         keep = p > tol
         live = np.count_nonzero(keep)
         if not live:

@@ -272,6 +272,29 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_wrongly_typed_frame_field_is_usage_error(self, tmp_path, capsys):
+        _, tfile, (ffile,) = funtf_files(tmp_path)
+        F = read_frame(ffile)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"k": [2], "N": 4, "re": F.real.tolist(), "im": F.imag.tolist()}))
+        code, _, err = run(capsys, "check", str(bad), "--target", tfile)
+        assert code == 2
+        assert "'k'" in err
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [((), ("--max-iters", "-1")), ((), ("--max-iters", "-1", "--method", "gradient")),
+         (("--tol", "nan"), ()), (("--tol", "inf"), ())],
+    )
+    def test_bad_flow_options_are_usage_errors(self, tmp_path, capsys, before, after):
+        # FlowOptions rejects them before a step runs; no status is reported
+        _, tfile, (ffile,) = funtf_files(tmp_path)
+        noisy = tmp_path / "noisy.json"
+        write_frame(read_frame(ffile) + 0.01, noisy)
+        code, out, err = run(capsys, *before, "tighten", str(noisy), "--target", tfile, *after)
+        assert code == 2
+        assert "error:" in err and "status" not in out
+
     def test_no_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

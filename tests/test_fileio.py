@@ -49,6 +49,16 @@ class TestFrameRoundTrip:
         with pytest.raises(ValueError, match="non-finite"):
             read_frame(p)
 
+    @pytest.mark.parametrize(
+        "field,value", [("k", [2]), ("k", 2.5), ("N", None), ("N", "1"), ("re", {"x": 1.0})]
+    )
+    def test_json_wrongly_typed_field_rejected(self, tmp_path, field, value):
+        # a field of the wrong JSON type is a ValueError naming the field, not a TypeError
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"k": 2, "N": 1, "re": [[1.0], [0.0]], "im": [[0.0], [0.0]], field: value}))
+        with pytest.raises(ValueError, match=repr(field)):
+            read_frame(p)
+
     def test_csv_ragged_rejected(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("(1+0j),(0+0j)\n(1+0j)\n")
@@ -122,6 +132,30 @@ class TestPathRoundTrip:
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="sample count|match"):
+            read_path(p)
+
+    @pytest.mark.parametrize("value", [[0], None, "0.5", {"t": 0}])
+    def test_wrongly_typed_time_rejected(self, tmp_path, value):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        p = tmp_path / "path.jsonl"
+        write_path(connect(F, F, t), p)
+        header, first, *rest = p.read_text().splitlines()
+        first = json.dumps({**json.loads(first), "t": value})
+        p.write_text("\n".join([header, first, *rest]) + "\n")
+        with pytest.raises(ValueError, match="'t'"):
+            read_path(p)
+
+    @pytest.mark.parametrize("field,value", [("samples", [2]), ("target", [1.0])])
+    def test_wrongly_typed_header_field_rejected(self, tmp_path, field, value):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        p = tmp_path / "path.jsonl"
+        write_path(connect(F, F, t), p)
+        header, *rest = p.read_text().splitlines()
+        header = json.dumps({**json.loads(header), field: value})
+        p.write_text("\n".join([header, *rest]) + "\n")
+        with pytest.raises(ValueError, match=repr(field)):
             read_path(p)
 
     def test_empty_file_rejected(self, tmp_path):

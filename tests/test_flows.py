@@ -256,6 +256,48 @@ class TestNewtonRefine:
             assert rep.converged
             assert fiber_residual(F, t) <= 1e-20
 
+    # the scrambled (2,3) start that random_frame_on_fiber polishes in the cli
+    # benchmark set-up at seed 27: Phi creeps from 3e-3 to 1e-3 over about 50
+    # damped steps, and the default tol is reached at step 73
+    SLOW_START = np.array(
+        [
+            [0.6605892731558686 + 0.08616652748098151j, 0.716957449087379 - 0.2582296858050071j,
+             0.3357090726387501 + 0.10119256555228992j],
+            [0.22877072480299068 + 0.33307933371224246j, 0.1313161649009006 - 0.25200105680889595j,
+             -0.8929711999560147 - 0.3522923034947053j],
+        ]
+    )
+    SLOW_S = np.array(
+        [
+            [1.1474539294745874, 0.0036181372668893934 - 0.0256462773449576j],
+            [0.0036181372668893934 + 0.0256462773449576j, 1.1655337859226471],
+        ]
+    )
+    SLOW_R = np.array([0.6601021209103599, 1.1756677614663713, 0.4772178330205029])
+
+    def test_max_iters_is_the_only_iteration_limit(self):
+        t = FiberTarget(self.SLOW_S, self.SLOW_R)
+        F, rep = newton_refine(self.SLOW_START, t)
+        assert rep.converged and rep.iterations > 60
+        assert fiber_residual(F, t) <= FlowOptions().tol
+        _, rep = newton_refine(self.SLOW_START, t, FlowOptions(max_iters=60))
+        assert rep.status == "max_iters" and rep.iterations == 60
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": 10.0}, {"max_iters": "10"},
+         {"tol": -1e-12}, {"tol": np.nan}, {"tol": np.inf}, {"tol": "1e-10"}],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            FlowOptions(**kwargs)
+
+    def test_accepts_edge_values(self):
+        assert FlowOptions(max_iters=0, tol=0.0).max_iters == 0
+        assert FlowOptions(max_iters=np.int64(5), tol=np.float64(1e-20)).tol == 1e-20
+
 
 class TestNormalStep:
     @pytest.mark.parametrize("k,N", [(2, 4), (4, 16), (8, 64), (5, 8), (6, 6), (16, 40)])

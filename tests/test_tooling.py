@@ -21,7 +21,8 @@ import pytest
 import fiberframe
 from fiberframe import FiberTarget, FlowOptions, connect, newton_refine, project_to_fiber, random_frame_on_fiber
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
 TABLES = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(TABLES)
@@ -98,3 +99,34 @@ def test_exports_are_the_submodules_all():
 def test_momentum_export_is_the_function():
     # the function shares its submodule's name, and the package binds the function
     assert fiberframe.momentum is importlib.import_module("fiberframe.momentum").momentum
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling modules by bare name, as run.py's worker does
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize("seed,steps", [(27, 75), (29, 66), (79, 95)])
+def test_cli_setup_polishes_past_sixty_newton_steps(workloads, seed, steps, tmp_path, monkeypatch):
+    # at these seeds one polish in random_frame_on_fiber needs more than 60
+    # Newton steps; FlowOptions.max_iters alone bounds it, so the set-up builds
+    polishes = []
+    project = fiberframe.design.project_to_fiber
+
+    def counted(F, target, options):
+        F, rep = project(F, target, options)
+        polishes.append(rep)
+        return F, rep
+
+    monkeypatch.setattr(fiberframe.design, "project_to_fiber", counted)
+    workloads.Cli(fiberframe, seed, tmp_path, smoke=False)
+    assert all(rep.converged for rep in polishes)
+    assert max(rep.iterations for rep in polishes) == steps
