@@ -26,32 +26,26 @@ CLUSTER_AMBIGUITY = 10.0
 MAJORIZATION_TOL = 1e-10
 
 
-def as_complex_matrix(A, name="matrix") -> np.ndarray:
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    A = A.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(A)):
+def _finite_array(a, dtype, ndim: int, name: str) -> np.ndarray:
+    """a as an ndim-dimensional array of dtype with finite entries (no copy when it already is one)."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    return A
+    return a
+
+
+def as_complex_matrix(A, name="matrix") -> np.ndarray:
+    return _finite_array(A, np.complex128, 2, name)
 
 
 def as_real_vector(v, name="vector") -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
+    return _finite_array(v, np.float64, 1, name)
 
 
 def as_complex_vector(v, name="vector") -> np.ndarray:
-    v = np.asarray(v).astype(np.complex128, copy=False)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
+    return _finite_array(v, np.complex128, 1, name)
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Subcommands: check, construct, tighten, connect, equiv. Global flags --seed,
 --tol, --quiet, --json apply to every subcommand; --tol is always in norm
-units (membership and convergence use its square as the residual bound).
+units (membership and convergence use its square as the residual bound) and
+must be finite and >= 0.
 Exit codes: 0 success, 1 a check or computation failed, 2 usage or I/O error.
 """
 
@@ -18,7 +19,7 @@ from . import __version__
 from .core import frame_bounds, is_frame, is_funtf, is_tight, norms_squared
 from .errors import ConnectError, InadmissibleError, NotAFrameError
 from .fiber import FiberTarget
-from .fileio import _frame_obj, _load_json, _mat_from_obj, read_frame, read_target, write_frame, write_path
+from .fileio import _frame_obj, _mat_to_obj, _read_operator, read_frame, read_target, write_frame, write_path
 from .flows import (
     FlowOptions,
     alternate_projections,
@@ -132,8 +133,6 @@ def _cmd_check(args, out: _Output) -> int:
     out.add("momentum_consistency", mom.consistency_residual())
     if args.target:
         target = read_target(args.target)
-        if F.shape != (target.k, target.N):
-            raise ValueError("frame shape does not match the target")
         phi = fiber_residual(F, target)
         on_fiber = phi <= args.tol**2
         out.add("fiber_residual", phi)
@@ -151,11 +150,7 @@ def _cmd_construct(args, out: _Output) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         if args.operator_file:
-            obj = _load_json(args.operator_file)
-            if isinstance(obj, dict) and "S" in obj:
-                obj = obj["S"]
-            S = _mat_from_obj(obj, "operator")
-            F = construct_frame_with_operator(S, r, rng=rng)
+            F = construct_frame_with_operator(_read_operator(args.operator_file), r, rng=rng)
         else:
             F = construct_frame(np.asarray(args.lam, dtype=float), r, rng=rng)
     except InadmissibleError as exc:
@@ -248,7 +243,7 @@ def _cmd_equiv(args, out: _Output) -> int:
         out.add("equivalent", False)
         return 1
     out.add("equivalent", True)
-    out.payload["unitary"] = {"re": U.real.tolist(), "im": U.imag.tolist()}
+    out.payload["unitary"] = _mat_to_obj(U)
     if not out.as_json:
         print(json.dumps(out.payload["unitary"]))
     return 0
@@ -257,6 +252,9 @@ def _cmd_equiv(args, out: _Output) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= args.tol < np.inf:
+        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
+        return 2
     out = _Output(args)
     try:
         code = args.handler(args, out)

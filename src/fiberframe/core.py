@@ -38,7 +38,7 @@ def as_frame_matrix(F, name="F") -> np.ndarray:
 
 
 def _frame_pair(A, B, names=("F0", "F1")):
-    """Two frames of equal shape."""
+    """Two matrices of equal shape, each checked as a frame (a frame and a direction at it, say)."""
     A, B = as_frame_matrix(A, names[0]), as_frame_matrix(B, names[1])
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")

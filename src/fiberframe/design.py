@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary, spectral_clusters
 from .errors import InadmissibleError
-from .fiber import FiberTarget, as_spectrum
+from .fiber import FiberTarget, _positive_vector, as_spectrum
 from .flows import FlowOptions, _residual, project_to_fiber
 
 __all__ = [
@@ -62,15 +62,6 @@ class AdmissibilityCheck:
         )
 
 
-def _spectrum_and_norms(spectrum, norms_sq):
-    """Validated descending spectrum and non-empty, strictly positive squared norms."""
-    lam = as_spectrum(spectrum)
-    r = as_real_vector(norms_sq, "norms_sq")
-    if r.size == 0 or np.any(r <= 0.0):
-        raise ValueError("norms_sq must be non-empty and strictly positive")
-    return lam, r
-
-
 def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
     """Existence test for a frame with the given spectrum and squared norms.
 
@@ -78,7 +69,7 @@ def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
     sum of the ell largest r <= sum of the ell largest lambda for ell = 1..k,
     all with absolute slack 1e-10 * max(1, sum(lambda)).
     """
-    return _admissibility(*_spectrum_and_norms(spectrum, norms_sq))
+    return _admissibility(as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq"))
 
 
 def _admissibility(lam: np.ndarray, r: np.ndarray) -> AdmissibilityCheck:
@@ -185,7 +176,7 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     by column phases, which moves the frame around the fiber without touching
     spectrum or norms. Raises InadmissibleError when no such frame exists.
     """
-    lam, r = _spectrum_and_norms(spectrum, norms_sq)
+    lam, r = as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq")
     check = _admissibility(lam, r)
     if not check:
         raise InadmissibleError(check.describe(), check)

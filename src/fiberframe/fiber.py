@@ -17,14 +17,19 @@ from .momentum import _regular_value
 __all__ = ["as_spectrum", "FiberTarget"]
 
 
+def _positive_vector(values, name: str) -> np.ndarray:
+    """Finite real 1-D array, non-empty and strictly positive: a spectrum or squared norms."""
+    v = as_real_vector(values, name)
+    if v.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if np.any(v <= 0.0):
+        raise ValueError(f"{name} entries must be strictly positive")
+    return v
+
+
 def as_spectrum(values) -> np.ndarray:
     """Validated spectrum: real, strictly positive, sorted descending (copy)."""
-    lam = as_real_vector(values, "spectrum")
-    if lam.size == 0:
-        raise ValueError("spectrum must be non-empty")
-    if np.any(lam <= 0.0):
-        raise ValueError("spectrum entries must be strictly positive")
-    return np.sort(lam)[::-1].copy()
+    return np.sort(_positive_vector(values, "spectrum"))[::-1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,11 +48,7 @@ class FiberTarget:
 
     def __post_init__(self):
         S = as_hermitian(self.operator, name="operator")
-        r = as_real_vector(self.norms_sq, "norms_sq")
-        if r.size == 0:
-            raise ValueError("norms_sq must be non-empty")
-        if np.any(r <= 0.0):
-            raise ValueError("norms_sq entries must be strictly positive")
+        r = _positive_vector(self.norms_sq, "norms_sq")
         if r.size < S.shape[0]:
             raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
         check = _regular_value(S, -0.5 * r)

@@ -157,17 +157,29 @@ def write_target(target: FiberTarget, path) -> None:
         f.write("\n")
 
 
-def read_target(path) -> FiberTarget:
-    """Read a fiber target: either {"S": ..., "r": ...} or {"lambda": ..., "r": ...}."""
-    obj = _load_json(path)
+def _target_from_obj(obj, name: str) -> FiberTarget:
+    """A target object {"S": {"re", "im"}, "r": [...]} or {"lambda": [...], "r": [...]}, called name in errors."""
     if not isinstance(obj, dict) or "r" not in obj:
-        raise ValueError("target file must be a JSON object with an 'r' array")
+        raise ValueError(f"{name} must be a JSON object with an 'r' array")
     r = _floats(obj["r"], "target 'r'")
     if "S" in obj:
         return FiberTarget(operator=_mat_from_obj(obj["S"], "S"), norms_sq=r)
     if "lambda" in obj:
         return FiberTarget.from_spectrum(_floats(obj["lambda"], "target 'lambda'"), r)
-    raise ValueError("target file needs either an 'S' matrix or a 'lambda' spectrum")
+    raise ValueError(f"{name} needs either an 'S' matrix or a 'lambda' spectrum")
+
+
+def read_target(path) -> FiberTarget:
+    """Read a fiber target: either {"S": ..., "r": ...} or {"lambda": ..., "r": ...}."""
+    return _target_from_obj(_load_json(path), "target file")
+
+
+def _read_operator(path) -> np.ndarray:
+    """The operator matrix of a JSON file: a bare {"re", "im"} object or the "S" of a target file."""
+    obj = _load_json(path)
+    if isinstance(obj, dict) and "S" in obj:
+        obj = obj["S"]
+    return _mat_from_obj(obj, "operator")
 
 
 def write_path(path_obj: FramePath, path, extra: dict | None = None) -> None:
@@ -189,7 +201,10 @@ def write_path(path_obj: FramePath, path, extra: dict | None = None) -> None:
 
 
 def read_path(path):
-    """Read a JSON Lines path; returns (FramePath, header dict)."""
+    """Read a JSON Lines path; returns (FramePath, header dict).
+
+    The header's "target" takes either form that read_target reads.
+    """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
@@ -197,10 +212,7 @@ def read_path(path):
     header = json.loads(lines[0], parse_constant=_reject_constant)
     if not isinstance(header, dict) or header.get("kind") != "frame_path":
         raise ValueError("path file does not start with a frame_path header")
-    tobj = header.get("target")
-    if not isinstance(tobj, dict) or "S" not in tobj or "r" not in tobj:
-        raise ValueError("path header needs a 'target' object with 'S' and 'r'")
-    target = FiberTarget(operator=_mat_from_obj(tobj["S"], "S"), norms_sq=_floats(tobj["r"], "target 'r'"))
+    target = _target_from_obj(header.get("target"), "path header 'target'")
     times = []
     frames = []
     for ln in lines[1:]:

@@ -51,6 +51,12 @@ _BACKTRACK = 0.5
 _STALL_ITERS = 50
 
 
+def _non_negative_int(value, name: str) -> None:
+    """ValueError unless value is an integer >= 0; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlowOptions:
     """Knobs shared by the repair flows.
@@ -58,15 +64,14 @@ class FlowOptions:
     max_iters caps the iterations of a run, whichever its method (gradient
     steps, alternating rounds or Newton steps); tol bounds the objective Phi
     at which a run counts as converged. ValueError unless max_iters is an
-    integer >= 0 and tol a finite number >= 0.
+    integer >= 0 (not a bool) and tol a finite number >= 0.
     """
 
     max_iters: int = 2000
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
-            raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
+        _non_negative_int(self.max_iters, "max_iters")
         if not isinstance(self.tol, numbers.Real) or not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 

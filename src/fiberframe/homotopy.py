@@ -23,6 +23,7 @@ widths of its eigenvalue clusters) is dropped.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from ._linalg import as_hermitian, polar_unitary, spectral_clusters, unitary_log
 from .core import _frame_pair, as_frame_matrix
 from .errors import ConnectError
 from .fiber import FiberTarget
-from .flows import FlowOptions, _gaps, _newton, _normal_preimage, _phi, _residual
+from .flows import FlowOptions, _gaps, _newton, _non_negative_int, _normal_preimage, _phi, _residual, _target_frame
 
 __all__ = [
     "ConnectOptions",
@@ -60,6 +61,12 @@ _EXTRA_DEPTH = 4
 _STACK_BYTES = 1 << 24
 
 
+def _positive(value, name: str) -> None:
+    """ValueError unless value is a finite real number > 0."""
+    if not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConnectOptions:
     """Tuning for connect().
@@ -68,7 +75,8 @@ class ConnectOptions:
     squared residual stays below path_tol^2). delta bounds consecutive-sample
     distance relative to the Frobenius norm of the first endpoint. seed
     drives the tangent kicks tried on a bridge point whose projection is
-    rejected.
+    rejected. ValueError unless path_tol and delta are finite and > 0 and
+    seed is an integer >= 0 (not a bool).
     """
 
     path_tol: float = 1e-8
@@ -76,8 +84,9 @@ class ConnectOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.path_tol <= 0 or self.delta <= 0:
-            raise ValueError("path_tol and delta must be positive")
+        _positive(self.path_tol, "path_tol")
+        _positive(self.delta, "delta")
+        _non_negative_int(self.seed, "seed")
 
 
 @dataclass
@@ -166,8 +175,11 @@ def validate_path(path: FramePath, tol: float = 1e-8, delta: float = 0.05, endpo
     tol is in norm units: a sample passes when its squared residual is at
     most tol^2. delta limits each consecutive step relative to the norm of
     the first sample. endpoints, when given as (F0, F1), must match the first
-    and last sample to 1e-12 relative.
+    and last sample to 1e-12 relative. ValueError unless tol and delta are
+    finite and > 0, the rule of ConnectOptions.
     """
+    _positive(tol, "tol")
+    _positive(delta, "delta")
     res = path.residuals()
     steps = path.step_norms()
     scale = float(np.linalg.norm(path.frames[0]))
@@ -301,9 +313,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     fixed seed.
     """
     opts = options or ConnectOptions()
-    F0, F1 = _frame_pair(F0, F1)
-    if F0.shape != (target.k, target.N):
-        raise ValueError(f"frame shape {F0.shape} does not match target")
+    F0, F1 = _target_frame(F0, target), _target_frame(F1, target)
     ptol2 = opts.path_tol**2
     for name, F in (("F0", F0), ("F1", F1)):
         phi = _residual(F, target)

@@ -24,7 +24,7 @@ from ._linalg import (
     hermitize,
     is_hermitian,
 )
-from .core import as_frame_matrix, frame_operator, norms_squared
+from .core import _frame_pair, as_frame_matrix, frame_operator, norms_squared
 from .errors import NotAFrameError
 
 __all__ = [
@@ -47,10 +47,7 @@ __all__ = [
 
 def symplectic_form(X1, X2) -> float:
     """omega(X1, X2) = -Im trace(X1* X2) on C^{k x N}."""
-    X1 = as_complex_matrix(X1, "X1")
-    X2 = as_complex_matrix(X2, "X2")
-    if X1.shape != X2.shape:
-        raise ValueError(f"shape mismatch {X1.shape} vs {X2.shape}")
+    X1, X2 = _frame_pair(X1, X2, ("X1", "X2"))
     return float(-np.imag(np.vdot(X1, X2)))
 
 
@@ -113,23 +110,15 @@ def momentum(F) -> MomentumValue:
     return MomentumValue(operator=momentum_unitary(F), torus=momentum_torus(F))
 
 
-def _frame_and_direction(F, X):
-    F = as_frame_matrix(F)
-    X = as_complex_matrix(X, "X")
-    if X.shape != F.shape:
-        raise ValueError(f"X has shape {X.shape}, expected {F.shape}")
-    return F, X
-
-
 def momentum_derivative_unitary(F, X) -> np.ndarray:
     """Derivative of F -> F F* at F in direction X: F X* + X F* (Hermitian)."""
-    F, X = _frame_and_direction(F, X)
+    F, X = _frame_pair(F, X, ("F", "X"))
     return hermitize(F @ X.conj().T + X @ F.conj().T)
 
 
 def momentum_derivative_torus(F, X) -> np.ndarray:
     """Derivative of the torus momentum: -Re <f_j, x_j> per column."""
-    F, X = _frame_and_direction(F, X)
+    F, X = _frame_pair(F, X, ("F", "X"))
     return -np.real(np.sum(np.conj(F) * X, axis=0))
 
 

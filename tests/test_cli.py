@@ -295,6 +295,33 @@ class TestErrors:
         assert code == 2
         assert "error:" in err and "status" not in out
 
+    @pytest.mark.parametrize(
+        "command,before,after,named",
+        [("check", ("--tol", "-1"), (), "--tol"), ("equiv", ("--tol", "-1"), (), "--tol"),
+         ("connect", ("--tol", "nan"), (), "--tol"), ("connect", (), ("--delta", "nan"), "delta")],
+        ids=["check_negative_tol", "equiv_negative_tol", "connect_nan_tol", "connect_nan_delta"],
+    )
+    def test_bad_tolerances_are_usage_errors(self, tmp_path, capsys, command, before, after, named):
+        # a negative --tol squares to a positive bound, and a NaN one fails every comparison
+        _, tfile, (f0, f1) = funtf_files(tmp_path, seeds=(0, 1))
+        noisy = tmp_path / "noisy.json"
+        write_frame(read_frame(f0) + 0.1, noisy)
+        operands = {
+            "check": (str(noisy), "--target", tfile),
+            "equiv": (f0, f0),
+            "connect": (f0, f1, tfile, "--out", str(tmp_path / "p.jsonl")),
+        }[command]
+        code, out, err = run(capsys, *before, command, *operands, *after)
+        assert code == 2
+        assert err.startswith("error:") and named in err
+        assert "status" not in out and "on_fiber" not in out and "equivalent" not in out
+
+    def test_zero_tol_is_valid(self, tmp_path, capsys):
+        _, _, (ffile,) = funtf_files(tmp_path)
+        code, out, _ = run(capsys, "--tol", "0", "check", ffile)
+        assert code == 0
+        assert "is_frame: True" in out
+
     def test_no_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fiberframe import FiberTarget, as_spectrum
+from fiberframe import FiberTarget, as_spectrum, construct_frame, is_admissible
 
 
 class TestSpectrum:
@@ -53,3 +53,37 @@ class TestFiberTarget:
         # trace(S) = sum(r), but rank F <= N < k leaves the fiber empty
         with pytest.raises(ValueError, match="N >= k"):
             FiberTarget(operator=np.eye(3, dtype=complex), norms_sq=np.array([1.5, 1.5]))
+
+
+class TestPositiveVectorRule:
+    # one rule decides spectra and squared norms for every entry point, so each
+    # reports a bad vector with the same message
+    BAD = pytest.mark.parametrize(
+        "bad,message",
+        [([], "must be non-empty"), ([1.0, 0.0], "entries must be strictly positive"),
+         ([3.0, -1.0], "entries must be strictly positive")],
+        ids=["empty", "zero", "negative"],
+    )
+
+    @BAD
+    def test_spectrum(self, bad, message):
+        calls = [
+            lambda: as_spectrum(bad),
+            lambda: FiberTarget.from_spectrum(bad, np.ones(4)),
+            lambda: is_admissible(bad, np.ones(4)),
+            lambda: construct_frame(bad, np.ones(4)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^spectrum {message}$"):
+                call()
+
+    @BAD
+    def test_norms(self, bad, message):
+        calls = [
+            lambda: FiberTarget(operator=np.eye(2, dtype=complex), norms_sq=bad),
+            lambda: is_admissible([1.0, 1.0], bad),
+            lambda: construct_frame([1.0, 1.0], bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^norms_sq {message}$"):
+                call()

@@ -117,6 +117,24 @@ class TestPathRoundTrip:
         assert np.array_equal(back.frames, path.frames)
         assert np.array_equal(back.target.operator, t.operator)
 
+    def test_header_target_in_spectrum_form(self, tmp_path):
+        # a header target may take either form that read_target reads
+        t = FiberTarget.funtf(2, 4)
+        path = connect(random_frame_on_fiber(t, seed=0), random_frame_on_fiber(t, seed=1), t)
+        p, again = tmp_path / "path.jsonl", tmp_path / "again.jsonl"
+        write_path(path, p)
+        header, *rest = p.read_text().splitlines()
+        header = json.dumps({**json.loads(header), "target": {"lambda": [2.0, 2.0], "r": [1.0] * 4}})
+        p.write_text("\n".join([header, *rest]) + "\n")
+        back, _ = read_path(p)
+        assert np.array_equal(back.target.operator, t.operator)
+        assert np.array_equal(back.target.norms_sq, t.norms_sq)
+        write_path(back, again)
+        twice, header = read_path(again)
+        assert "S" in header["target"]
+        assert np.array_equal(twice.times, path.times)
+        assert np.array_equal(twice.frames, path.frames)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "path.jsonl"
         p.write_text('{"kind": "something_else"}\n')

@@ -294,6 +294,11 @@ class TestOptions:
         with pytest.raises(ValueError):
             FlowOptions(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_max_iters(self, value):
+        with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
+            FlowOptions(max_iters=value)
+
     def test_accepts_edge_values(self):
         assert FlowOptions(max_iters=0, tol=0.0).max_iters == 0
         assert FlowOptions(max_iters=np.int64(5), tol=np.float64(1e-20)).tol == 1e-20

@@ -120,6 +120,17 @@ class TestValidatePath:
         chk = validate_path(path, tol=1e-8, delta=1e-4)
         assert not chk and "step" in chk.message
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf}, {"delta": np.nan}, {"delta": -0.05}]
+    )
+    def test_rejects_bad_tolerances(self, kwargs):
+        # the rule of ConnectOptions: a NaN or negative tol would pass any residual
+        t = FiberTarget.funtf(2, 4)
+        path = connect(*_pair(t, 0, 1), t)
+        bad = FramePath(path.times, 3.0 * path.frames, t)
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be finite and > 0"):
+            validate_path(bad, **kwargs)
+
     def test_detects_endpoint_mismatch(self):
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
@@ -269,6 +280,15 @@ class TestConnect:
         with pytest.raises(ValueError):
             connect(F0, F1, t)
 
+    @pytest.mark.parametrize("wrong", ["F0", "F1", "both"])
+    def test_endpoint_shape_must_match_target(self, wrong):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        G = random_frame_on_fiber(FiberTarget.funtf(2, 5), seed=0)
+        F0, F1 = (G if wrong in ("F0", "both") else F), (G if wrong in ("F1", "both") else F)
+        with pytest.raises(ValueError, match=r"frame shape \(2, 5\) does not match target \(2, 4\)"):
+            connect(F0, F1, t)
+
     def test_tight_delta_increases_samples(self):
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
@@ -284,6 +304,21 @@ class TestConnect:
             ConnectOptions(path_tol=0.0)
         with pytest.raises(ValueError):
             ConnectOptions(delta=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"path_tol": np.nan}, {"path_tol": np.inf}, {"path_tol": -1e-8}, {"path_tol": "1e-8"},
+         {"delta": np.nan}, {"delta": np.inf}, {"delta": 0.0},
+         {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": "1"}],
+    )
+    def test_options_reject_bad_values(self, kwargs):
+        # each field named in the error, before any work is done
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
+            ConnectOptions(**kwargs)
+
+    def test_options_accept_numpy_scalars(self):
+        opts = ConnectOptions(path_tol=np.float64(1e-8), delta=np.float32(0.05), seed=np.int64(3))
+        assert opts.seed == 3
 
     def test_report_counts(self):
         # rounds, rows projected and their Newton iterations of one small fixed path

@@ -47,6 +47,12 @@ class TestSymplecticForm:
         X2 = np.array([[1.0j, 0.0]])
         assert symplectic_form(X1, X2) == pytest.approx(-1.0)
 
+    def test_rejects_mismatched_and_empty(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            symplectic_form(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            symplectic_form(np.ones((0, 3)), np.ones((0, 3)))
+
     def test_antisymmetric_and_real_bilinear(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
@@ -150,6 +156,14 @@ class TestDerivative:
                 + 0.5 * np.sum(np.abs(F - h * X) ** 2, axis=0)
             ) / (2 * h)
             assert np.max(np.abs(num_t - momentum_derivative_torus(F, X))) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 5)])
+    def test_shape_mismatch_rejected(self, shape):
+        rng = np.random.default_rng(9)
+        F, X = rand_frame(rng, 2, 5), rand_frame(rng, *shape)
+        for derivative in (momentum_derivative_unitary, momentum_derivative_torus):
+            with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs"):
+                derivative(F, X)
 
     def test_torus_derivative_formula(self):
         rng = np.random.default_rng(8)
