@@ -24,6 +24,8 @@ CLUSTER_AMBIGUITY = 10.0
 # slack of the majorization test relative to max(1, total): sums equal and
 # partial sums ordered up to this
 MAJORIZATION_TOL = 1e-10
+# two frames at most COINCIDE_RTOL ||F0|| apart are one sample of a path from F0
+COINCIDE_RTOL = 1e-12
 
 
 def _finite_array(a, dtype, ndim: int, name: str) -> np.ndarray:

@@ -156,7 +156,6 @@ def _cmd_construct(args, out: _Output) -> int:
     except InadmissibleError as exc:
         out.add("admissible", False)
         out.add("violation", str(exc))
-        out.flush()
         return 1
     out.add("admissible", True)
     out.add("norm_error", float(np.max(np.abs(norms_squared(F) - r))))
@@ -208,7 +207,6 @@ def _cmd_connect(args, out: _Output) -> int:
             out.add("status", "endpoint_off_fiber")
             out.add("endpoint", name)
             out.add("fiber_residual", phi)
-            out.flush()
             return 1
     try:
         path = connect(F0, F1, target, opts)
@@ -217,7 +215,6 @@ def _cmd_connect(args, out: _Output) -> int:
         out.add("error", str(exc))
         if exc.t is not None:
             out.add("t", exc.t)
-        out.flush()
         return 1
     check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
     write_path(

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary, spectral_clusters
 from .errors import InadmissibleError
-from .fiber import FiberTarget, _positive_vector, as_spectrum
+from .fiber import FiberTarget, _positive_vector, _regular_target, as_spectrum
 from .flows import FlowOptions, _residual, project_to_fiber
 
 __all__ = [
@@ -174,9 +174,12 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
 
     Deterministic for rng=None; passing a Generator randomizes the Gram matrix
     by column phases, which moves the frame around the fiber without touching
-    spectrum or norms. Raises InadmissibleError when no such frame exists.
+    spectrum or norms. Raises ValueError when (diag(spectrum), norms_sq) is
+    not a regular value, the rule of FiberTarget, and InadmissibleError when
+    no such frame exists.
     """
     lam, r = as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq")
+    _regular_target(np.diag(lam), r)
     check = _admissibility(lam, r)
     if not check:
         raise InadmissibleError(check.describe(), check)
@@ -192,8 +195,14 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
 
 
 def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator | None = None):
-    """Frame with the given (positive definite) frame operator and squared norms."""
-    w, U = eigh_desc(as_hermitian(operator, name="operator"))
+    """Frame with the given (positive definite) frame operator and squared norms.
+
+    Raises ValueError when (operator, norms_sq) is not a regular value, the
+    rule of FiberTarget, and InadmissibleError when no such frame exists.
+    """
+    S = as_hermitian(operator, name="operator")
+    _regular_target(S, _positive_vector(norms_sq, "norms_sq"))
+    w, U = eigh_desc(S)
     return U @ construct_frame(w, norms_sq, rng=rng)
 
 

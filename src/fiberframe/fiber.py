@@ -27,6 +27,13 @@ def _positive_vector(values, name: str) -> np.ndarray:
     return v
 
 
+def _regular_target(S: np.ndarray, r: np.ndarray) -> None:
+    """ValueError unless (S, -r / 2) is a regular value of the momentum map, for a Hermitian S."""
+    check = _regular_value(S, -0.5 * r)
+    if not check:
+        raise ValueError(f"target is not a regular momentum value: {check.reason}")
+
+
 def as_spectrum(values) -> np.ndarray:
     """Validated spectrum: real, strictly positive, sorted descending (copy)."""
     return np.sort(_positive_vector(values, "spectrum"))[::-1].copy()
@@ -51,9 +58,7 @@ class FiberTarget:
         r = _positive_vector(self.norms_sq, "norms_sq")
         if r.size < S.shape[0]:
             raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
-        check = _regular_value(S, -0.5 * r)
-        if not check:
-            raise ValueError(f"target is not a regular momentum value: {check.reason}")
+        _regular_target(S, r)
         total = float(np.sum(r))
         if abs(float(np.trace(S).real) - total) > MAJORIZATION_TOL * max(1.0, total):
             raise ValueError("trace(operator) must equal sum(norms_sq); fiber is empty")

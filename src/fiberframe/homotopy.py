@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._linalg import as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
+from ._linalg import COINCIDE_RTOL, as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
 from .core import _frame_pair, as_frame_matrix
 from .errors import ConnectError
 from .fiber import FiberTarget
@@ -175,8 +175,8 @@ def validate_path(path: FramePath, tol: float = 1e-8, delta: float = 0.05, endpo
     tol is in norm units: a sample passes when its squared residual is at
     most tol^2. delta limits each consecutive step relative to the norm of
     the first sample. endpoints, when given as (F0, F1), must match the first
-    and last sample to 1e-12 relative. ValueError unless tol and delta are
-    finite and > 0, the rule of ConnectOptions.
+    and last sample to 1e-12 relative (COINCIDE_RTOL). ValueError unless tol
+    and delta are finite and > 0, the rule of ConnectOptions.
     """
     _positive(tol, "tol")
     _positive(delta, "delta")
@@ -195,7 +195,7 @@ def validate_path(path: FramePath, tol: float = 1e-8, delta: float = 0.05, endpo
         F0, F1 = endpoints
         d0 = np.linalg.norm(path.frames[0] - as_frame_matrix(F0))
         d1 = np.linalg.norm(path.frames[-1] - as_frame_matrix(F1))
-        if d0 > 1e-12 * max(1.0, scale) or d1 > 1e-12 * max(1.0, scale):
+        if max(d0, d1) > COINCIDE_RTOL * scale:
             problems.append("endpoints do not match the requested frames")
     return PathCheck(
         ok=not problems,
@@ -293,10 +293,12 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     with the operator's spectral clusters and D column phases, alternated to
     bring F1 close to F0) to F1, in ceil(||V F1 D - F1|| / (delta ||F0|| / 2))
     samples, of which those that pass the accept filter are kept; the report
-    counts both. Near-duplicate anchors are pruned. The bridge pass then
-    runs round by round over the ordered array of samples: each round cuts
-    every gap of width w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w /
-    delta))) pieces, projects their chord points in one Newton solve (in
+    counts both. Frames within COINCIDE_RTOL ||F0|| (1e-12 relative) are one
+    sample: F1 that close to F0 gives [F0, F1], V F1 D that close to F1 no
+    unwind, and an anchor that close to the one before it is dropped. The
+    bridge pass then runs round by round over the ordered array of samples:
+    each round cuts every gap of width w > delta into m = 2^min(_ROUND_LEVELS,
+    ceil(log2(w / delta))) pieces, projects their chord points in one Newton solve (in
     several when its kernel temporaries would pass _STACK_BYTES), retries
     each rejected point (accepted within half of path_tol^2) with seeded
     tangent kicks in path order and merges the points in; every piece of a
@@ -326,7 +328,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     k = target.k
     report = ConnectReport()
 
-    if np.linalg.norm(F1 - F0) <= 1e-14 * max(1.0, scale):
+    close = COINCIDE_RTOL * scale
+    if np.linalg.norm(F1 - F0) <= close:
         return FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report)
 
     proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
@@ -362,35 +365,27 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # parameters 0 to 1, and the unwind from V F1 D to F1 sits at parameter 1
     unwind = np.empty((0, k, target.N), dtype=complex)
     V, phi = _symmetry_gauge(F0, F1, target.operator)
-    rotate = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
-    if rotate or np.linalg.norm(phi) > 1e-12 * np.sqrt(target.N):
-        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 * np.exp(1j * phi) - F1) / (0.5 * delta_abs))))
+    reach = np.linalg.norm(V @ F1 * np.exp(1j * phi) - F1)
+    if reach > close:
+        nsteps = max(1, int(np.ceil(reach / (0.5 * delta_abs))))
         u = 1.0 - np.linspace(0.0, 1.0, nsteps + 1)[:-1]
         Fs = F1 * np.exp(1j * u[:, None, None] * phi)
-        if rotate:
-            Z, theta = unitary_log_factors(V)
-            Fs = ((Z * np.exp(1j * u[:, None] * theta)[:, None, :]) @ Z.conj().T) @ Fs
+        Z, theta = unitary_log_factors(V)
+        Fs = ((Z * np.exp(1j * u[:, None] * theta)[:, None, :]) @ Z.conj().T) @ Fs
         unwind = Fs[_phi(*_gaps(Fs, target)) <= accept_tol]
         report.unwind, report.unwind_dropped = len(unwind), nsteps - len(unwind)
     arr = np.concatenate((F0[None], unwind, F1[None]))
     t = np.minimum(np.arange(len(arr)), 1.0)
 
-    # prune near-duplicate anchors; F0 and F1 stay, and the early return for
-    # F1 == F0 keeps the step between them, so every time step is positive.
-    # The loop runs only when some consecutive pair is that close. Bridge
-    # points are not pruned: each starts w / m > delta / 2 from its neighbours,
-    # and one projected onto the far end of its gap fails the progress check.
-    thresh = 1e-13 * max(1.0, scale)
+    # an anchor within close of the one before it is dropped; F0 and F1 stay.
+    # Unwind samples lie about delta / 2 apart, so this drops V F1 D when it
+    # coincides with F0 (F1 a symmetry image of F0). Bridge points are not
+    # pruned: each starts w / m > delta / 2 from its neighbours, and one
+    # projected onto the far end of its gap fails the progress check.
     seg = _frobenius(np.diff(arr, axis=0))
-    if np.any(seg <= thresh):
-        kept = [0]
-        for i in range(1, len(arr) - 1):
-            if np.linalg.norm(arr[i] - arr[kept[-1]]) > thresh:
-                kept.append(i)
-        while len(kept) > 1 and np.linalg.norm(F1 - arr[kept[-1]]) <= thresh:
-            kept.pop()
-        kept.append(len(arr) - 1)
-        arr, t = arr[kept], t[kept]
+    keep = np.concatenate(([True], seg[:-1] > close, [True]))
+    if not keep.all():
+        arr, t = arr[keep], t[keep]
         seg = _frobenius(np.diff(arr, axis=0))
 
     # arr holds the path in order with chord parameters t, and seg[i] is the

@@ -133,7 +133,10 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     of the column inner products, are alternated from the closer of V alone
     and D alone, then each solved once more; the unwind multiplies numpy's
     eigendecomposition of V and the column phases, each raised to the power
-    1 - s. Each gap wider than delta, of width w, is then bridged
+    1 - s. Two frames within 1e-12 ||F0|| are one sample: no unwind runs
+    when V F1 D is that close to F1, and an anchor that close to the one
+    before it is dropped (F0 and F1 stay). Each gap wider than delta, of
+    width w, is then bridged
     recursively: it is cut into m = 2^min(3, ceil(log2(w / delta))) pieces
     at the chord points Fa + (j / m)(Fb - Fa), one project_to_fiber call per
     point from left to right, and each piece still wider than delta is
@@ -145,6 +148,7 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     k, N = F0.shape
     scale = np.linalg.norm(F0)
     step = delta * scale
+    close = 1e-12 * scale
     accept = 0.5 * path_tol**2
     opts = FlowOptions(tol=min(1e-20, 0.01 * path_tol**2))
 
@@ -174,18 +178,18 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     angles = np.angle(phases)
 
     anchors = [F0]
-    rotate = np.linalg.norm(V - np.eye(k)) > 1e-12 * np.sqrt(k)
-    if rotate or np.linalg.norm(angles) > 1e-12 * np.sqrt(N):
+    reach = np.linalg.norm(V @ F1 * phases - F1)
+    if reach > close:
         lam, Z = np.linalg.eig(V)
         Zinv = np.linalg.inv(Z)
-        nsteps = max(1, int(np.ceil(np.linalg.norm(V @ F1 * phases - F1) / (0.5 * step))))
+        nsteps = max(1, int(np.ceil(reach / (0.5 * step))))
         for s in np.linspace(0.0, 1.0, nsteps + 1)[:-1]:
-            Fs = F1 * np.exp(1j * (1.0 - s) * angles)
-            if rotate:
-                Fs = (Z * np.exp(1j * (1.0 - s) * np.angle(lam))) @ Zinv @ Fs
+            Fs = (Z * np.exp(1j * (1.0 - s) * np.angle(lam))) @ Zinv @ (F1 * np.exp(1j * (1.0 - s) * angles))
             if fiber_residual(Fs, target) <= accept:
                 anchors.append(Fs)
     anchors.append(F1)
+    anchors = [F0] + [anchors[i] for i in range(1, len(anchors) - 1)
+                      if np.linalg.norm(anchors[i] - anchors[i - 1]) > close] + [F1]
 
     def bridge(Fa, Fb):
         m = 2 ** min(3, max(1, int(np.ceil(np.log2(np.linalg.norm(Fb - Fa) / step)))))
@@ -207,12 +211,4 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
         if np.linalg.norm(Fb - Fa) > step:
             samples += bridge(Fa, Fb)
         samples.append(Fb)
-    # near-duplicates of the last kept sample go, then kept samples near F1
-    thresh = 1e-13 * max(1.0, scale)
-    kept = [F0]
-    for F in samples[1:-1]:
-        if np.linalg.norm(F - kept[-1]) > thresh:
-            kept.append(F)
-    while len(kept) > 1 and np.linalg.norm(F1 - kept[-1]) <= thresh:
-        kept.pop()
-    return np.stack(kept + [F1])
+    return np.stack(samples)

@@ -13,6 +13,7 @@ from fiberframe import (
     write_frame,
     write_target,
 )
+from fiberframe import homotopy
 from fiberframe.cli import main
 
 
@@ -138,6 +139,22 @@ class TestConstruct:
         assert "admissible: False" in out
         assert "partial" in out
 
+    def test_inadmissible_json_is_one_object(self, capsys):
+        code, out, _ = run(capsys, "--json", "construct", "--lambda", "1", "1", "--r", "1.5", "0.5")
+        assert code == 1
+        assert json.loads(out)["admissible"] is False
+
+    def test_singular_spectrum_is_usage_error(self, tmp_path, capsys):
+        # the rule of FiberTarget: the smaller eigenvalue is below 1e-12 times the larger
+        outfile = tmp_path / "c.json"
+        code, out, err = run(
+            capsys, "--quiet", "construct", "--lambda", "2", "1e-17", "--r", "1", "1", "--out", str(outfile)
+        )
+        assert code == 2
+        assert "admissible" not in out
+        assert "operator part is not positive definite" in err
+        assert not outfile.exists()
+
     def test_stdout_frame_when_no_out(self, capsys):
         code, out, _ = run(capsys, "--quiet", "construct", "--lambda", "1", "--r", "0.6", "0.4")
         assert code == 0
@@ -218,6 +235,39 @@ class TestConnect:
         )
         assert code == 1
         assert "endpoint_off_fiber" in out
+
+    def test_off_fiber_endpoint_json_is_one_object(self, tmp_path, capsys):
+        t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
+        bad = tmp_path / "bad.json"
+        write_frame(read_frame(files[0]) * 1.05, bad)
+        code, out, _ = run(capsys, "--json", "connect", str(bad), files[1], tfile, "--out", str(tmp_path / "p.jsonl"))
+        assert code == 1
+        assert json.loads(out)["status"] == "endpoint_off_fiber"
+
+    def test_bridge_failure_reports_t(self, tmp_path, capsys, monkeypatch):
+        # every projection comes back doubled, off the fiber, as in
+        # TestConnectRecovery, so connect raises ConnectError with its t
+        t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
+        real = homotopy._newton
+
+        def rejected(X, target, opts):
+            G, phi, *rest = real(X, target, opts)
+            G = 2.0 * G
+            return (G, np.array([fiber_residual(g, target) for g in G]), *rest)
+
+        monkeypatch.setattr(homotopy, "_newton", rejected)
+        pfile = tmp_path / "p.jsonl"
+        code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", str(pfile))
+        assert code == 1
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["status"] == "failed"
+        assert "projection failed" in lines["error"]
+        assert 0.0 <= float(lines["t"]) <= 1.0
+        code, out, _ = run(capsys, "--json", "connect", files[0], files[1], tfile, "--out", str(pfile))
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["status"] == "failed" and obj["t"] == float(lines["t"])
+        assert not pfile.exists()
 
 
 class TestEquiv:

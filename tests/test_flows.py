@@ -178,6 +178,20 @@ class TestAlternatingFlow:
         _, rep = alternate_projections(rand_rank_deficient(rng, 3, 6), t)
         assert rep.status == "lost_rank"
 
+    def test_on_fiber_start_returns_at_once(self):
+        t = FiberTarget.funtf(3, 7)
+        F0 = random_frame_on_fiber(t, seed=11)
+        F, rep = alternate_projections(F0, t)
+        assert rep.status == "converged" and rep.iterations == 0
+        assert np.array_equal(F, F0)
+
+    def test_round_cap_returns_best_iterate(self):
+        t = FiberTarget.funtf(3, 7)
+        F, rep = alternate_projections(perturbed_fiber_point(t, seed=11), t, FlowOptions(max_iters=1))
+        assert rep.status == "max_iters" and rep.iterations == 1
+        assert rep.final_residual == min(rep.residual_trace)
+        assert fiber_residual(F, t) == rep.final_residual
+
     def test_report_dict_round_trip(self):
         t = FiberTarget.funtf(2, 4)
         _, rep = alternate_projections(perturbed_fiber_point(t, seed=13), t)

@@ -16,12 +16,13 @@ from fiberframe import (
     frame_operator,
     gauge_align,
     norms_squared,
+    project_to_fiber,
     random_frame_on_fiber,
     validate_path,
 )
 from fiberframe import homotopy
-from fiberframe._linalg import spectral_clusters
-from fiberframe.homotopy import _tangent_kick
+from fiberframe._linalg import COINCIDE_RTOL, spectral_clusters
+from fiberframe.homotopy import _symmetry_gauge, _tangent_kick
 
 
 def _pair(target, seed_a, seed_b):
@@ -413,6 +414,29 @@ class TestConnect:
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert chk.ok, chk.message
         assert np.min(path.step_norms()) > 1e-13 * np.linalg.norm(F0)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("symmetry", ["unitary", "phases"])
+    def test_symmetry_image_of_near_duplicate(self, c, symmetry):
+        # F1 is a symmetry image of F0', a fiber point about 4e-13 ||F0|| from
+        # F0, so the aligned endpoint V F1 D coincides with F0 by the relative
+        # rule at every scale and is dropped; no two samples are that close
+        t = FiberTarget.funtf(3, 7)
+        F0 = random_frame_on_fiber(t, seed=1)
+        rng = np.random.default_rng(1)
+        F0p, _rep = project_to_fiber(F0 + _tangent_kick(rng, F0, 5e-13 * np.linalg.norm(F0)), t)
+        if symmetry == "unitary":
+            F1 = rand_unitary(rng, 3) @ F0p
+        else:
+            F1 = F0p * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+        V, phi = _symmetry_gauge(F0, F1, t.operator)
+        aligned = np.linalg.norm(V @ F1 * np.exp(1j * phi) - F0) / np.linalg.norm(F0)
+        assert 1e-13 < aligned < COINCIDE_RTOL
+        scaled = FiberTarget(c * c * t.operator, c * c * t.norms_sq)
+        path = connect(c * F0, c * F1, scaled)
+        chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(c * F0, c * F1))
+        assert chk.ok, chk.message
+        assert np.min(path.step_norms()) > COINCIDE_RTOL * np.linalg.norm(c * F0)
 
     @hard_fibers
     @pytest.mark.parametrize("seed", range(3))

@@ -96,6 +96,9 @@ class TestHermitianWithDiagonal:
             hermitian_with_diagonal([1.0, 0.0], [0.6, 0.6])
 
 
+SINGULAR = "operator part is not positive definite"
+
+
 class TestConstructFrame:
     def test_single_row_example(self):
         F = construct_frame([1.0], [0.6, 0.4])
@@ -129,6 +132,24 @@ class TestConstructFrame:
             construct_frame([1.0, 1.0], [1.5, 0.5])
         assert err.value.check.kind == "partial_sum"
         assert err.value.check.index == 1
+
+    @pytest.mark.parametrize(
+        "build,operator,norms_sq,reason",
+        [
+            (construct_frame, [2.0, 1e-17], [1.0, 1.0], SINGULAR),
+            (construct_frame_with_operator, np.diag([2.0, 1e-17]), [1.0, 1.0 + 1e-17], SINGULAR),
+            (construct_frame_with_operator, np.diag([2.0, -1.0]), [0.5, 0.5], SINGULAR),
+            (construct_frame, [2.0, 1.0], [1.5, 1.5 - 1e-13, 1e-13], "torus part has a non-negative entry"),
+        ],
+        ids=["spectrum_below_floor", "operator_below_floor", "indefinite_operator", "norms_below_floor"],
+    )
+    def test_rejects_what_fiber_target_rejects(self, build, operator, norms_sq, reason):
+        # the rule of FiberTarget, applied before the majorization test
+        with pytest.raises(ValueError, match=f"^target is not a regular momentum value: {reason}$"):
+            build(operator, norms_sq)
+        S = np.diag(operator) if np.ndim(operator) == 1 else operator
+        with pytest.raises(ValueError, match=reason):
+            FiberTarget(S, norms_sq)
 
     def test_with_operator(self):
         rng = np.random.default_rng(34)
