@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import frame_bounds, is_frame, is_funtf, is_tight, norms_squared
-from .errors import ConnectError, InadmissibleError, NotAFrameError
+from .core import frame_bounds, is_frame, is_funtf, norms_squared
+from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
 from .fileio import _frame_obj, _mat_to_obj, _read_operator, read_frame, read_target, write_frame, write_path
 from .flows import (
@@ -29,7 +29,7 @@ from .flows import (
 )
 from .design import construct_frame, construct_frame_with_operator, is_admissible
 from .equivalence import unitary_equivalent
-from .homotopy import ConnectOptions, connect, validate_path
+from .homotopy import ConnectOptions, connect
 from .momentum import momentum
 
 
@@ -127,7 +127,7 @@ def _cmd_check(args, out: _Output) -> int:
         b = frame_bounds(F)
         out.add("lower_bound", b.lower)
         out.add("upper_bound", b.upper)
-        out.add("is_tight", is_tight(F, args.tol))
+        out.add("is_tight", b.is_tight(args.tol))
         out.add("is_funtf", is_funtf(F, args.tol))
     mom = momentum(F)
     out.add("momentum_consistency", mom.consistency_residual())
@@ -201,22 +201,19 @@ def _cmd_connect(args, out: _Output) -> int:
     F1 = read_frame(args.frame_to)
     target = read_target(args.target)
     opts = ConnectOptions(path_tol=args.tol, delta=args.delta, seed=args.seed)
-    for name, F in (("from", F0), ("to", F1)):
-        phi = fiber_residual(F, target)
-        if phi > opts.path_tol**2:
-            out.add("status", "endpoint_off_fiber")
-            out.add("endpoint", name)
-            out.add("fiber_residual", phi)
-            return 1
     try:
         path = connect(F0, F1, target, opts)
+    except OffFiberError as exc:
+        out.add("status", "endpoint_off_fiber")
+        out.add("endpoint", ("from", "to")[exc.index])
+        out.add("fiber_residual", exc.residual)
+        return 1
     except ConnectError as exc:
         out.add("status", "failed")
         out.add("error", str(exc))
         if exc.t is not None:
             out.add("t", exc.t)
         return 1
-    check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
     write_path(
         path,
         args.out,
@@ -224,8 +221,8 @@ def _cmd_connect(args, out: _Output) -> int:
     )
     out.add("status", "connected")
     out.add("samples", len(path))
-    out.add("max_residual", check.max_residual)
-    out.add("max_step", check.max_step)
+    out.add("max_residual", path.check.max_residual)
+    out.add("max_step", path.check.max_step)
     out.add("out", args.out)
     # the run's counts go to --json output only; the text lines stay as they were
     out.payload["report"] = path.report.to_dict()
@@ -255,10 +252,6 @@ def main(argv=None) -> int:
     out = _Output(args)
     try:
         code = args.handler(args, out)
-    except (NotAFrameError, InadmissibleError, ConnectError) as exc:
-        out.add("error", str(exc))
-        out.flush()
-        return 1
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["NotAFrameError", "InadmissibleError", "ClusteringError", "ConnectError"]
+__all__ = ["NotAFrameError", "InadmissibleError", "ClusteringError", "OffFiberError", "ConnectError"]
 
 
 class NotAFrameError(ValueError):
@@ -20,6 +20,14 @@ class InadmissibleError(ValueError):
 
 class ClusteringError(ValueError):
     """Eigenvalue gaps fall inside the ambiguity band around the clustering tolerance."""
+
+
+class OffFiberError(ValueError):
+    """An endpoint of connect() is off the fiber: ``.index`` 0 or 1, ``.residual`` its Phi."""
+
+    def __init__(self, message, index, residual):
+        super().__init__(message)
+        self.index, self.residual = index, residual
 
 
 class ConnectError(RuntimeError):

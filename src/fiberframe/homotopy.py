@@ -28,9 +28,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._linalg import COINCIDE_RTOL, as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
+from ._linalg import COINCIDE_RTOL, _finite_array, as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
 from .core import _frame_pair, as_frame_matrix
-from .errors import ConnectError
+from .errors import ConnectError, OffFiberError
 from .fiber import FiberTarget
 from .flows import FlowOptions, _gaps, _newton, _non_negative_int, _normal_preimage, _phi, _residual, _target_frame
 
@@ -113,20 +113,22 @@ class ConnectReport:
 
 @dataclass(eq=False)
 class FramePath:
-    """Discrete path on a fiber: times in [0, 1] with one frame per time.
+    """Discrete path on a fiber: finite times in [0, 1] with one frame per time.
 
-    report holds the counts of the connect() run that traced the path.
+    report and check hold the counts and the PathCheck of the connect() run
+    that traced the path; both are None for a path read from file.
     """
 
     times: np.ndarray
     frames: np.ndarray
     target: FiberTarget
     report: ConnectReport | None = None
+    check: PathCheck | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _finite_array(self.times, np.float64, 1, "times")
         Fs = np.asarray(self.frames)
-        if t.ndim != 1 or t.size < 2:
+        if t.size < 2:
             raise ValueError("need at least two samples")
         if Fs.shape != (t.size, self.target.k, self.target.N):
             raise ValueError(
@@ -305,22 +307,24 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     gap must be shorter than it. Every interior sample is a bridge point or
     an exact unwind sample; the path's report counts the work.
 
-    Raises ValueError when an endpoint is off the fiber (beyond path_tol) and
-    ConnectError when the bridge pass cannot close a gap between anchors: a
-    point rejected after every kick (its chord parameter in .t), a piece no
-    shorter than its gap, or a gap still open after _EXTRA_DEPTH rounds
+    Raises OffFiberError when an endpoint is off the fiber (beyond path_tol),
+    F0 first, and ConnectError when the bridge pass cannot close a gap between
+    anchors: a point rejected after every kick (its chord parameter in .t), a
+    piece no shorter than its gap, a gap still open after _EXTRA_DEPTH rounds
     beyond the ceil(h / _ROUND_LEVELS) that the h halvings of the widest
-    anchor gap need (the chord parameter of the gap's midpoint in .t). The
-    result is validated before being returned and is deterministic for a
-    fixed seed.
+    anchor gap need (its midpoint's chord parameter in .t), or a path failing
+    validate_path with the run's options. A returned path, [F0, F1] too, holds
+    that PathCheck in .check and is deterministic for a fixed seed.
     """
     opts = options or ConnectOptions()
-    F0, F1 = _target_frame(F0, target), _target_frame(F1, target)
     ptol2 = opts.path_tol**2
-    for name, F in (("F0", F0), ("F1", F1)):
-        phi = _residual(F, target)
+    ends = []
+    for index, F in enumerate((F0, F1)):
+        ends.append(_target_frame(F, target))
+        phi = _residual(ends[-1], target)
         if phi > ptol2:
-            raise ValueError(f"{name} is off the fiber: residual {phi:.3e} > {ptol2:.3e}")
+            raise OffFiberError(f"F{index} is off the fiber: residual {phi:.3e} > {ptol2:.3e}", index, phi)
+    F0, F1 = ends
 
     scale = float(np.linalg.norm(F0))
     delta_abs = opts.delta * scale
@@ -328,9 +332,15 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     k = target.k
     report = ConnectReport()
 
+    def validated(path):
+        path.check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
+        if not path.check:
+            raise ConnectError(f"traced path failed validation: {path.check.message}", t=None)
+        return path
+
     close = COINCIDE_RTOL * scale
     if np.linalg.norm(F1 - F0) <= close:
-        return FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report)
+        return validated(FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report))
 
     proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
     accept_tol = 0.5 * ptol2
@@ -424,9 +434,4 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
 
     times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
     times[-1] = 1.0
-    path = FramePath(times, arr, target, report)
-
-    check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
-    if not check:
-        raise ConnectError(f"traced path failed validation: {check.message}", t=None)
-    return path
+    return validated(FramePath(times, arr, target, report))

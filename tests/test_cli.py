@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,27 @@ class TestTighten:
         assert code == 0
         assert "iterations: 0" in out
 
+    @pytest.mark.parametrize(
+        "method,message",
+        [
+            ("auto", "no damped step decreases the residual"),
+            ("gradient", "no relative progress over 50 steps"),
+            ("alternating", "best residual stuck for 50 rounds"),
+        ],
+    )
+    def test_empty_fiber_fails_with_message(self, tmp_path, capsys, method, message):
+        # diag(1.5, 0.5) with r = (1.9, 0.05, 0.05) fails majorization: every route stalls
+        tfile = tmp_path / "empty.json"
+        write_target(FiberTarget(operator=np.diag([1.5, 0.5]).astype(complex), norms_sq=[1.9, 0.05, 0.05]), tfile)
+        rng = np.random.default_rng(0)
+        ffile = tmp_path / "start.json"
+        write_frame(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)), ffile)
+        code, out, _ = run(capsys, "--quiet", "tighten", str(ffile), "--target", str(tfile), "--method", method)
+        assert code == 1
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["status"] == "stalled" and lines["message"] == message
+        assert float(lines["final_residual"]) >= 1e-2
+
 
 class TestConnect:
     def test_writes_valid_path(self, tmp_path, capsys):
@@ -243,6 +265,64 @@ class TestConnect:
         code, out, _ = run(capsys, "--json", "connect", str(bad), files[1], tfile, "--out", str(tmp_path / "p.jsonl"))
         assert code == 1
         assert json.loads(out)["status"] == "endpoint_off_fiber"
+
+    def test_off_fiber_to_endpoint_reports_its_residual(self, tmp_path, capsys):
+        t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
+        F1 = read_frame(files[1]) * 1.05
+        bad = tmp_path / "bad.json"
+        write_frame(F1, bad)
+        argv = ("connect", files[0], str(bad), tfile, "--out", str(tmp_path / "p.jsonl"))
+        code, out, _ = run(capsys, "--quiet", *argv)
+        assert code == 1
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["status"] == "endpoint_off_fiber" and lines["endpoint"] == "to"
+        assert float(lines["fiber_residual"]) == fiber_residual(F1, t)
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["endpoint"] == "to" and obj["fiber_residual"] == fiber_residual(F1, t)
+
+    def test_off_fiber_from_is_reported_before_to_shape(self, tmp_path, capsys):
+        # the from endpoint is checked in full before the to endpoint is read
+        t, tfile, (ffile,) = funtf_files(tmp_path)
+        bad = tmp_path / "bad.json"
+        write_frame(read_frame(ffile) * 1.05, bad)
+        wide = tmp_path / "wide.json"
+        write_frame(random_frame_on_fiber(FiberTarget.funtf(2, 5), seed=0), wide)
+        code, out, err = run(capsys, "--quiet", "connect", str(bad), str(wide), tfile, "--out", str(tmp_path / "p.jsonl"))
+        assert code == 1 and not err
+        assert "status: endpoint_off_fiber" in out and "endpoint: from" in out
+
+    def test_printed_numbers_are_the_written_path_check(self, tmp_path, capsys):
+        t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
+        pfile = str(tmp_path / "path.jsonl")
+        code, out, _ = run(capsys, "--json", "connect", files[0], files[1], tfile, "--out", pfile)
+        assert code == 0
+        obj = json.loads(out)
+        ends = (read_frame(files[0]), read_frame(files[1]))
+        chk = validate_path(read_path(pfile)[0], tol=1e-8, delta=0.05, endpoints=ends)
+        assert (obj["max_residual"], obj["max_step"]) == (chk.max_residual, chk.max_step)
+        code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", pfile)
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert (float(lines["max_residual"]), float(lines["max_step"])) == (chk.max_residual, chk.max_step)
+
+    def test_path_is_validated_once(self, tmp_path, capsys, monkeypatch):
+        # the wrapper replaces every package binding of validate_path, as the
+        # perfbench tracer does, so a second check through any of them counts
+        t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
+        real = homotopy.validate_path
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fiberframe") and getattr(module, "validate_path", None) is real:
+                monkeypatch.setattr(module, "validate_path", counted)
+        code, _, _ = run(capsys, "connect", files[0], files[1], tfile, "--out", str(tmp_path / "p.jsonl"))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_bridge_failure_reports_t(self, tmp_path, capsys, monkeypatch):
         # every projection comes back doubled, off the fiber, as in

@@ -21,6 +21,7 @@ from fiberframe import (
     fiber_residual_gradient,
     flow_to_fiber,
     frame_operator,
+    is_admissible,
     newton_refine,
     norms_squared,
     project_frame_operator,
@@ -523,3 +524,27 @@ class TestCompositeProjection:
         _, rep = project_to_fiber(F0, t, FlowOptions(tol=1e-22, max_iters=4000))
         assert rep.method == "newton"
         assert rep.iterations == len(rep.residual_trace) - 1
+
+
+class TestEmptyFiber:
+    # FiberTarget takes diag(1.5, 0.5) with r = (1.9, 0.05, 0.05), but no frame
+    # has it: majorization fails at the first partial sum, 1.9 > 1.5
+    target = FiberTarget(operator=np.diag([1.5, 0.5]).astype(complex), norms_sq=[1.9, 0.05, 0.05])
+
+    @pytest.mark.parametrize(
+        "route,message",
+        [
+            (newton_refine, "no damped step decreases the residual"),
+            (flow_to_fiber, "no relative progress over 50 steps"),
+            (alternate_projections, "best residual stuck for 50 rounds"),
+        ],
+        ids=["newton", "gradient", "alternating"],
+    )
+    def test_every_route_stalls_off_the_fiber(self, route, message):
+        assert is_admissible([1.5, 0.5], [1.9, 0.05, 0.05]).kind == "partial_sum"
+        rng = np.random.default_rng(0)
+        F0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        F, rep = route(F0, self.target)
+        assert rep.status == "stalled" and rep.message == message
+        assert rep.final_residual == fiber_residual(F, self.target)
+        assert rep.final_residual >= 1e-2

@@ -10,6 +10,7 @@ from fiberframe import (
     ConnectReport,
     FiberTarget,
     FramePath,
+    OffFiberError,
     connect,
     fiber_residual,
     flag_type,
@@ -66,6 +67,15 @@ class TestFramePath:
             FramePath(np.array([0.0, 0.5]), stack, t)
         with pytest.raises(ValueError):
             FramePath(np.array([0.0, 0.0, 1.0]), np.stack([F, F, F]), t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, bad):
+        # a NaN time fails no ordering comparison, and write_path would write a
+        # file that read_path rejects
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        with pytest.raises(ValueError, match="times contains non-finite entries"):
+            FramePath(np.array([0.0, bad, 1.0]), np.stack([F, F, F]), t)
 
     def test_residuals_match_per_sample_residual(self):
         # the stacked residuals agree with the single-frame residual of every sample
@@ -273,6 +283,47 @@ class TestConnect:
         F0, F1 = _pair(t, 0, 1)
         with pytest.raises(ValueError, match="off the fiber"):
             connect(1.01 * F0, F1, t)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_off_fiber_endpoint_raises_typed_error(self, index):
+        t = FiberTarget.funtf(2, 4)
+        ends = list(_pair(t, 0, 1))
+        ends[index] = 1.01 * ends[index]
+        with pytest.raises(OffFiberError, match=f"^F{index} is off the fiber") as exc:
+            connect(*ends, t)
+        assert exc.value.index == index
+        assert exc.value.residual == fiber_residual(ends[index], t)
+
+    def test_off_fiber_first_endpoint_reported_before_second_shape(self):
+        # F0 is checked in full before F1 is read
+        t = FiberTarget.funtf(2, 4)
+        F0 = 1.01 * random_frame_on_fiber(t, seed=0)
+        F1 = random_frame_on_fiber(FiberTarget.funtf(2, 5), seed=0)
+        with pytest.raises(OffFiberError) as exc:
+            connect(F0, F1, t)
+        assert exc.value.index == 0
+
+    @pytest.mark.parametrize("same", [False, True], ids=["pair", "identical_endpoints"])
+    def test_check_is_validate_path_of_the_run(self, same):
+        # identical endpoints take the early return, which is validated too
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        F1 = F0 if same else F1
+        opts = ConnectOptions(path_tol=1e-7, delta=0.08)
+        path = connect(F0, F1, t, opts)
+        assert path.check == validate_path(path, tol=1e-7, delta=0.08, endpoints=(F0, F1))
+        assert path.check.ok
+
+    def test_early_return_fails_validation_under_tiny_delta(self):
+        # F1 is on the fiber 5.6e-13 ||F0|| from F0, within the coincidence
+        # rule, but the one step [F0, F1] is wider than delta ||F0||
+        t = FiberTarget.funtf(2, 4)
+        F0 = random_frame_on_fiber(t, seed=0)
+        F1 = F0 * np.exp(1j * 3e-13 * np.arange(4))
+        assert np.linalg.norm(F1 - F0) <= COINCIDE_RTOL * np.linalg.norm(F0)
+        with pytest.raises(ConnectError, match="traced path failed validation: step") as exc:
+            connect(F0, F1, t, ConnectOptions(delta=1e-14))
+        assert exc.value.t is None
 
     def test_shape_mismatch_rejected(self):
         t = FiberTarget.funtf(2, 4)
