@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# The package's fixed numerical decisions, each made in one place:
+# The package's fixed numerical decisions, each made in one place and each
+# relative to the scale of its own input, so that scaling the input by any
+# c > 0 leaves every verdict as it is:
 # relative singular-value threshold of the full-row-rank test (s_min >= RANK_RTOL s_max);
 # also the floor of positive definiteness: a regular value's operator
 # eigenvalues and squared norms exceed RANK_RTOL times their largest, and
@@ -17,12 +19,13 @@ RANK_RTOL = 1e-12
 EIGEN_RTOL = 1e-4
 # relative Frobenius distance to the Hermitian part beyond which a matrix is not Hermitian
 HERMITIAN_TOL = 1e-10
-# relative eigenvalue gap below which eigenvalues form one cluster; gaps from
-# CLUSTER_AMBIGUITY times that on split, and gaps in between are ambiguous
+# eigenvalue gap, relative to the largest |eigenvalue|, up to which eigenvalues
+# form one cluster; gaps from CLUSTER_AMBIGUITY times that on split, and gaps
+# in between are ambiguous
 CLUSTER_TOL = 1e-8
 CLUSTER_AMBIGUITY = 10.0
-# slack of the majorization test relative to max(1, total): sums equal and
-# partial sums ordered up to this
+# slack of the majorization test relative to the total magnitude sum(|lambda|)
+# of the spectrum: sums equal and partial sums ordered up to this
 MAJORIZATION_TOL = 1e-10
 # two frames at most COINCIDE_RTOL ||F0|| apart are one sample of a path from F0
 COINCIDE_RTOL = 1e-12
@@ -57,7 +60,7 @@ def hermitize(A: np.ndarray) -> np.ndarray:
 
 def is_hermitian(A: np.ndarray) -> bool:
     """Whether a square A is within relative Frobenius distance HERMITIAN_TOL of Hermitian."""
-    return bool(np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(A)))
+    return bool(np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * np.linalg.norm(A))
 
 
 def as_hermitian(A, name="matrix") -> np.ndarray:
@@ -136,17 +139,17 @@ def unitary_log_factors(V: np.ndarray):
 def cluster_by_gap(values_desc: np.ndarray):
     """Group a descending sequence into clusters split at large relative gaps.
 
-    A gap below CLUSTER_TOL * max(1, |first value|) merges, a gap at or above
-    CLUSTER_AMBIGUITY times that splits; with any gap in between the grouping
-    is ambiguous and the result is None.
+    A gap at most CLUSTER_TOL times the largest |value| merges, a gap at or
+    above CLUSTER_AMBIGUITY times that splits; with any gap in between the
+    grouping is ambiguous and the result is None. An all-zero sequence is one
+    cluster.
     """
-    scale = max(1.0, float(np.abs(values_desc[0])))
-    merge_below = CLUSTER_TOL * scale
+    merge = CLUSTER_TOL * float(np.max(np.abs(values_desc)))
     clusters = [[0]]
     for i, gap in enumerate(values_desc[:-1] - values_desc[1:], start=1):
-        if gap < merge_below:
+        if gap <= merge:
             clusters[-1].append(i)
-        elif gap >= CLUSTER_AMBIGUITY * merge_below:
+        elif gap >= CLUSTER_AMBIGUITY * merge:
             clusters.append([i])
         else:
             return None

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import frame_bounds, is_frame, is_funtf, norms_squared
-from .errors import ConnectError, InadmissibleError, OffFiberError
+from .core import _unit_norm, frame_bounds, norms_squared
+from .errors import ConnectError, InadmissibleError, NotAFrameError, OffFiberError
 from .fiber import FiberTarget
 from .fileio import _frame_obj, _mat_to_obj, _read_operator, read_frame, read_target, write_frame, write_path
 from .flows import (
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--max-iters",
         type=int,
-        default=2000,
+        default=FlowOptions.max_iters,
         help="most iterations of the repair run (Newton steps, gradient steps or alternating rounds)",
     )
     c.add_argument("--out", help="output frame file for the repaired frame")
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("frame_from", help="start frame file")
     c.add_argument("frame_to", help="end frame file")
     c.add_argument("target", help="fiber target file (JSON)")
-    c.add_argument("--delta", type=float, default=0.05, help="max relative step between samples")
+    c.add_argument("--delta", type=float, default=ConnectOptions.delta, help="max relative step between samples")
     c.add_argument("--out", required=True, help="output path file (JSON Lines)")
     c.set_defaults(handler=_cmd_connect)
 
@@ -120,15 +120,18 @@ def _cmd_check(args, out: _Output) -> int:
     F = read_frame(args.frame)
     out.add("k", F.shape[0])
     out.add("N", F.shape[1])
-    ok = is_frame(F)
-    out.add("is_frame", ok)
-    failed = not ok
-    if ok:
+    # one SVD decides is_frame, the bounds, is_tight and is_funtf
+    try:
         b = frame_bounds(F)
+    except NotAFrameError:
+        b = None
+    out.add("is_frame", b is not None)
+    failed = b is None
+    if b is not None:
         out.add("lower_bound", b.lower)
         out.add("upper_bound", b.upper)
         out.add("is_tight", b.is_tight(args.tol))
-        out.add("is_funtf", is_funtf(F, args.tol))
+        out.add("is_funtf", b.is_tight(args.tol) and _unit_norm(F, args.tol))
     mom = momentum(F)
     out.add("momentum_consistency", mom.consistency_residual())
     if args.target:
@@ -252,7 +255,7 @@ def main(argv=None) -> int:
     out = _Output(args)
     try:
         code = args.handler(args, out)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out.flush()

@@ -133,6 +133,9 @@ def is_tight(F, tol: float = 1e-8) -> bool:
 
 def is_funtf(F, tol: float = 1e-8) -> bool:
     """True for a unit-norm tight frame: tight and every ||f_j||^2 = 1."""
-    if not is_tight(F, tol):
-        return False
+    return is_tight(F, tol) and _unit_norm(F, tol)
+
+
+def _unit_norm(F, tol: float) -> bool:
+    """Whether every ||f_j||^2 is within tol of 1, the norm half of is_funtf."""
     return bool(np.max(np.abs(norms_squared(F) - 1.0)) <= tol)

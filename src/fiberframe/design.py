@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary, spectral_clusters
 from .errors import InadmissibleError
-from .fiber import FiberTarget, _positive_vector, _regular_target, as_spectrum
+from .fiber import FiberTarget, _positive_vector, _regular_target, _sums_agree, as_spectrum
 from .flows import FlowOptions, _residual, project_to_fiber
 
 __all__ = [
@@ -67,20 +67,20 @@ def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
 
     Checks sum(r) = sum(lambda) and the descending partial-sum inequalities
     sum of the ell largest r <= sum of the ell largest lambda for ell = 1..k,
-    all with absolute slack 1e-10 * max(1, sum(lambda)).
+    all with slack 1e-10 * sum(lambda), relative at every scale: scaling
+    both by c > 0 leaves the verdict as it is.
     """
     return _admissibility(as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq"))
 
 
 def _admissibility(lam: np.ndarray, r: np.ndarray) -> AdmissibilityCheck:
-    """The majorization test of r by a descending lam, with slack MAJORIZATION_TOL."""
+    """The majorization test of r by a descending lam, with slack MAJORIZATION_TOL * sum(|lam|)."""
     k, N = lam.size, r.size
-    slack = MAJORIZATION_TOL * max(1.0, float(np.sum(lam)))
     if N < k:
         return AdmissibilityCheck(False, kind="shape", lhs=float(N), rhs=float(k))
-    total_r, total_lam = float(np.sum(r)), float(np.sum(lam))
-    if abs(total_r - total_lam) > slack:
-        return AdmissibilityCheck(False, kind="total", lhs=total_r, rhs=total_lam)
+    if not _sums_agree(lam, r):
+        return AdmissibilityCheck(False, kind="total", lhs=float(np.sum(r)), rhs=float(np.sum(lam)))
+    slack = MAJORIZATION_TOL * float(np.sum(np.abs(lam)))
     rs = np.sort(r)[::-1]
     sums_r = np.cumsum(rs[:k])
     sums_lam = np.cumsum(lam)
@@ -150,7 +150,7 @@ def _rotation_chain(vals: np.ndarray, d: np.ndarray) -> np.ndarray:
         pj, pk = pos[j], pos[j + 1]
         denom = a - b
         vrest = a + b - t
-        if denom <= 1e-14 * max(1.0, abs(a), abs(b)):
+        if denom <= 1e-14 * max(abs(a), abs(b)):
             c, s = 1.0, 0.0
         else:
             c2 = min(max((t - b) / denom, 0.0), 1.0)

@@ -54,9 +54,10 @@ class FlagType:
 def flag_type(operator) -> FlagType:
     """Cluster the spectrum of a Hermitian operator into a flag type.
 
-    Eigenvalues are grouped when their gap is below 1e-8 times max(1, largest
-    eigenvalue); a gap inside the ambiguity band from there to ten times that
-    raises ClusteringError rather than silently picking a side.
+    Eigenvalues are grouped when their gap is at most 1e-8 times the largest
+    |eigenvalue|, so c S has the flag type of S for every c > 0; a gap inside
+    the ambiguity band from there to ten times that raises ClusteringError
+    rather than silently picking a side.
     """
     S = as_hermitian(operator, name="operator")
     w, _U, clusters = spectral_clusters(S)
@@ -89,23 +90,23 @@ def reduced_dimension(ft: FlagType, N: int) -> int:
 
 
 def same_gram_class(F1, F2, tol: float = 1e-8) -> bool:
-    """Whether the two frames have the same Gram matrix within tolerance."""
+    """Whether the two frames have the same Gram matrix within tolerance tol relative to ||F1* F1||."""
     F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
     G1, G2 = gram(F1), gram(F2)
-    return bool(np.linalg.norm(G1 - G2) <= tol * max(1.0, np.linalg.norm(G1)))
+    return bool(np.linalg.norm(G1 - G2) <= tol * np.linalg.norm(G1))
 
 
 def unitary_equivalent(F1, F2, tol: float = 1e-8):
     """Unitary U with U F1 = F2 when one exists, else None.
 
     Equal Gram matrices force such a U; it is recovered as the unitary polar
-    factor of F2 F1*, and the candidate is verified against tol before being
-    returned.
+    factor of F2 F1*, and the candidate is verified before being returned:
+    ||U F1 - F2|| at most tol times ||F1||.
     """
     F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
     U = polar_unitary(F2 @ F1.conj().T)
     resid = np.linalg.norm(U @ F1 - F2)
-    if resid <= tol * max(1.0, np.linalg.norm(F1)):
+    if resid <= tol * np.linalg.norm(F1):
         return U
     return None
 
@@ -113,16 +114,15 @@ def unitary_equivalent(F1, F2, tol: float = 1e-8):
 def spectrum_correspondence_residual(F) -> float:
     """How far eig(F F*) is from the nonzero part of eig(F* F), relatively.
 
-    Returns the largest deviation between the descending spectra (the Gram
-    tail beyond rank k must vanish), divided by max(1, largest eigenvalue).
+    Returns the largest deviation between the descending spectra, each
+    padded with zeros to length max(k, N) (so the tail beyond rank min(k, N)
+    must vanish), divided by the largest eigenvalue of F F* (by the smallest
+    positive float for F = 0), so it does not change when F is scaled.
     """
     F = as_frame_matrix(F)
-    k = F.shape[0]
+    k, N = F.shape
     w_op = np.linalg.eigvalsh(F @ F.conj().T)[::-1]
     w_gram = np.linalg.eigvalsh(gram(F))[::-1]
-    top = w_gram[:k]
-    tail = w_gram[k:]
-    dev = float(np.max(np.abs(w_op - top)))
-    if tail.size:
-        dev = max(dev, float(np.max(np.abs(tail))))
-    return dev / max(1.0, float(np.abs(w_op[0])))
+    n = max(k, N)
+    dev = float(np.max(np.abs(np.pad(w_op, (0, n - k)) - np.pad(w_gram, (0, n - N)))))
+    return dev / max(float(np.abs(w_op[0])), np.finfo(float).tiny)

@@ -27,6 +27,14 @@ def _positive_vector(values, name: str) -> np.ndarray:
     return v
 
 
+def _sums_agree(values: np.ndarray, r: np.ndarray) -> bool:
+    """The sums rule of a fiber: sum(r) = sum(values) up to MAJORIZATION_TOL times sum(|values|).
+
+    values is a spectrum, or the diagonal of an operator, whose sum is its trace.
+    """
+    return abs(float(np.sum(r)) - float(np.sum(values))) <= MAJORIZATION_TOL * float(np.sum(np.abs(values)))
+
+
 def _regular_target(S: np.ndarray, r: np.ndarray) -> None:
     """ValueError unless (S, -r / 2) is a regular value of the momentum map, for a Hermitian S."""
     check = _regular_value(S, -0.5 * r)
@@ -59,8 +67,7 @@ class FiberTarget:
         if r.size < S.shape[0]:
             raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
         _regular_target(S, r)
-        total = float(np.sum(r))
-        if abs(float(np.trace(S).real) - total) > MAJORIZATION_TOL * max(1.0, total):
+        if not _sums_agree(np.diagonal(S).real, r):
             raise ValueError("trace(operator) must equal sum(norms_sq); fiber is empty")
         object.__setattr__(self, "operator", S)
         object.__setattr__(self, "norms_sq", r)

@@ -171,7 +171,7 @@ class PathCheck:
         return self.ok
 
 
-def validate_path(path: FramePath, tol: float = 1e-8, delta: float = 0.05, endpoints=None):
+def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOptions.delta, endpoints=None):
     """Check that every sample sits on the fiber and steps stay small.
 
     tol is in norm units: a sample passes when its squared residual is at

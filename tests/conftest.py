@@ -46,10 +46,13 @@ def rand_pd_hermitian(rng, k, spread=2.0):
 
 
 def first_violation_bruteforce(lam, r, tol=1e-10):
-    """Independent admissibility oracle: ('', None) if admissible, else (kind, ell)."""
+    """Independent admissibility oracle: ('', None) if admissible, else (kind, ell).
+
+    The slack is tol times sum(|lam|), relative at every scale.
+    """
     lam = np.sort(np.asarray(lam, float))[::-1]
     r = np.asarray(r, float)
-    slack = tol * max(1.0, float(lam.sum()))
+    slack = tol * float(np.abs(lam).sum())
     if r.size < lam.size:
         return "shape", None
     if abs(float(r.sum()) - float(lam.sum())) > slack:

@@ -66,6 +66,21 @@ class TestCheck:
         assert code == 1
         assert "is_frame: False" in out
 
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_one_svd_per_check(self, tmp_path, capsys, monkeypatch, rank_deficient):
+        # one frame_bounds call decides is_frame, the bounds, is_tight and is_funtf
+        t, tfile, (ffile,) = funtf_files(tmp_path)
+        if rank_deficient:
+            ffile = str(tmp_path / "flat.json")
+            write_frame(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]), ffile)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        code, out, _ = run(capsys, "check", ffile, "--target", tfile)
+        assert code == int(rank_deficient)
+        assert ("is_frame: False" if rank_deficient else "is_funtf: True") in out
+        assert len(calls) == 1
+
     def test_json_output_is_single_object(self, tmp_path, capsys):
         _, tfile, (ffile,) = funtf_files(tmp_path)
         code, out, _ = run(capsys, "--json", "check", ffile, "--target", tfile)
@@ -371,6 +386,20 @@ class TestEquiv:
         code, out, _ = run(capsys, "equiv", files[0], files[1])
         assert code == 1
         assert "equivalent: False" in out
+
+    def test_text_output_prints_the_unitary(self, tmp_path, capsys):
+        _, _, (ffile,) = funtf_files(tmp_path)
+        F = read_frame(ffile)
+        Q = np.array([[0.0, 1.0], [1j, 0.0]])
+        g = tmp_path / "rotated.json"
+        write_frame(Q @ F, g)
+        code, out, _ = run(capsys, "equiv", ffile, str(g))
+        assert code == 0
+        header, verdict, unitary = out.splitlines()
+        assert header.startswith("fiberframe ") and verdict == "equivalent: True"
+        obj = json.loads(unitary)
+        U = np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
+        assert np.linalg.norm(U - Q) <= 1e-8
 
 
 class TestErrors:

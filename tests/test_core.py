@@ -124,3 +124,8 @@ class TestTightness:
     def test_generic_frame_not_tight(self):
         F = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         assert not is_tight(F)
+
+    def test_non_frame_is_neither(self):
+        F = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        assert not is_tight(F)
+        assert not is_funtf(F)

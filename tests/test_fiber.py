@@ -54,6 +54,14 @@ class TestFiberTarget:
         with pytest.raises(ValueError, match="N >= k"):
             FiberTarget(operator=np.eye(3, dtype=complex), norms_sq=np.array([1.5, 1.5]))
 
+    @pytest.mark.parametrize("k,N", [(0, 3), (3, 2)])
+    def test_funtf_rejects_bad_shape(self, k, N):
+        with pytest.raises(ValueError, match="1 <= k <= N"):
+            FiberTarget.funtf(k, N)
+
+    def test_repr(self):
+        assert repr(FiberTarget.funtf(2, 4)) == "FiberTarget(k=2, N=4, trace=4)"
+
 
 class TestPositiveVectorRule:
     # one rule decides spectra and squared norms for every entry point, so each

@@ -71,6 +71,26 @@ class TestFrameRoundTrip:
         with pytest.raises(ValueError, match="complex literal"):
             read_frame(p)
 
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("(1+0j),(0+1j)\n\n(0+0j),(2+0j)\n\n")
+        assert np.array_equal(read_frame(p), np.array([[1.0, 1j], [0.0, 2.0]]))
+
+    def test_json_non_object_rejected(self, tmp_path):
+        p = tmp_path / "f.json"
+        p.write_text("[[1.0, 0.0]]")
+        with pytest.raises(ValueError, match="must contain a JSON object"):
+            read_frame(p)
+
+    @pytest.mark.parametrize("key", ["k", "N", "re", "im"])
+    def test_json_missing_key_rejected(self, tmp_path, key):
+        obj = {"k": 1, "N": 1, "re": [[1.0]], "im": [[0.0]]}
+        del obj[key]
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"missing key {key!r}"):
+            read_frame(p)
+
 
 class TestTargetRoundTrip:
     def test_operator_form(self, tmp_path):
@@ -98,6 +118,13 @@ class TestTargetRoundTrip:
         p = tmp_path / "t.json"
         p.write_text(json.dumps({"lambda": [2.0, 1.0], "r": [1.0, 1.0]}))
         with pytest.raises(ValueError):
+            read_target(p)
+
+    @pytest.mark.parametrize("S", [[[1.0]], {"re": [[1.0]]}])
+    def test_operator_not_a_matrix_object_rejected(self, tmp_path, S):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"S": S, "r": [1.0]}))
+        with pytest.raises(ValueError, match="S must be an object with 're' and 'im' arrays"):
             read_target(p)
 
 
@@ -180,4 +207,15 @@ class TestPathRoundTrip:
         p = tmp_path / "path.jsonl"
         p.write_text("")
         with pytest.raises(ValueError, match="empty"):
+            read_path(p)
+
+    @pytest.mark.parametrize("sample", [[0.0], {"re": [[1.0]], "im": [[0.0]]}])
+    def test_sample_not_a_timed_object_rejected(self, tmp_path, sample):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        p = tmp_path / "path.jsonl"
+        write_path(connect(F, F, t), p)
+        header, first, *rest = p.read_text().splitlines()
+        p.write_text("\n".join([header, json.dumps(sample), *rest]) + "\n")
+        with pytest.raises(ValueError, match="path sample must be an object with 't'"):
             read_path(p)

@@ -48,6 +48,10 @@ class TestFlagType:
         with pytest.raises(ValueError):
             FlagType(eigenvalues=(2.0,), multiplicities=(0,))
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            FlagType(eigenvalues=(2.0, 1.0), multiplicities=(2,))
+
 
 class TestDimensions:
     def test_funtf_two_four(self):
@@ -75,6 +79,10 @@ class TestDimensions:
                 for j in range(i + 1, len(mults))
             )
             assert orbit_dimension(ft) == expected
+
+    def test_reduced_dimension_needs_n_at_least_k(self):
+        with pytest.raises(ValueError, match="at least as many vectors"):
+            reduced_dimension(FlagType(eigenvalues=(1.0,), multiplicities=(3,)), 2)
 
 
 class TestGramClass:
@@ -139,3 +147,9 @@ class TestSpectrumCorrespondence:
             N = int(rng.integers(k, 9))
             F = rand_frame(rng, k, N)
             assert spectrum_correspondence_residual(F) <= 1e-10
+
+    @pytest.mark.parametrize("k,N", [(3, 2), (3, 1), (4, 2)])
+    def test_more_rows_than_columns(self, k, N):
+        # F F* then has k - N zero eigenvalues, the tail the Gram spectrum lacks
+        F = rand_frame(np.random.default_rng(47), k, N)
+        assert spectrum_correspondence_residual(F) <= 1e-10

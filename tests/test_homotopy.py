@@ -68,6 +68,12 @@ class TestFramePath:
         with pytest.raises(ValueError):
             FramePath(np.array([0.0, 0.0, 1.0]), np.stack([F, F, F]), t)
 
+    def test_rejects_fewer_than_two_samples(self):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        with pytest.raises(ValueError, match="need at least two samples"):
+            FramePath(np.array([0.0]), F[None], t)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_times(self, bad):
         # a NaN time fails no ordering comparison, and write_path would write a

@@ -8,7 +8,14 @@ import pytest
 from conftest import rand_frame, rand_unitary
 
 import fiberframe
-from fiberframe._linalg import RANK_RTOL, frame_polar_isometry, full_row_rank, unitary_log_factors
+from fiberframe._linalg import (
+    RANK_RTOL,
+    as_complex_matrix,
+    as_hermitian,
+    frame_polar_isometry,
+    full_row_rank,
+    unitary_log_factors,
+)
 
 
 def _unitary(kind, k, rng):
@@ -66,6 +73,16 @@ class TestFullRowRank:
             frame_polar_isometry(rand_frame(np.random.default_rng(1), 3, 2))
         Q = frame_polar_isometry(rand_frame(np.random.default_rng(2), 2, 3))
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(2)) <= 1e-12
+
+
+class TestInputRules:
+    def test_wrong_ndim_rejected(self):
+        with pytest.raises(ValueError, match="F must be 2-dimensional, got shape \\(3,\\)"):
+            as_complex_matrix(np.ones(3), "F")
+
+    def test_non_square_not_hermitian(self):
+        with pytest.raises(ValueError, match="S must be square, got shape \\(2, 3\\)"):
+            as_hermitian(np.ones((2, 3)), "S")
 
 
 def test_import_does_not_load_scipy():

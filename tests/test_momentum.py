@@ -165,6 +165,14 @@ class TestDerivative:
             with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs"):
                 derivative(F, X)
 
+    def test_non_square_arguments_rejected(self):
+        with pytest.raises(ValueError, match=r"skew part must be square, got \(2, 3\)"):
+            LieAlgebraElement(np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match=r"W has shape \(3, 3\), expected \(2, 2\)"):
+            invert_momentum_derivative(np.eye(2, 3), np.eye(3))
+        chk = is_regular_value(np.ones((2, 3)), np.array([-1.0, -1.0, -1.0]))
+        assert not chk and chk.reason == "operator part is not square"
+
     def test_torus_derivative_formula(self):
         rng = np.random.default_rng(8)
         F = rand_frame(rng, 2, 5)

@@ -25,6 +25,9 @@ class TestAdmissibility:
         assert is_admissible([2.0, 1.0], [1.0, 1.0, 1.0])
         assert is_admissible([3.0, 1.0], [2.5, 1.0, 0.5])
 
+    def test_describe_admissible(self):
+        assert is_admissible([2.0, 1.0], [1.0, 1.0, 1.0]).describe() == "admissible"
+
     def test_partial_sum_violation(self):
         chk = is_admissible([1.0, 1.0], [1.5, 0.5])
         assert not chk
@@ -94,6 +97,10 @@ class TestHermitianWithDiagonal:
             hermitian_with_diagonal([1.0, 0.0], [1.5, -0.5])
         with pytest.raises(ValueError):
             hermitian_with_diagonal([1.0, 0.0], [0.6, 0.6])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="need 3 spectrum values, got 2"):
+            hermitian_with_diagonal([1.0, 0.0], [0.5, 0.25, 0.25])
 
 
 SINGULAR = "operator part is not positive definite"
@@ -172,6 +179,10 @@ class TestRandomAdmissibleNorms:
             assert np.all(r > 0)
             assert is_admissible(lam, r)
             assert float(r.sum()) == pytest.approx(float(lam.sum()), rel=1e-12)
+
+    def test_rejects_fewer_vectors_than_dimensions(self):
+        with pytest.raises(ValueError, match="at least as many vectors"):
+            random_admissible_norms([2.0, 1.0, 1.0], 2, np.random.default_rng(0))
 
 
 class TestRandomFrameOnFiber:
