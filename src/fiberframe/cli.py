@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import _unit_norm, frame_bounds, norms_squared
-from .errors import ConnectError, InadmissibleError, NotAFrameError, OffFiberError
+from .core import _bounds_or_none, _funtf, norms_squared
+from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
 from .fileio import _frame_obj, _mat_to_obj, _read_operator, read_frame, read_target, write_frame, write_path
 from .flows import (
@@ -121,17 +121,14 @@ def _cmd_check(args, out: _Output) -> int:
     out.add("k", F.shape[0])
     out.add("N", F.shape[1])
     # one SVD decides is_frame, the bounds, is_tight and is_funtf
-    try:
-        b = frame_bounds(F)
-    except NotAFrameError:
-        b = None
+    b = _bounds_or_none(F)
     out.add("is_frame", b is not None)
     failed = b is None
     if b is not None:
         out.add("lower_bound", b.lower)
         out.add("upper_bound", b.upper)
         out.add("is_tight", b.is_tight(args.tol))
-        out.add("is_funtf", b.is_tight(args.tol) and _unit_norm(F, args.tol))
+        out.add("is_funtf", _funtf(F, b, args.tol))
     mom = momentum(F)
     out.add("momentum_consistency", mom.consistency_residual())
     if args.target:

@@ -116,26 +116,31 @@ def frame_bounds(F) -> FrameBounds:
 
 def is_frame(F) -> bool:
     """True when the columns span C^k."""
-    try:
-        frame_bounds(F)
-    except NotAFrameError:
-        return False
-    return True
+    return _bounds_or_none(F) is not None
 
 
 def is_tight(F, tol: float = 1e-8) -> bool:
     """True when the frame bounds coincide up to relative tolerance tol."""
-    try:
-        return frame_bounds(F).is_tight(tol)
-    except NotAFrameError:
-        return False
+    b = _bounds_or_none(F)
+    return b is not None and b.is_tight(tol)
 
 
 def is_funtf(F, tol: float = 1e-8) -> bool:
     """True for a unit-norm tight frame: tight and every ||f_j||^2 = 1."""
-    return is_tight(F, tol) and _unit_norm(F, tol)
+    return _funtf(F, _bounds_or_none(F), tol)
 
 
-def _unit_norm(F, tol: float) -> bool:
-    """Whether every ||f_j||^2 is within tol of 1, the norm half of is_funtf."""
-    return bool(np.max(np.abs(norms_squared(F) - 1.0)) <= tol)
+def _bounds_or_none(F) -> FrameBounds | None:
+    """frame_bounds(F), or None when F is not a frame."""
+    try:
+        return frame_bounds(F)
+    except NotAFrameError:
+        return None
+
+
+def _funtf(F, b: FrameBounds | None, tol: float) -> bool:
+    """The is_funtf verdict for F with bounds b (None for a non-frame).
+
+    A caller that already holds b reads the verdict without a second SVD.
+    """
+    return b is not None and b.is_tight(tol) and bool(np.max(np.abs(norms_squared(F) - 1.0)) <= tol)
