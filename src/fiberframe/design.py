@@ -263,8 +263,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
         B = np.zeros((target.k, target.k), dtype=complex)
         for cl in clusters:
             m = len(cl)
-            block = haar_unitary(m, rng) if m > 1 else np.exp(1j * rng.uniform(0, 2 * np.pi, 1))
-            B[np.ix_(cl, cl)] = block if m > 1 else block.reshape(1, 1)
+            B[np.ix_(cl, cl)] = haar_unitary(m, rng) if m > 1 else np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
         F = (U @ B @ U.conj().T) @ F
 
     F, _rep = project_to_fiber(F @ haar_unitary(N, rng), target, FlowOptions(tol=1e-26))

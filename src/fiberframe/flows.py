@@ -303,15 +303,13 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
         if gnorm2 == 0.0:
             return report("stalled", "gradient vanished away from the fiber")
         s = step
-        accepted = False
         for _ in range(80):
             Fn = F - s * G
             phin = _residual(Fn, target)
             if phin <= phi - _ARMIJO_C * s * gnorm2:
-                accepted = True
                 break
             s *= _BACKTRACK
-        if not accepted:
+        else:
             return report("stalled", "line search hit the floating-point floor")
         F, phi = Fn, phin
         trace.append(phi)
@@ -388,12 +386,13 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
 def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
     """Damped Gauss-Newton on a stack of frames F (n, k, N), each row on its own.
 
-    Every iteration takes one normal-space step per live row from one stacked
-    _normal_preimage call and evaluates each trial on the whole live stack; a
-    row whose Phi does not decrease halves its own step and tries again (25
-    tries). A row leaves the stack when Phi <= opts.tol (converged) or when
-    no damped step decreases its Phi (stalled); at most opts.max_iters
-    iterations run.
+    Every iteration takes one normal-space step dF per live row from one
+    stacked _normal_preimage call and tries X + dF on the whole live stack;
+    after each try, every row whose Phi did not decrease halves its own dF,
+    and the stack tries X + dF again, so try j of a row is X + 2^-j dF (25
+    tries, j = 0 .. 24). A row leaves the stack when Phi <= opts.tol
+    (converged) or when no damped step decreases its Phi (stalled); at most
+    opts.max_iters iterations run.
 
     Returns (frames, phi, iterations, trace, stalled): per row, its final Phi,
     its accepted steps and whether it stalled; trace[i, j] is Phi of row j
@@ -419,26 +418,21 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
             F[rows[~keep]], iters[rows[~keep]] = X[~keep], it
             rows, X, p, delta, gap = rows[keep], X[keep], p[keep], delta[keep], gap[keep]
         dF = _normal_preimage(X, delta, gap)
-        Xn = X + dF
-        dn, gn = _gaps(Xn, target)
-        pn = _phi(dn, gn)
-        ok = pn < p
-        if np.count_nonzero(ok) < len(rows):
-            step = np.ones(len(rows))
-            for _ in range(24):
-                step[~ok] *= 0.5
-                Xt = X + step[:, None, None] * dF
-                dt, gt = _gaps(Xt, target)
-                pt = _phi(dt, gt)
-                new = ~ok & (pt < p)
-                Xn[new], dn[new], gn[new], pn[new] = Xt[new], dt[new], gt[new], pt[new]
-                ok |= new
-                if np.count_nonzero(ok) == len(rows):
-                    break
-            else:
-                # stalled rows leave with their last accepted frame
-                F[rows[~ok]], iters[rows[~ok]], stalled[rows[~ok]] = X[~ok], it, True
-                rows, Xn, pn, dn, gn = rows[ok], Xn[ok], pn[ok], dn[ok], gn[ok]
+        # halving is exact, so try j is X + 2^-j dF bit for bit (save where
+        # an entry of dF is subnormal); a row that accepted keeps its dF, so
+        # its trial frame and Phi recur unchanged
+        for _ in range(25):
+            Xn = X + dF
+            dn, gn = _gaps(Xn, target)
+            pn = _phi(dn, gn)
+            ok = pn < p
+            if np.count_nonzero(ok) == len(rows):
+                break
+            dF[~ok] *= 0.5
+        else:
+            # stalled rows leave with their last accepted frame
+            F[rows[~ok]], iters[rows[~ok]], stalled[rows[~ok]] = X[~ok], it, True
+            rows, Xn, pn, dn, gn = rows[ok], Xn[ok], pn[ok], dn[ok], gn[ok]
         X, p, delta, gap = Xn, pn, dn, gn
         if len(rows) == n:
             phi = p

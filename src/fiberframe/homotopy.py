@@ -113,7 +113,7 @@ class ConnectReport:
 
 @dataclass(eq=False)
 class FramePath:
-    """Discrete path on a fiber: finite times in [0, 1] with one frame per time.
+    """Discrete path on a fiber: finite times in [0, 1] with one finite frame per time.
 
     report and check hold the counts and the PathCheck of the connect() run
     that traced the path; both are None for a path read from file.
@@ -127,7 +127,7 @@ class FramePath:
 
     def __post_init__(self):
         t = _finite_array(self.times, np.float64, 1, "times")
-        Fs = np.asarray(self.frames)
+        Fs = _finite_array(self.frames, np.complex128, 3, "frames")
         if t.size < 2:
             raise ValueError("need at least two samples")
         if Fs.shape != (t.size, self.target.k, self.target.N):
@@ -139,8 +139,7 @@ class FramePath:
             raise ValueError("times must start at 0 and end at 1")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        self.times = t
-        self.frames = Fs.astype(np.complex128, copy=False)
+        self.times, self.frames = t, Fs
 
     def __len__(self) -> int:
         return self.times.size
@@ -149,8 +148,6 @@ class FramePath:
         return zip(self.times, self.frames)
 
     def residuals(self) -> np.ndarray:
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("frames contain non-finite entries")
         return _phi(*_gaps(self.frames, self.target))
 
     def step_norms(self) -> np.ndarray:
@@ -187,9 +184,10 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
     scale = float(np.linalg.norm(path.frames[0]))
     step_limit = delta * scale
     max_res = float(np.max(res))
-    max_step = float(np.max(steps)) if steps.size else 0.0
+    max_step = float(np.max(steps))
     problems = []
-    if max_res > tol * tol:
+    # not <=: a NaN residual (a frame made non-finite after the path was built) fails
+    if not max_res <= tol * tol:
         problems.append(f"sample residual {max_res:.3e} exceeds tol^2 = {tol * tol:.3e}")
     if max_step > step_limit * (1.0 + 1e-9):
         problems.append(f"step {max_step:.3e} exceeds delta * ||F_0|| = {step_limit:.3e}")
@@ -394,9 +392,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # projected onto the far end of its gap fails the progress check.
     seg = _frobenius(np.diff(arr, axis=0))
     keep = np.concatenate(([True], seg[:-1] > close, [True]))
-    if not keep.all():
-        arr, t = arr[keep], t[keep]
-        seg = _frobenius(np.diff(arr, axis=0))
+    arr, t = arr[keep], t[keep]
+    seg = _frobenius(np.diff(arr, axis=0))
 
     # arr holds the path in order with chord parameters t, and seg[i] is the
     # distance from arr[i] to arr[i + 1]. Each round merges the chord points of

@@ -53,6 +53,11 @@ def perturbed_fiber_point(target, seed, rel=1e-2):
     return F + rel * np.linalg.norm(F) * G / np.linalg.norm(G)
 
 
+# a critical point of Phi off its fiber (k = 1, N = 2)
+CRITICAL_TARGET = FiberTarget(operator=[[1.5]], norms_sq=[0.5, 1.0])
+CRITICAL_START = np.array([[1.0, 0.0]], dtype=complex)
+
+
 class TestResidual:
     def test_zero_on_fiber(self):
         F = construct_frame([2.0, 1.0], [1.0, 1.0, 1.0])
@@ -123,6 +128,27 @@ class TestGradientFlow:
         _, rep = flow_to_fiber(F0, t, FlowOptions(max_iters=2, tol=1e-30))
         assert rep.status in ("max_iters", "stalled")
         assert rep.iterations <= 2
+
+    def test_gradient_vanishes_at_critical_point_off_the_fiber(self):
+        # f = (1, 0) on S = 1.5, r = (0.5, 1): Phi = 0.25 + 0.25 + 1 = 1.5, and the
+        # gradient 4 (F F* - S) F + 4 F diag(|f_j|^2 - r_j) is exactly 0, since
+        # the first column's two defects cancel and the second column is 0
+        t = CRITICAL_TARGET
+        F, rep = flow_to_fiber(CRITICAL_START, t)
+        assert np.array_equal(fiber_residual_gradient(CRITICAL_START, t), np.zeros((1, 2)))
+        assert rep.status == "stalled" and rep.iterations == 0
+        assert rep.message == "gradient vanished away from the fiber"
+        assert rep.final_residual == 1.5
+        assert np.array_equal(F, CRITICAL_START)
+
+    def test_projection_stalls_at_critical_point_off_the_fiber(self):
+        # the normal space there moves the first column alone, along which
+        # Phi is already least, so no damped Newton step lowers it
+        F, rep = project_to_fiber(CRITICAL_START, CRITICAL_TARGET)
+        assert rep.status == "stalled" and rep.iterations == 0
+        assert rep.message == "no damped step decreases the residual"
+        assert rep.final_residual == 1.5
+        assert np.array_equal(F, CRITICAL_START)
 
 
 class TestProjections:
@@ -474,6 +500,36 @@ class TestStackedSolve:
             assert_allclose(trace[: iters[i] + 1, i], rep.residual_trace, rtol=1e-9, atol=1e-30)
             # after a row leaves, its trace holds its final Phi
             assert np.all(trace[iters[i] :, i] == phi[i])
+
+    def test_trial_loop_is_exact(self):
+        # one row takes its full step, one needs halvings, one stalls at once
+        # (the critical point), all in the same trial loop
+        t = CRITICAL_TARGET
+        starts = np.array([[[0.75, 1.0]], [[0.1, 0.05]], [[1.0, 0.0]]], dtype=complex)
+        opts = FlowOptions(tol=1e-24)
+        Fs, phi, iters, trace, stalled = _newton(starts, t, opts)
+        statuses = []
+        for i in range(3):
+            F, rep = newton_refine(starts[i], t, opts)
+            statuses.append(rep.status)
+            assert np.array_equal(Fs[i], F)
+            assert iters[i] == rep.iterations
+            assert np.array_equal(trace[: iters[i] + 1, i], rep.residual_trace)
+            assert stalled[i] == (rep.status == "stalled")
+        assert statuses == ["converged", "converged", "stalled"] and iters[2] == 0
+        # the first accepted frame of each row is X + 2^-j dF, j its first
+        # try that lowers Phi, bit for bit
+        first, _phi1, _iters, _trace, _stalled = _newton(starts, t, FlowOptions(max_iters=1, tol=1e-24))
+        tries = []
+        for i in range(2):
+            X = starts[i]
+            p = _phi(*_gaps(X[None], t))[0]
+            dF = _normal_preimage(X[None], *_gaps(X[None], t))[0]
+            j = next(j for j in range(25) if _phi(*_gaps((X + 2.0**-j * dF)[None], t))[0] < p)
+            assert np.array_equal(first[i], X + 2.0**-j * dF)
+            tries.append(j)
+        assert tries[0] == 0 and tries[1] >= 1
+        assert np.array_equal(first[2], CRITICAL_START)
 
     def test_stacked_residual_sums_match_single_frames(self):
         # the loop's residuals are summed as fiber_residual sums one frame, so

@@ -108,9 +108,17 @@ class TestFramePath:
         F = random_frame_on_fiber(t, seed=0)
         G = F.copy()
         G[1, 2] = complex(0.0, np.inf)
-        path = FramePath(np.array([0.0, 0.5, 1.0]), np.stack([F, G, F]), t)
         with pytest.raises(ValueError, match="non-finite"):
-            path.residuals()
+            FramePath(np.array([0.0, 0.5, 1.0]), np.stack([F, G, F]), t)
+
+    def test_validation_fails_a_sample_made_non_finite_later(self):
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        path = FramePath(np.array([0.0, 0.5, 1.0]), np.stack([F, F, F]), t)
+        assert validate_path(path, delta=10.0)
+        path.frames[1, 0, 0] = np.nan
+        check = validate_path(path, delta=10.0)
+        assert not check and "sample residual nan" in check.message
 
     def test_rejects_shape_mismatch(self):
         t = FiberTarget.funtf(2, 4)
