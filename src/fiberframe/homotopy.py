@@ -9,11 +9,12 @@ it. The endpoints are aligned over U(k)_S x T^N first: a unitary V
 commuting with S and column phases D = diag(exp(i phi)) with V F1 D close to
 F0, by alternating exact minimisation. The unwind s -> Z exp(i (1 - s) theta) Z*
 F1 diag(exp(i (1 - s) phi)), with V = Z diag(exp(i theta)) Z*, then runs
-from V F1 D to F1 on the fiber exactly. The endpoints and the unwind samples
-are the anchors. The path is one ordered array of frames, and a bridge pass
-subdivides its gaps wider than delta round by round: a round cuts each open
-gap into 2, 4 or 8 pieces (up to three bisection levels), projects the chord
-points of all open gaps onto the fiber in one stacked Newton solve (a point
+from V F1 D to F1 on the fiber exactly, in steps of equal arc length at most
+delta. The endpoints and the unwind samples are the anchors. The path is one
+ordered array of frames, and a bridge pass subdivides its gaps wider than
+delta round by round: a round cuts each open gap into 2, 4, 8 or 16 pieces
+(up to four bisection levels), projects the chord points of all open gaps
+onto the fiber in one stacked Newton solve (a point
 whose projection is rejected is retried with seeded tangent kicks) and
 merges them into the array, and the pieces still wider than delta are the
 next round's open gaps. So the chord from F0 to V F1 D is bridged like every
@@ -49,16 +50,19 @@ __all__ = [
 _KICKS = 5
 _KICK_SCALE = 1e-4
 # a bridge round cuts a gap into at most 2^_ROUND_LEVELS pieces: at k = 2 a
-# Newton run of 8 rows costs about as much as one of 1, but rows far from the
-# fiber take more iterations, so with no cap funtf(8,64) and delta = 1e-3 ran
-# 1.2-1.3x slower than bisection, against about 1.0x and 0.75x with this cap
-_ROUND_LEVELS = 3
+# Newton run of 16 rows costs about as much as one of 1, and 16 pieces close
+# most of the 11-16 delta chords of the k = 2 fibers in one round instead of
+# two; but rows far from the fiber take more iterations, and a cap of 5 or 6
+# made funtf(8,64) and funtf(4,16) at delta = 1e-3 slower again
+_ROUND_LEVELS = 4
 # the bridge gives up when gaps stay open after _EXTRA_DEPTH rounds beyond
 # those a straight chord of the widest anchor gap needs
 _EXTRA_DEPTH = 4
 # bytes of kernel temporaries one stacked projection may hold; a round with
-# more rows is projected in several runs
-_STACK_BYTES = 1 << 24
+# more rows is projected in several runs. A (16,128) row holds about 0.9 MB,
+# and runs of 4 rows instead of 15 made funtf(16,128) about 12% faster on a
+# core with 4 MB of L2 cache
+_STACK_BYTES = 1 << 22
 
 
 def _positive(value, name: str) -> None:
@@ -291,14 +295,17 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     The anchors are F0, the on-fiber unwind samples and F1. The unwind runs
     over U(k)_S x T^N from the aligned endpoint V F1 D (V a unitary commuting
     with the operator's spectral clusters and D column phases, alternated to
-    bring F1 close to F0) to F1, in ceil(||V F1 D - F1|| / (delta ||F0|| / 2))
-    samples, of which those that pass the accept filter are kept; the report
-    counts both. Frames within COINCIDE_RTOL ||F0|| (1e-12 relative) are one
-    sample: F1 that close to F0 gives [F0, F1], V F1 D that close to F1 no
-    unwind, and an anchor that close to the one before it is dropped. The
-    bridge pass then runs round by round over the ordered array of samples:
-    each round cuts every gap of width w > delta into m = 2^min(_ROUND_LEVELS,
-    ceil(log2(w / delta))) pieces, projects their chord points in one Newton solve (in
+    bring F1 close to F0) to F1. Its column angles are shifted by the whole
+    turn that makes it shortest (the global phase acts through both groups),
+    and it takes ceil(L / (delta ||F0||)) samples of equal arc length, L its
+    exact length, so every step is within delta; those that pass the accept
+    filter are kept, and the report counts both. Frames within COINCIDE_RTOL
+    ||F0|| (1e-12 relative) are one sample: F1 that close to F0 gives
+    [F0, F1], V F1 D that close to F1 no unwind, and an anchor that close to
+    the one before it is dropped. The bridge pass then runs round by round
+    over the ordered array of samples: each round cuts every gap of width
+    w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w / delta))) pieces (2,
+    4, 8 or 16), projects their chord points in one Newton solve (in
     several when its kernel temporaries would pass _STACK_BYTES), retries
     each rejected point (accepted within half of path_tol^2) with seeded
     tangent kicks in path order and merges the points in; every piece of a
@@ -375,10 +382,19 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     V, phi = _symmetry_gauge(F0, F1, target.operator)
     reach = np.linalg.norm(V @ F1 * np.exp(1j * phi) - F1)
     if reach > close:
-        nsteps = max(1, int(np.ceil(reach / (0.5 * delta_abs))))
+        # the unwind is an orbit of a one-parameter group of isometries, so
+        # its length L is the norm of its constant velocity Z diag(theta) Z* F1
+        # + F1 diag(phi). Shifting phi by a whole turn 2 pi m keeps its ends
+        # (the global phase acts through both groups); m is the integer
+        # nearest the minimizer of L, and arcs of at most delta_abs keep every
+        # chord within delta
+        Z, theta = unitary_log_factors(V)
+        A = ((Z * theta) @ Z.conj().T) @ F1 + F1 * phi
+        turns = np.round(np.real(np.vdot(F1, A)) / (2.0 * np.pi * np.real(np.vdot(F1, F1))))
+        phi = phi - 2.0 * np.pi * turns
+        nsteps = int(np.ceil(np.linalg.norm(A - 2.0 * np.pi * turns * F1) / delta_abs))
         u = 1.0 - np.linspace(0.0, 1.0, nsteps + 1)[:-1]
         Fs = F1 * np.exp(1j * u[:, None, None] * phi)
-        Z, theta = unitary_log_factors(V)
         Fs = ((Z * np.exp(1j * u[:, None] * theta)[:, None, :]) @ Z.conj().T) @ Fs
         unwind = Fs[_phi(*_gaps(Fs, target)) <= accept_tol]
         report.unwind, report.unwind_dropped = len(unwind), nsteps - len(unwind)
@@ -386,8 +402,9 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     t = np.minimum(np.arange(len(arr)), 1.0)
 
     # an anchor within close of the one before it is dropped; F0 and F1 stay.
-    # Unwind samples lie about delta / 2 apart, so this drops V F1 D when it
-    # coincides with F0 (F1 a symmetry image of F0). Bridge points are not
+    # Unwind steps are arcs of one length, above delta / 2 unless the unwind
+    # is one step of its whole length, so this drops V F1 D when it coincides
+    # with F0 (F1 a symmetry image of F0). Bridge points are not
     # pruned: each starts w / m > delta / 2 from its neighbours, and one
     # projected onto the far end of its gap fails the progress check.
     seg = _frobenius(np.diff(arr, axis=0))

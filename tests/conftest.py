@@ -136,17 +136,21 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     of the column inner products, are alternated from the closer of V alone
     and D alone, then each solved once more; the unwind multiplies numpy's
     eigendecomposition of V and the column phases, each raised to the power
-    1 - s. Two frames within 1e-12 ||F0|| are one sample: no unwind runs
-    when V F1 D is that close to F1, and an anchor that close to the one
-    before it is dropped (F0 and F1 stay). Each gap wider than delta, of
-    width w, is then bridged
-    recursively: it is cut into m = 2^min(3, ceil(log2(w / delta))) pieces
-    at the chord points Fa + (j / m)(Fb - Fa), one project_to_fiber call per
-    point from left to right, and each piece still wider than delta is
-    bridged the same way, left before right. Only public package functions
-    are used.
+    1 - s. Its column angles are shifted by the whole turn 2 pi m nearest to
+    the one that minimizes the unwind's length L, and it takes ceil(L / delta)
+    steps of equal arc length. Two frames within 1e-12 ||F0|| are one sample:
+    no unwind runs when V F1 D is that close to F1, and an anchor that close
+    to the one before it is dropped (F0 and F1 stay). Each gap wider than
+    delta, of width w, is then bridged recursively: it is cut into
+    m = 2^min(levels, ceil(log2(w / delta))) pieces at the chord points
+    Fa + (j / m)(Fb - Fa), one project_to_fiber call per point from left to
+    right, and each piece still wider than delta is bridged the same way,
+    left before right. The cap `levels` is the package's
+    homotopy._ROUND_LEVELS, so the reference follows its round geometry;
+    otherwise only public package functions are used.
     """
     from fiberframe import FlowOptions, fiber_residual, project_to_fiber
+    from fiberframe.homotopy import _ROUND_LEVELS as levels
 
     k, N = F0.shape
     scale = np.linalg.norm(F0)
@@ -185,7 +189,10 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     if reach > close:
         lam, Z = np.linalg.eig(V)
         Zinv = np.linalg.inv(Z)
-        nsteps = max(1, int(np.ceil(reach / (0.5 * step))))
+        velocity = (Z * np.angle(lam)) @ Zinv @ F1 + F1 * angles
+        turns = np.round(np.real(np.vdot(F1, velocity)) / (2.0 * np.pi * np.linalg.norm(F1) ** 2))
+        angles = angles - 2.0 * np.pi * turns
+        nsteps = int(np.ceil(np.linalg.norm(velocity - 2.0 * np.pi * turns * F1) / step))
         for s in np.linspace(0.0, 1.0, nsteps + 1)[:-1]:
             Fs = (Z * np.exp(1j * (1.0 - s) * np.angle(lam))) @ Zinv @ (F1 * np.exp(1j * (1.0 - s) * angles))
             if fiber_residual(Fs, target) <= accept:
@@ -195,7 +202,7 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
                       if np.linalg.norm(anchors[i] - anchors[i - 1]) > close] + [F1]
 
     def bridge(Fa, Fb):
-        m = 2 ** min(3, max(1, int(np.ceil(np.log2(np.linalg.norm(Fb - Fa) / step)))))
+        m = 2 ** min(levels, max(1, int(np.ceil(np.log2(np.linalg.norm(Fb - Fa) / step)))))
         points = [Fa]
         for j in range(1, m):
             M, _rep = project_to_fiber(Fa + (j / m) * (Fb - Fa), target, opts)

@@ -247,10 +247,10 @@ class TestConnect:
         obj = json.loads(out)
         assert obj["report"] == {
             "projections": 15,
-            "newton_iterations": 40,
+            "newton_iterations": 52,
             "kicks": 0,
-            "levels": 2,
-            "unwind": 66,
+            "levels": 1,
+            "unwind": 45,
             "unwind_dropped": 0,
         }
         code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", pfile)

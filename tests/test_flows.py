@@ -29,6 +29,7 @@ from fiberframe import (
     project_to_fiber,
     random_frame_on_fiber,
 )
+from fiberframe import flows
 from fiberframe._linalg import EIGEN_RTOL
 from fiberframe.flows import _gaps, _newton, _normal_preimage, _phi
 
@@ -140,6 +141,21 @@ class TestGradientFlow:
         assert rep.message == "gradient vanished away from the fiber"
         assert rep.final_residual == 1.5
         assert np.array_equal(F, CRITICAL_START)
+
+    def test_line_search_exhausted_by_too_long_a_first_step(self, monkeypatch):
+        # 80 halvings of a first step of 1e30 end near 1.7e6, where every trial
+        # raises Phi, so the search gives up with F unmoved. From a first step
+        # that suits the input the trials shrink until one rounds to F, and
+        # its zero decrease passes the Armijo test; the default first step,
+        # 0.1, is too long in this way for a frame at scale 1e12
+        monkeypatch.setattr(flows, "_STEP_INIT", 1e30)
+        t = FiberTarget.funtf(2, 4)
+        F0 = perturbed_fiber_point(t, seed=7)
+        F, rep = flow_to_fiber(F0, t)
+        assert rep.status == "stalled" and rep.iterations == 0
+        assert rep.message == "line search hit the floating-point floor"
+        assert rep.final_residual == fiber_residual(F0, t)
+        assert np.array_equal(F, F0)
 
     def test_projection_stalls_at_critical_point_off_the_fiber(self):
         # the normal space there moves the first column alone, along which

@@ -249,6 +249,16 @@ class TestTangentKick:
         ref *= size / np.linalg.norm(ref)
         assert np.linalg.norm(T - ref) <= 1e-12 * size
 
+    def test_zero_draw_gives_zero_kick(self):
+        # a draw with no tangent part has no direction to scale to `size`
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        F = random_frame_on_fiber(FiberTarget.funtf(2, 4), seed=0)
+        T = _tangent_kick(Zeros(), F, 1e-3)
+        assert T.dtype == F.dtype and np.array_equal(T, np.zeros_like(F))
+
 
 class TestConnect:
     def test_funtf_pair_validates(self):
@@ -391,9 +401,9 @@ class TestConnect:
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
         path = connect(F0, F1, t)
-        assert len(path) == 83
+        assert len(path) == 62
         assert path.report == ConnectReport(
-            projections=15, newton_iterations=40, kicks=0, levels=2, unwind=66, unwind_dropped=0
+            projections=15, newton_iterations=52, kicks=0, levels=1, unwind=45, unwind_dropped=0
         )
         again = connect(F0, F1, t, ConnectOptions(seed=7))
         assert again.report == path.report
@@ -408,6 +418,29 @@ class TestConnect:
         path = connect(F0, F1, t)
         assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert path.report.unwind > 0 and path.report.unwind_dropped > 0
+
+    def test_unwind_steps_by_arc_length(self, monkeypatch):
+        # V = exp(0.9 pi i) I and D = exp(0.9 pi i) I wind the same way: the
+        # aligned endpoint V F1 D = exp(-0.2 pi i) F1 is 0.62 ||F1|| from F1,
+        # but the unwind over these angles is 1.8 pi ||F1|| long, L / reach
+        # = 9.2. Shifting the column angles by a whole turn gives the same
+        # ends and length 0.2 pi ||F1||, cut into steps of arc at most delta;
+        # every unwind sample is exact and no gap between them is bridged
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        angle = 0.9 * np.pi
+        V = np.exp(1j * angle) * np.eye(2)
+        monkeypatch.setattr(homotopy, "_symmetry_gauge", lambda *args: (V, np.full(4, angle)))
+        path = connect(F0, F1, t)
+        step = 0.05 * np.linalg.norm(F0)
+        n = int(np.ceil(0.2 * np.pi * np.linalg.norm(F1) / step))
+        assert path.report.unwind == n and path.report.unwind_dropped == 0
+        u = 1.0 - np.arange(n) / n
+        unwind = np.exp(-0.2j * np.pi * u)[:, None, None] * F1
+        tail = path.frames[-n - 1 :]
+        assert np.max(np.linalg.norm(tail[:-1] - unwind, axis=(1, 2))) <= 1e-14 * np.linalg.norm(F0)
+        assert np.max(np.linalg.norm(np.diff(tail, axis=0), axis=(1, 2))) <= step
+        assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
 
     def test_level_split_into_runs_gives_same_path(self, monkeypatch):
         # a level larger than the memory cap is projected in several runs,
@@ -431,39 +464,43 @@ class TestConnect:
         assert split.report == whole.report
 
     def test_round_cuts_gap_by_its_width(self, monkeypatch):
-        # the chord F0 to V F1 D is 15.7 delta wide, so the first round cuts it
-        # into 8 pieces; the next cuts a piece of width in (delta, 2 delta] at
-        # its midpoint and one in (2 delta, 4 delta] into quarters
+        # the chord F0 to V F1 D is 15.7 delta wide at delta = 0.05, so the
+        # first round cuts it into 16 pieces; at 0.03 it is 26.2 delta wide and
+        # the cap of four levels cuts it into 16 pieces too. The next round
+        # leaves a piece of width at most delta whole, cuts one in
+        # (delta, 2 delta] at its midpoint and one in (2 delta, 4 delta] into
+        # quarters
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
         F0, F1 = _pair(t, 2, 9)
-        stacks = []
         real = homotopy._newton
-
-        def spy(X, target, opts):
-            out = real(X, target, opts)
-            stacks.append((X.copy(), out[0].copy()))
-            return out
-
-        monkeypatch.setattr(homotopy, "_newton", spy)
-        connect(F0, F1, t)
         V, phi = homotopy._symmetry_gauge(F0, F1, t.operator)
         E = V @ F1 * np.exp(1j * phi)
-        delta = 0.05 * np.linalg.norm(F0)
         tol = 1e-14 * np.linalg.norm(F0)
-        first, projected = stacks[0]
-        assert len(first) == 7
-        chord = F0 + np.arange(1, 8)[:, None, None] / 8 * (E - F0)
-        assert np.max(np.linalg.norm(first - chord, axis=(1, 2))) <= tol
-        ends = [F0, *projected, E]
-        widths = [np.linalg.norm(B - A) / delta for A, B in zip(ends, ends[1:])]
-        assert all(1.0 < w <= 4.0 for w in widths)
-        assert any(w <= 2.0 for w in widths) and any(w > 2.0 for w in widths)
-        expected = []
-        for A, B, w in zip(ends, ends[1:], widths):
-            m = 2 if w <= 2.0 else 4
-            expected += [A + (j / m) * (B - A) for j in range(1, m)]
-        second = stacks[1][0][: len(expected)]
-        assert np.max(np.linalg.norm(second - np.array(expected), axis=(1, 2))) <= tol
+        for delta, cuts in ((0.05, {1, 2}), (0.03, {2, 4})):
+            stacks = []
+
+            def spy(X, target, opts):
+                out = real(X, target, opts)
+                stacks.append((X.copy(), out[0].copy()))
+                return out
+
+            monkeypatch.setattr(homotopy, "_newton", spy)
+            connect(F0, F1, t, ConnectOptions(delta=delta))
+            step = delta * np.linalg.norm(F0)
+            first, projected = stacks[0]
+            assert len(first) == 15
+            chord = F0 + np.arange(1, 16)[:, None, None] / 16 * (E - F0)
+            assert np.max(np.linalg.norm(first - chord, axis=(1, 2))) <= tol
+            ends = [F0, *projected, E]
+            widths = [np.linalg.norm(B - A) / step for A, B in zip(ends, ends[1:])]
+            assert all(w <= 4.0 for w in widths)
+            pieces = [1 if w <= 1.0 else 2 if w <= 2.0 else 4 for w in widths]
+            assert set(pieces) == cuts
+            expected = []
+            for A, B, m in zip(ends, ends[1:], pieces):
+                expected += [A + (j / m) * (B - A) for j in range(1, m)]
+            second = stacks[1][0][: len(expected)]
+            assert np.max(np.linalg.norm(second - np.array(expected), axis=(1, 2))) <= tol
 
     def test_connect_error_carries_parameter(self):
         err = ConnectError("boom", t=0.25)
@@ -601,9 +638,9 @@ class TestConnectRecovery:
     def test_rejected_midpoint_recovered_by_kick(self, monkeypatch):
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
-        # row 3 is a bridge midpoint; it and the next four calls, its first
-        # four tangent kicks (a stack of one each), are rejected, and the
-        # fifth kick is accepted
+        # row 3 is a chord point of the first round; it and the next four
+        # calls, its first four tangent kicks (a stack of one each), are
+        # rejected, and the fifth kick is accepted; that round closes the path
         hit = []
 
         def rejected(row, call):
@@ -616,13 +653,13 @@ class TestConnectRecovery:
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
         assert chk.ok, chk.message
         c = hit[0]
-        assert len(calls) > c + 5
+        assert len(calls) == c + 5
         assert path.report.kicks == 5
-        midpoint = np.concatenate(calls)[2]
+        point = np.concatenate(calls)[2]
         kick = 1e-4 * np.linalg.norm(F0)
         for X in calls[c : c + 5]:
             assert len(X) == 1
-            assert np.linalg.norm(X[0] - midpoint) == pytest.approx(kick, rel=1e-9)
+            assert np.linalg.norm(X[0] - point) == pytest.approx(kick, rel=1e-9)
 
     @pytest.mark.parametrize(
         "target",
@@ -647,14 +684,14 @@ class TestConnectFailures:
     target = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
 
     def test_depth_budget_exhausted_raises(self, monkeypatch):
-        # the chord F0 to V F1 D needs four halvings, two rounds, and closes in
-        # two; at _EXTRA_DEPTH = -1 one round runs, after which its first
-        # eighth [0, 1/8] is still open
+        # the chord F0 to V F1 D needs four halvings, one round, and closes in
+        # two; at _EXTRA_DEPTH = 0 one round runs, after which its fourth
+        # sixteenth [3/16, 1/4] is the first piece still open
         F0, F1 = _pair(self.target, 2, 9)
-        monkeypatch.setattr(homotopy, "_EXTRA_DEPTH", -1)
+        monkeypatch.setattr(homotopy, "_EXTRA_DEPTH", 0)
         with pytest.raises(ConnectError, match="exceeded depth") as info:
             connect(F0, F1, self.target)
-        assert info.value.t == 0.0625
+        assert info.value.t == 0.21875
 
     def test_projection_onto_neighbour_raises_no_progress(self, monkeypatch):
         # every midpoint is "projected" onto F0, so the chord's first midpoint
@@ -673,7 +710,7 @@ class TestConnectFailures:
         assert info.value.t == 0.5
 
     def test_row_projected_onto_gap_end_raises_no_progress(self, monkeypatch):
-        # the first round's last chord point, at 7/8, is "projected" onto F0,
+        # the first round's last chord point, at 15/16, is "projected" onto F0,
         # so its piece up to V F1 D is as wide as the chord; the error carries
         # the chord's midpoint
         F0, F1 = _pair(self.target, 2, 9)
@@ -681,7 +718,7 @@ class TestConnectFailures:
 
         def last_onto_F0(X, target, opts):
             G, phi, *rest = real(X, target, opts)
-            G[6], phi[6] = F0, 0.0
+            G[14], phi[14] = F0, 0.0
             return (G, phi, *rest)
 
         monkeypatch.setattr(homotopy, "_newton", last_onto_F0)
