@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary, spectral_clusters
+from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary
 from .errors import InadmissibleError
 from .fiber import FiberTarget, _positive_vector, _regular_target, _sums_agree, as_spectrum
 from .flows import FlowOptions, _residual, project_to_fiber
@@ -254,7 +254,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     misses it.
     """
     rng = np.random.default_rng(seed)
-    w, U, clusters = spectral_clusters(target.operator)
+    w, U, clusters = target._spectral
     F = U @ construct_frame(w, target.norms_sq, rng=rng)
     N = target.N
     F = F * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))[None, :]

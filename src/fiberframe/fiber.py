@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector
+from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, spectral_clusters
 from .momentum import _regular_value
 
 __all__ = ["as_spectrum", "FiberTarget"]
@@ -56,6 +56,9 @@ class FiberTarget:
 
     Construction validates Hermitianity, positive definiteness, positivity of
     the norms, N >= k and trace(S) = sum(r), without which the fiber is empty.
+    Both arrays are read-only copies, so the fiber and the decomposition
+    spectral_clusters(S) that construction computes once for connect() and
+    random_frame_on_fiber() cannot drift apart.
     """
 
     operator: np.ndarray
@@ -69,8 +72,13 @@ class FiberTarget:
         _regular_target(S, r)
         if not _sums_agree(np.diagonal(S).real, r):
             raise ValueError("trace(operator) must equal sum(norms_sq); fiber is empty")
+        r = r.copy()
+        spectral = spectral_clusters(S)
+        for a in (S, r, *spectral[:2]):
+            a.setflags(write=False)
         object.__setattr__(self, "operator", S)
         object.__setattr__(self, "norms_sq", r)
+        object.__setattr__(self, "_spectral", spectral)
 
     @property
     def k(self) -> int:

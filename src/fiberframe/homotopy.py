@@ -5,27 +5,32 @@ joined by a path that stays on that fiber (for regular targets). connect()
 produces an explicit discrete witness. The fiber is a level set of the
 momentum map of U(k) x T^N, so the unitaries commuting with S (U(k)_S, the
 stabilizer of S) and the column phases T^N both move a frame exactly along
-it. The endpoints are aligned over U(k)_S x T^N first: a unitary V
-commuting with S and column phases D = diag(exp(i phi)) with V F1 D close to
-F0, by alternating exact minimisation. The unwind s -> Z exp(i (1 - s) theta) Z*
-F1 diag(exp(i (1 - s) phi)), with V = Z diag(exp(i theta)) Z*, then runs
-from V F1 D to F1 on the fiber exactly, in steps of equal arc length at most
-delta. The endpoints and the unwind samples are the anchors. The path is one
-ordered array of frames, and a bridge pass subdivides its gaps wider than
-delta round by round: a round cuts each open gap into 2, 4, 8 or 16 pieces
-(up to four bisection levels), projects the chord points of all open gaps
-onto the fiber in one stacked Newton solve (a point
-whose projection is rejected is retried with seeded tangent kicks) and
+it. This symmetry stage runs in the eigenbasis U of S, which the target
+computes once: there U(k)_S is block diagonal, one U(m) per eigenvalue
+cluster of multiplicity m. The endpoints are mapped there once and aligned
+over U(k)_S x T^N: a block-diagonal unitary V and column phases
+D = diag(exp(i phi)) with V U* F1 D close to U* F0, by alternating exact
+block minimisation. With V = Z diag(exp(i theta)) Z*, its logarithm taken
+block by block (a 1 x 1 block's angle is its phase), the unwind
+s -> U Z diag(exp(i (1 - s) theta)) Z* U* F1 diag(exp(i (1 - s) phi)) then runs
+from the aligned endpoint U V U* F1 D to F1 on the fiber exactly, in steps of
+equal arc length at most delta; its samples are built in the basis U Z and
+mapped back by one product. The endpoints and the unwind samples are the
+anchors. The path is one ordered array of frames, and a bridge pass
+subdivides its gaps wider than delta round by round: a round cuts each open
+gap into 2, 4, 8 or 16 pieces (up to four bisection levels), projects the
+chord points of all open gaps onto the fiber in one stacked Newton solve (a
+point whose projection is rejected is retried with seeded tangent kicks) and
 merges them into the array, and the pieces still wider than delta are the
-next round's open gaps. So the chord from F0 to V F1 D is bridged like every
-other gap. An unwind sample off the fiber (V commutes with S only up to the
-widths of its eigenvalue clusters) is dropped.
+next round's open gaps. So the chord from F0 to the aligned endpoint is
+bridged like every other gap. An unwind sample off the fiber (V commutes
+with S only up to the widths of its eigenvalue clusters) is dropped.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -101,7 +106,9 @@ class ConnectReport:
     and kicked retries), newton_iterations their accepted Newton steps, kicks
     the tangent kicks tried, levels the bridge rounds. unwind counts the
     exact unwind samples kept as anchors, unwind_dropped those the accept
-    filter dropped.
+    filter dropped. unwind_length is the unwind's exact arc length divided
+    by ||F0||, 0 when there is no unwind; a measurement rather than a count,
+    it is left out of report equality, which compares the work done.
     """
 
     projections: int = 0
@@ -110,6 +117,7 @@ class ConnectReport:
     levels: int = 0
     unwind: int = 0
     unwind_dropped: int = 0
+    unwind_length: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -210,21 +218,23 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
     )
 
 
-def _commutant_gauge(F0: np.ndarray, F1: np.ndarray, U: np.ndarray, clusters):
-    """Unitary V minimizing ||F0 - V F1|| among those commuting with the spectral blocks (U, clusters).
+def _blocks(clusters) -> list:
+    """The contiguous index slices of the clusters; none when the spectrum cannot be clustered safely (None)."""
+    return [slice(cl[0], cl[-1] + 1) for cl in clusters or ()]
 
-    The identity when the spectrum cannot be clustered safely (clusters is None).
+
+def _block_procrustes(A: np.ndarray, B: np.ndarray, blocks) -> np.ndarray:
+    """Block-diagonal unitary V minimizing ||A - V B||, frames in the eigenbasis of the operator.
+
+    Each block is the orthogonal-Procrustes optimum, the polar factor of
+    M = A[b] B[b]*, which for a 1 x 1 block is the phase of M (1 when M = 0);
+    V is the identity when there are no blocks.
     """
-    k = F0.shape[0]
-    if clusters is None:
-        return np.eye(k, dtype=complex)
-    A = U.conj().T @ F0
-    B = U.conj().T @ F1
-    blocks = np.zeros((k, k), dtype=complex)
-    for cl in clusters:
-        M = A[cl] @ B[cl].conj().T
-        blocks[np.ix_(cl, cl)] = polar_unitary(M)
-    return U @ blocks @ U.conj().T
+    V = np.eye(len(A), dtype=complex)
+    for b in blocks:
+        M = A[b] @ B[b].conj().T
+        V[b, b] = polar_unitary(M) if len(M) > 1 else np.exp(1j * np.angle(M))
+    return V
 
 
 def gauge_align(F0, F1, operator) -> np.ndarray:
@@ -232,12 +242,17 @@ def gauge_align(F0, F1, operator) -> np.ndarray:
 
     V commutes with the clustered spectral projections of the operator, so it
     preserves both fiber constraints (operator and column norms) up to the
-    cluster widths; blockwise it is the orthogonal-Procrustes optimum.
+    cluster widths; blockwise it is the orthogonal-Procrustes optimum. When
+    the spectrum cannot be clustered safely V is the identity and F1 comes
+    back unchanged.
     """
     F0, F1 = _frame_pair(F0, F1)
-    S = as_hermitian(operator, name="operator")
-    _w, U, clusters = spectral_clusters(S)
-    return _commutant_gauge(F0, F1, U, clusters) @ F1
+    _w, U, clusters = spectral_clusters(as_hermitian(operator, name="operator"))
+    if clusters is None:
+        return F1.copy()
+    Uh = U.conj().T
+    B = Uh @ F1
+    return U @ (_block_procrustes(Uh @ F0, B, _blocks(clusters)) @ B)
 
 
 def _column_angles(F0: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -245,24 +260,53 @@ def _column_angles(F0: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.angle(np.vecdot(G, F0, axis=0))
 
 
+def _eigen_gauge(A: np.ndarray, B: np.ndarray, blocks):
+    """Block-diagonal V and column angles phi with V B diag(exp(i phi)) close to A.
+
+    A and B are the endpoints in the eigenbasis of the operator, where U(k)_S
+    is block diagonal over the clusters (blocks). Alternating exact block
+    minimisation of ||A - V B diag(exp(i phi))|| over V (the block Procrustes
+    optimum for the current phases) and phi. It starts from the closer of the
+    two one-group optima, V for phi = 0 (gauge_align's) and phi for V = I,
+    and then solves V and phi once more. No step lengthens the distance, so
+    V B D is never farther from A than gauge_align's V B. From V, the
+    alternation would close a pure column-phase difference B = A D only
+    linearly.
+    """
+    V = _block_procrustes(A, B, blocks)
+    phi = _column_angles(A, B)
+    if np.linalg.norm(A - V @ B) <= np.linalg.norm(A - B * np.exp(1j * phi)):
+        phi = _column_angles(A, V @ B)
+    V = _block_procrustes(A, B * np.exp(1j * phi), blocks)
+    return V, _column_angles(A, V @ B)
+
+
 def _symmetry_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray):
     """V in the commutant U(k)_S and column angles phi with V F1 diag(exp(i phi)) close to F0.
 
-    Alternating exact block minimisation of ||F0 - V F1 diag(exp(i phi))||
-    over V (the commutant Procrustes optimum for the current phases) and phi.
-    It starts from the closer of the two one-group optima, V for phi = 0
-    (gauge_align's) and phi for V = I, and then solves V and phi once more.
-    No step lengthens the distance, so V F1 D is never farther from F0 than
-    gauge_align's V F1. From V, the alternation would close a pure
-    column-phase difference F1 = F0 D only linearly.
+    F0 and F1 are mapped once into the eigenbasis U of the operator, where
+    _eigen_gauge aligns them block by block; V is U V_e U* (the identity
+    itself when the spectrum cannot be clustered). connect() runs the same
+    stage on its target's decomposition and never forms V in this basis.
     """
     _w, U, clusters = spectral_clusters(operator)
-    V = _commutant_gauge(F0, F1, U, clusters)
-    phi = _column_angles(F0, F1)
-    if np.linalg.norm(F0 - V @ F1) <= np.linalg.norm(F0 - F1 * np.exp(1j * phi)):
-        phi = _column_angles(F0, V @ F1)
-    V = _commutant_gauge(F0, F1 * np.exp(1j * phi), U, clusters)
-    return V, _column_angles(F0, V @ F1)
+    Uh = U.conj().T
+    V, phi = _eigen_gauge(Uh @ F0, Uh @ F1, _blocks(clusters))
+    return (V if clusters is None else U @ V @ Uh), phi
+
+
+def _block_log(V: np.ndarray, blocks):
+    """Block-diagonal Z and angles theta with V = Z diag(exp(i theta)) Z*, theta in (-pi, pi].
+
+    V is block diagonal over blocks and the identity off them. A 1 x 1
+    block's angle is its phase; larger blocks go through unitary_log_factors.
+    """
+    Z = np.eye(len(V), dtype=complex)
+    theta = np.angle(np.diagonal(V))
+    for b in blocks:
+        if b.stop - b.start > 1:
+            Z[b, b], theta[b] = unitary_log_factors(V[b, b])
+    return Z, theta
 
 
 def _frobenius(D: np.ndarray) -> np.ndarray:
@@ -295,22 +339,26 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     The anchors are F0, the on-fiber unwind samples and F1. The unwind runs
     over U(k)_S x T^N from the aligned endpoint V F1 D (V a unitary commuting
     with the operator's spectral clusters and D column phases, alternated to
-    bring F1 close to F0) to F1. Its column angles are shifted by the whole
-    turn that makes it shortest (the global phase acts through both groups),
-    and it takes ceil(L / (delta ||F0||)) samples of equal arc length, L its
-    exact length, so every step is within delta; those that pass the accept
-    filter are kept, and the report counts both. Frames within COINCIDE_RTOL
-    ||F0|| (1e-12 relative) are one sample: F1 that close to F0 gives
-    [F0, F1], V F1 D that close to F1 no unwind, and an anchor that close to
-    the one before it is dropped. The bridge pass then runs round by round
-    over the ordered array of samples: each round cuts every gap of width
-    w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w / delta))) pieces (2,
-    4, 8 or 16), projects their chord points in one Newton solve (in
-    several when its kernel temporaries would pass _STACK_BYTES), retries
+    bring F1 close to F0) to F1. The alignment, the logarithm of V and the
+    samples are computed in the eigenbasis of the operator that the target
+    holds, where V is block diagonal; they are taken block by block and the
+    samples mapped back by one product, so V is never formed in the original
+    basis. The column angles are shifted by the whole turn that makes the
+    unwind shortest (the global phase acts through both groups), and it takes
+    ceil(L / (delta ||F0||)) samples of equal arc length, L its exact length,
+    so every step is within delta; those that pass the accept filter are kept,
+    and the report counts both and records L / ||F0||. Frames within
+    COINCIDE_RTOL ||F0|| (1e-12 relative) are one sample: F1 that close to F0
+    gives [F0, F1], V F1 D that close to F1 no unwind, and an anchor that
+    close to the one before it is dropped. The bridge pass then runs round by
+    round over the ordered array of samples: each round cuts every gap of
+    width w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w / delta)))
+    pieces (2, 4, 8 or 16), projects their chord points in one Newton solve
+    (in several when its kernel temporaries would pass _STACK_BYTES), retries
     each rejected point (accepted within half of path_tol^2) with seeded
-    tangent kicks in path order and merges the points in; every piece of a
-    gap must be shorter than it. Every interior sample is a bridge point or
-    an exact unwind sample; the path's report counts the work.
+    tangent kicks in path order and merges the points in; every piece of a gap
+    must be shorter than it. Every interior sample is a bridge point or an
+    exact unwind sample; the path's report counts the work.
 
     Raises OffFiberError when an endpoint is off the fiber (beyond path_tol),
     F0 first, and ConnectError when the bridge pass cannot close a gap between
@@ -379,25 +427,37 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # from F0 to the first of them, the aligned endpoint V F1 D, over chord
     # parameters 0 to 1, and the unwind from V F1 D to F1 sits at parameter 1
     unwind = np.empty((0, k, target.N), dtype=complex)
-    V, phi = _symmetry_gauge(F0, F1, target.operator)
-    reach = np.linalg.norm(V @ F1 * np.exp(1j * phi) - F1)
+    # the symmetry stage runs in the eigenbasis U of the operator, where
+    # U(k)_S is block diagonal over its clusters: the endpoints are mapped
+    # once, and the unwind samples are mapped back by one product
+    _w, U, clusters = target._spectral
+    blocks = _blocks(clusters)
+    Uh = U.conj().T
+    B = Uh @ F1
+    V, phi = _eigen_gauge(Uh @ F0, B, blocks)
+    reach = np.linalg.norm(V @ B * np.exp(1j * phi) - B)
     if reach > close:
-        # the unwind is an orbit of a one-parameter group of isometries, so
-        # its length L is the norm of its constant velocity Z diag(theta) Z* F1
-        # + F1 diag(phi). Shifting phi by a whole turn 2 pi m keeps its ends
-        # (the global phase acts through both groups); m is the integer
-        # nearest the minimizer of L, and arcs of at most delta_abs keep every
-        # chord within delta
-        Z, theta = unitary_log_factors(V)
-        A = ((Z * theta) @ Z.conj().T) @ F1 + F1 * phi
-        turns = np.round(np.real(np.vdot(F1, A)) / (2.0 * np.pi * np.real(np.vdot(F1, F1))))
-        phi = phi - 2.0 * np.pi * turns
-        nsteps = int(np.ceil(np.linalg.norm(A - 2.0 * np.pi * turns * F1) / delta_abs))
+        # V = Z diag(exp(i theta)) Z*, so in the basis U Z the unwind
+        # multiplies entry (l, j) of C = Z* B by exp(i u (theta_l + phi_j)).
+        # It is an orbit of a one-parameter group of isometries, so its length
+        # L is the norm of its constant velocity C (theta_l + phi_j).
+        # Shifting phi by a whole turn 2 pi m keeps its ends (the global
+        # phase acts through both groups); m is the integer nearest the
+        # minimizer of L, and arcs of at most delta_abs keep every chord
+        # within delta
+        Z, theta = _block_log(V, blocks)
+        C = Z.conj().T @ B
+        angles = theta[:, None] + phi
+        turns = np.round(np.real(np.vdot(C, C * angles)) / (2.0 * np.pi * np.real(np.vdot(C, C))))
+        angles -= 2.0 * np.pi * turns
+        length = float(np.linalg.norm(C * angles))
+        nsteps = int(np.ceil(length / delta_abs))
         u = 1.0 - np.linspace(0.0, 1.0, nsteps + 1)[:-1]
-        Fs = F1 * np.exp(1j * u[:, None, None] * phi)
-        Fs = ((Z * np.exp(1j * u[:, None] * theta)[:, None, :]) @ Z.conj().T) @ Fs
+        Es = C[:, None] * np.exp(1j * u[:, None] * angles[:, None])
+        Fs = ((U @ Z) @ Es.reshape(k, -1)).reshape(Es.shape).transpose(1, 0, 2)
         unwind = Fs[_phi(*_gaps(Fs, target)) <= accept_tol]
         report.unwind, report.unwind_dropped = len(unwind), nsteps - len(unwind)
+        report.unwind_length = length / scale
     arr = np.concatenate((F0[None], unwind, F1[None]))
     t = np.minimum(np.arange(len(arr)), 1.0)
 

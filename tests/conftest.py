@@ -222,3 +222,39 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
             samples += bridge(Fa, Fb)
         samples.append(Fb)
     return np.stack(samples)
+
+
+def symmetry_gauge_two_basis(F0, F1, operator):
+    """Reference (V, phi) of connect's symmetry gauge, worked in two bases.
+
+    The alignment as it was computed in the original basis: each commutant
+    Procrustes step maps F0 and F1 into the eigenbasis U of the operator,
+    polar-factors A[cl] B[cl]* per cluster, scatters the blocks into a k x k
+    matrix and returns U blocks U*; V is the identity when the spectrum has
+    no safe clustering. The alternation is the package's: from the closer of
+    V alone and the column angles alone, V and the angles are solved once
+    more. Only the clustering decision is the package's spectral_clusters.
+    """
+    from fiberframe._linalg import spectral_clusters
+
+    k = F0.shape[0]
+    _w, U, clusters = spectral_clusters(operator)
+
+    def commutant(G):
+        if clusters is None:
+            return np.eye(k, dtype=complex)
+        A, B = U.conj().T @ F0, U.conj().T @ G
+        blocks = np.zeros((k, k), dtype=complex)
+        for cl in clusters:
+            X, _s, Yh = np.linalg.svd(A[cl] @ B[cl].conj().T)
+            blocks[np.ix_(cl, cl)] = X @ Yh
+        return U @ blocks @ U.conj().T
+
+    def angles(G):
+        return np.angle(np.sum(G.conj() * F0, axis=0))
+
+    V, phi = commutant(F1), angles(F1)
+    if np.linalg.norm(F0 - V @ F1) <= np.linalg.norm(F0 - F1 * np.exp(1j * phi)):
+        phi = angles(V @ F1)
+    V = commutant(F1 * np.exp(1j * phi))
+    return V, angles(V @ F1)

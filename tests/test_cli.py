@@ -252,6 +252,7 @@ class TestConnect:
             "levels": 1,
             "unwind": 45,
             "unwind_dropped": 0,
+            "unwind_length": pytest.approx(2.2066902591293696, rel=1e-12),
         }
         code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", pfile)
         assert [line.split(":")[0] for line in out.splitlines()] == [

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fiberframe import FiberTarget, as_spectrum, construct_frame, is_admissible
+from fiberframe import FiberTarget, as_spectrum, construct_frame, fiber_residual, is_admissible, random_frame_on_fiber
+from fiberframe._linalg import spectral_clusters
 
 
 class TestSpectrum:
@@ -23,6 +24,40 @@ class TestFiberTarget:
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
         assert t.k == 2 and t.N == 3
         assert_allclose(t.spectrum(), [2.0, 1.0])
+
+    def test_arrays_are_read_only_copies(self):
+        # the caller's arrays stay theirs and writable; writing the target's raises
+        S, r = 2.0 * np.eye(2), np.ones(4)
+        t = FiberTarget(S, r)
+        F = random_frame_on_fiber(t, seed=0)
+        r[0], S[0, 0] = 5.0, 7.0
+        assert r.flags.writeable and S.flags.writeable
+        assert np.array_equal(t.norms_sq, np.ones(4)) and np.array_equal(t.operator, 2.0 * np.eye(2))
+        assert fiber_residual(F, t) <= 1e-20
+        for a in (t.operator, t.norms_sq, *t._spectral[:2]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(2, 4),
+            FiberTarget.from_spectrum([3.0, 3.0, 1.0], np.ones(7)),
+            FiberTarget(
+                np.array([[2.0, 0.5 - 0.25j, 0.0], [0.5 + 0.25j, 1.5, 0.1j], [0.0, -0.1j, 1.0]]),
+                np.full(5, 0.9),
+            ),
+            # a gap in the ambiguity band: no safe clustering
+            FiberTarget(np.diag([1.0 + 5e-8, 1.0]).astype(complex), np.full(4, (2.0 + 5e-8) / 4)),
+        ],
+        ids=["funtf_2_4", "diag_3_3_1_N7", "generic_3_5", "ambiguity_band"],
+    )
+    def test_cached_decomposition_is_a_fresh_one(self, target):
+        # generator outputs and benchmark inputs read the cached decomposition
+        w, U, clusters = target._spectral
+        w_new, U_new, clusters_new = spectral_clusters(target.operator)
+        assert np.array_equal(w, w_new) and np.array_equal(U, U_new)
+        assert clusters == clusters_new
 
     def test_funtf_factory(self):
         t = FiberTarget.funtf(3, 7)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import connect_depth_first, rand_hermitian, rand_unitary, tangent_part_bruteforce
+from conftest import (
+    connect_depth_first,
+    rand_hermitian,
+    rand_unitary,
+    symmetry_gauge_two_basis,
+    tangent_part_bruteforce,
+)
 
 from fiberframe import (
     ClusteringError,
@@ -231,6 +237,56 @@ class TestAmbiguityBand:
         assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
 
 
+class TestEigenbasisGauge:
+    """connect aligns block by block in its target's eigenbasis, with the V and
+    phi of the two-basis reference."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(2, 4),
+            FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)),
+            FiberTarget.from_spectrum([3.0, 3.0, 1.0], np.ones(7)),
+            TestAmbiguityBand.target,
+        ],
+        ids=["funtf_2_4", "diag_2_1_N3", "diag_3_3_1_N7", "ambiguity_band"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_two_basis_reference(self, target, seed):
+        F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
+        V_ref, phi_ref = symmetry_gauge_two_basis(F0, F1, target.operator)
+        _w, U, clusters = target._spectral
+        Uh = U.conj().T
+        V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, homotopy._blocks(clusters))
+        assert np.linalg.norm(U @ V @ Uh - V_ref) <= 1e-13
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-13
+        V_orig, phi_orig = _symmetry_gauge(F0, F1, target.operator)
+        assert np.linalg.norm(V_orig - V_ref) <= 1e-13
+        assert np.max(np.abs(phi_orig - phi_ref)) <= 1e-13
+        if clusters is None:
+            # no safe clustering: V is the identity and V F1 = F1 exactly
+            assert np.array_equal(V, np.eye(target.k))
+            assert np.array_equal(V_orig @ F1, F1)
+
+    def test_one_by_one_block_is_a_phase(self):
+        # row 0 of A is orthogonal to row 0 of B, so its block is 1
+        A = np.array([[1.0, 0.0], [1j, 0.0]])
+        B = np.array([[0.0, 1.0], [1.0, 0.0]])
+        V = homotopy._block_procrustes(A, B, [slice(0, 1), slice(1, 2)])
+        assert V[0, 0] == 1.0
+        assert np.max(np.abs(V - np.diag([1.0, 1j]))) <= 1e-15
+
+    def test_block_log_factors_each_block(self):
+        rng = np.random.default_rng(3)
+        V = np.zeros((3, 3), dtype=complex)
+        V[:2, :2], V[2, 2] = rand_unitary(rng, 2), np.exp(2.5j)
+        Z, theta = homotopy._block_log(V, [slice(0, 2), slice(2, 3)])
+        assert np.array_equal(Z[2], [0, 0, 1]) and np.array_equal(Z[:, 2], [0, 0, 1])
+        assert theta[2] == pytest.approx(2.5, rel=1e-15)
+        assert np.linalg.norm((Z * np.exp(1j * theta)) @ Z.conj().T - V) <= 1e-14
+        assert np.all(np.abs(theta) <= np.pi)
+
+
 class TestTangentKick:
     @pytest.mark.parametrize("k,N,seed", [(2, 4, 0), (4, 9, 1)])
     def test_size_normal_orthogonality_and_reference(self, k, N, seed):
@@ -430,7 +486,7 @@ class TestConnect:
         F0, F1 = _pair(t, 0, 1)
         angle = 0.9 * np.pi
         V = np.exp(1j * angle) * np.eye(2)
-        monkeypatch.setattr(homotopy, "_symmetry_gauge", lambda *args: (V, np.full(4, angle)))
+        monkeypatch.setattr(homotopy, "_eigen_gauge", lambda *args: (V, np.full(4, angle)))
         path = connect(F0, F1, t)
         step = 0.05 * np.linalg.norm(F0)
         n = int(np.ceil(0.2 * np.pi * np.linalg.norm(F1) / step))
@@ -441,6 +497,20 @@ class TestConnect:
         assert np.max(np.linalg.norm(tail[:-1] - unwind, axis=(1, 2))) <= 1e-14 * np.linalg.norm(F0)
         assert np.max(np.linalg.norm(np.diff(tail, axis=0), axis=(1, 2))) <= step
         assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
+
+    def test_report_unwind_length(self, monkeypatch):
+        # the unwind of test_unwind_steps_by_arc_length after its whole-turn
+        # shift: exp(-0.2 pi i s) F1 over s in [0, 1], of length 0.2 pi ||F1||
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        angle = 0.9 * np.pi
+        V = np.exp(1j * angle) * np.eye(2)
+        monkeypatch.setattr(homotopy, "_eigen_gauge", lambda *args: (V, np.full(4, angle)))
+        length = connect(F0, F1, t).report.unwind_length
+        assert length == pytest.approx(0.2 * np.pi * np.linalg.norm(F1) / np.linalg.norm(F0), rel=1e-13)
+        # no unwind, no length
+        monkeypatch.setattr(homotopy, "_eigen_gauge", lambda *args: (np.eye(2), np.zeros(4)))
+        assert connect(F0, F1, t).report.unwind_length == 0.0
 
     def test_level_split_into_runs_gives_same_path(self, monkeypatch):
         # a level larger than the memory cap is projected in several runs,

@@ -84,6 +84,15 @@ def test_import_loads_traced_modules(entry):
     assert run.stdout.split() == []
 
 
+def test_cli_import_loads_no_scipy():
+    # the package needs numpy alone; one call is no reason to keep a dependency
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fiberframe.__file__)))
+    code = "import sys, fiberframe.cli; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
 def test_exports_are_the_submodules_all():
     names = ("core", "errors", "fiber", "fileio", "flows", "equivalence", "homotopy", "momentum", "design")
     modules = [importlib.import_module(f"fiberframe.{name}") for name in names]
