@@ -179,7 +179,7 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     no such frame exists.
     """
     lam, r = as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq")
-    _regular_target(np.diag(lam), r)
+    _regular_target(lam, r)
     check = _admissibility(lam, r)
     if not check:
         raise InadmissibleError(check.describe(), check)
@@ -200,9 +200,8 @@ def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator |
     Raises ValueError when (operator, norms_sq) is not a regular value, the
     rule of FiberTarget, and InadmissibleError when no such frame exists.
     """
-    S = as_hermitian(operator, name="operator")
-    _regular_target(S, _positive_vector(norms_sq, "norms_sq"))
-    w, U = eigh_desc(S)
+    w, U = eigh_desc(as_hermitian(operator, name="operator"))
+    _regular_target(w, _positive_vector(norms_sq, "norms_sq"))
     return U @ construct_frame(w, norms_sq, rng=rng)
 
 

@@ -35,9 +35,9 @@ def _sums_agree(values: np.ndarray, r: np.ndarray) -> bool:
     return abs(float(np.sum(r)) - float(np.sum(values))) <= MAJORIZATION_TOL * float(np.sum(np.abs(values)))
 
 
-def _regular_target(S: np.ndarray, r: np.ndarray) -> None:
-    """ValueError unless (S, -r / 2) is a regular value of the momentum map, for a Hermitian S."""
-    check = _regular_value(S, -0.5 * r)
+def _regular_target(w: np.ndarray, r: np.ndarray) -> None:
+    """ValueError unless (S, -r / 2) is a regular value of the momentum map, w the descending spectrum of S."""
+    check = _regular_value(w, -0.5 * r)
     if not check:
         raise ValueError(f"target is not a regular momentum value: {check.reason}")
 
@@ -57,8 +57,8 @@ class FiberTarget:
     Construction validates Hermitianity, positive definiteness, positivity of
     the norms, N >= k and trace(S) = sum(r), without which the fiber is empty.
     Both arrays are read-only copies, so the fiber and the decomposition
-    spectral_clusters(S) that construction computes once for connect() and
-    random_frame_on_fiber() cannot drift apart.
+    spectral_clusters(S) that construction computes once cannot drift apart;
+    it is the one decomposition of S that the package reads.
     """
 
     operator: np.ndarray
@@ -69,11 +69,11 @@ class FiberTarget:
         r = _positive_vector(self.norms_sq, "norms_sq")
         if r.size < S.shape[0]:
             raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
-        _regular_target(S, r)
+        spectral = spectral_clusters(S)
+        _regular_target(spectral[0], r)
         if not _sums_agree(np.diagonal(S).real, r):
             raise ValueError("trace(operator) must equal sum(norms_sq); fiber is empty")
         r = r.copy()
-        spectral = spectral_clusters(S)
         for a in (S, r, *spectral[:2]):
             a.setflags(write=False)
         object.__setattr__(self, "operator", S)
@@ -89,8 +89,8 @@ class FiberTarget:
         return self.norms_sq.shape[0]
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of the operator, descending."""
-        return np.linalg.eigvalsh(self.operator)[::-1].copy()
+        """Eigenvalues of the operator, descending (a copy of the target's decomposition)."""
+        return self._spectral[0].copy()
 
     @classmethod
     def funtf(cls, k: int, N: int) -> "FiberTarget":

@@ -25,10 +25,6 @@ from .homotopy import FramePath
 __all__ = [
     "read_frame",
     "write_frame",
-    "read_frame_json",
-    "write_frame_json",
-    "read_frame_csv",
-    "write_frame_csv",
     "read_target",
     "write_target",
     "read_path",
@@ -78,7 +74,7 @@ def _frame_obj(F: np.ndarray) -> dict:
     return {"k": F.shape[0], "N": F.shape[1], **_mat_to_obj(F)}
 
 
-def write_frame_json(F, path) -> None:
+def _write_frame_json(F, path) -> None:
     """Write a frame as one JSON object {"k", "N", "re", "im"}."""
     obj = _frame_obj(as_frame_matrix(F))
     with open(path, "w", encoding="utf-8") as f:
@@ -86,8 +82,8 @@ def write_frame_json(F, path) -> None:
         f.write("\n")
 
 
-def read_frame_json(path) -> np.ndarray:
-    """Read a frame written by write_frame_json; its shape must match the declared (k, N)."""
+def _read_frame_json(path) -> np.ndarray:
+    """Read a frame written by _write_frame_json; its shape must match the declared (k, N)."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError("frame file must contain a JSON object")
@@ -100,7 +96,7 @@ def read_frame_json(path) -> np.ndarray:
     return F
 
 
-def write_frame_csv(F, path) -> None:
+def _write_frame_csv(F, path) -> None:
     """Write a frame as CSV: one row per frame row, one complex literal per entry."""
     F = as_frame_matrix(F)
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -109,7 +105,7 @@ def write_frame_csv(F, path) -> None:
             writer.writerow([repr(complex(z)) for z in row])
 
 
-def read_frame_csv(path) -> np.ndarray:
+def _read_frame_csv(path) -> np.ndarray:
     """Read a CSV frame: a non-empty rectangular table of complex literals; blank lines are skipped."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -129,9 +125,9 @@ def write_frame(F, path) -> None:
     """Write a frame, dispatching on the file extension (.json or .csv)."""
     ext = os.path.splitext(os.fspath(path))[1].lower()
     if ext == ".json":
-        write_frame_json(F, path)
+        _write_frame_json(F, path)
     elif ext == ".csv":
-        write_frame_csv(F, path)
+        _write_frame_csv(F, path)
     else:
         raise ValueError(f"unsupported frame file extension {ext!r}")
 
@@ -140,9 +136,9 @@ def read_frame(path) -> np.ndarray:
     """Read a frame, dispatching on the file extension (.json or .csv)."""
     ext = os.path.splitext(os.fspath(path))[1].lower()
     if ext == ".json":
-        return read_frame_json(path)
+        return _read_frame_json(path)
     if ext == ".csv":
-        return read_frame_csv(path)
+        return _read_frame_csv(path)
     raise ValueError(f"unsupported frame file extension {ext!r}")
 
 

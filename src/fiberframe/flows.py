@@ -25,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import EIGEN_RTOL, RANK_RTOL, as_hermitian, frame_polar_isometry, full_row_rank, psd_sqrt
+from ._linalg import EIGEN_RTOL, RANK_RTOL, as_hermitian, frame_polar_isometry, full_row_rank, hermitize, psd_sqrt
 from .core import _norms_squared, as_frame_matrix
-from .fiber import FiberTarget
+from .fiber import FiberTarget, _positive_vector
 
 __all__ = [
     "FlowOptions",
@@ -335,9 +335,13 @@ def project_frame_operator(F, operator):
 def project_norms(F, norms_sq) -> np.ndarray:
     """Rescale each column to the prescribed squared norm.
 
-    Raises ValueError when a column is numerically zero (no direction to keep).
+    Raises ValueError unless norms_sq is N finite positive values, and when a
+    column is numerically zero (no direction to keep).
     """
-    return _project_norms(as_frame_matrix(F), np.asarray(norms_sq, dtype=float))
+    F, r = as_frame_matrix(F), _positive_vector(norms_sq, "norms_sq")
+    if r.shape != (F.shape[1],):
+        raise ValueError(f"norms_sq has {r.size} entries for {F.shape[1]} columns")
+    return _project_norms(F, r)
 
 
 def _project_norms(F: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -355,7 +359,8 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     """
     opts = options or FlowOptions()
     F = _target_frame(F0, target).copy()
-    S_sqrt = psd_sqrt(target.operator)
+    w, U, _clusters = target._spectral
+    S_sqrt = hermitize((U * np.sqrt(w)) @ U.conj().T)
     phi = _residual(F, target)
     trace = [phi]
     best_F, best_phi, best_it = F, phi, 0

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._linalg import COINCIDE_RTOL, _finite_array, as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
-from .core import _frame_pair, as_frame_matrix
+from .core import _frame_pair
 from .errors import ConnectError, OffFiberError
 from .fiber import FiberTarget
 from .flows import FlowOptions, _gaps, _newton, _non_negative_int, _normal_preimage, _phi, _residual, _target_frame
@@ -187,7 +187,8 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
     most tol^2. delta limits each consecutive step relative to the norm of
     the first sample. endpoints, when given as (F0, F1), must match the first
     and last sample to 1e-12 relative (COINCIDE_RTOL). ValueError unless tol
-    and delta are finite and > 0, the rule of ConnectOptions.
+    and delta are finite and > 0, the rule of ConnectOptions, and each
+    endpoint has the path's shape (k, N).
     """
     _positive(tol, "tol")
     _positive(delta, "delta")
@@ -204,9 +205,9 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
     if max_step > step_limit * (1.0 + 1e-9):
         problems.append(f"step {max_step:.3e} exceeds delta * ||F_0|| = {step_limit:.3e}")
     if endpoints is not None:
-        F0, F1 = endpoints
-        d0 = np.linalg.norm(path.frames[0] - as_frame_matrix(F0))
-        d1 = np.linalg.norm(path.frames[-1] - as_frame_matrix(F1))
+        F0, F1 = (_target_frame(F, path.target) for F in endpoints)
+        d0 = np.linalg.norm(path.frames[0] - F0)
+        d1 = np.linalg.norm(path.frames[-1] - F1)
         if max(d0, d1) > COINCIDE_RTOL * scale:
             problems.append("endpoints do not match the requested frames")
     return PathCheck(
@@ -279,20 +280,6 @@ def _eigen_gauge(A: np.ndarray, B: np.ndarray, blocks):
         phi = _column_angles(A, V @ B)
     V = _block_procrustes(A, B * np.exp(1j * phi), blocks)
     return V, _column_angles(A, V @ B)
-
-
-def _symmetry_gauge(F0: np.ndarray, F1: np.ndarray, operator: np.ndarray):
-    """V in the commutant U(k)_S and column angles phi with V F1 diag(exp(i phi)) close to F0.
-
-    F0 and F1 are mapped once into the eigenbasis U of the operator, where
-    _eigen_gauge aligns them block by block; V is U V_e U* (the identity
-    itself when the spectrum cannot be clustered). connect() runs the same
-    stage on its target's decomposition and never forms V in this basis.
-    """
-    _w, U, clusters = spectral_clusters(operator)
-    Uh = U.conj().T
-    V, phi = _eigen_gauge(Uh @ F0, Uh @ F1, _blocks(clusters))
-    return (V if clusters is None else U @ V @ Uh), phi
 
 
 def _block_log(V: np.ndarray, blocks):

@@ -34,7 +34,6 @@ __all__ = [
     "symplectic_form",
     "infinitesimal_field",
     "momentum_torus",
-    "momentum_unitary",
     "momentum",
     "momentum_derivative_unitary",
     "momentum_derivative_torus",
@@ -87,11 +86,6 @@ def momentum_torus(F) -> np.ndarray:
     return -0.5 * norms_squared(F)
 
 
-def momentum_unitary(F) -> np.ndarray:
-    """Unitary momentum F F* (Hermitian)."""
-    return frame_operator(F)
-
-
 @dataclass(frozen=True, eq=False)
 class MomentumValue:
     """Joint momentum of a frame: the operator F F* and the torus vector."""
@@ -107,7 +101,7 @@ class MomentumValue:
 def momentum(F) -> MomentumValue:
     """Joint momentum of F: the operator F F* and the torus vector -||f_j||^2 / 2."""
     F = as_frame_matrix(F)
-    return MomentumValue(operator=momentum_unitary(F), torus=momentum_torus(F))
+    return MomentumValue(operator=frame_operator(F), torus=momentum_torus(F))
 
 
 def momentum_derivative_unitary(F, X) -> np.ndarray:
@@ -201,13 +195,12 @@ def is_regular_value(S, torus) -> RegularValueCheck:
         return RegularValueCheck(False, "operator part is not square")
     if not is_hermitian(S):
         return RegularValueCheck(False, "operator part is not Hermitian")
-    return _regular_value(hermitize(S), as_real_vector(torus, "torus"))
+    return _regular_value(np.linalg.eigvalsh(hermitize(S))[::-1], as_real_vector(torus, "torus"))
 
 
-def _regular_value(S: np.ndarray, t: np.ndarray) -> RegularValueCheck:
-    """is_regular_value for an already Hermitian S and a real vector t."""
-    w = np.linalg.eigvalsh(S)
-    if w[0] <= RANK_RTOL * w[-1]:
+def _regular_value(w: np.ndarray, t: np.ndarray) -> RegularValueCheck:
+    """is_regular_value from the descending eigenvalues w of S and a real vector t."""
+    if w[-1] <= RANK_RTOL * w[0]:
         return RegularValueCheck(False, "operator part is not positive definite")
     if np.any(t >= -RANK_RTOL * np.max(np.abs(t), initial=0.0)):
         return RegularValueCheck(False, "torus part has a non-negative entry")

@@ -258,3 +258,18 @@ def symmetry_gauge_two_basis(F0, F1, operator):
         phi = angles(V @ F1)
     V = commutant(F1 * np.exp(1j * phi))
     return V, angles(V @ F1)
+
+
+def symmetry_gauge(F0, F1, target):
+    """(V, phi) of connect's symmetry stage, V mapped back to the original basis.
+
+    The package's own gauge, homotopy._eigen_gauge, run on the target's
+    decomposition; V is U V_e U* (the identity itself when the spectrum has
+    no safe clustering).
+    """
+    from fiberframe import homotopy
+
+    _w, U, clusters = target._spectral
+    Uh = U.conj().T
+    V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, homotopy._blocks(clusters))
+    return (V if clusters is None else U @ V @ Uh), phi

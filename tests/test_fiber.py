@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fiberframe import FiberTarget, as_spectrum, construct_frame, fiber_residual, is_admissible, random_frame_on_fiber
+from fiberframe import (
+    FiberTarget,
+    FlowOptions,
+    alternate_projections,
+    as_spectrum,
+    construct_frame,
+    construct_frame_with_operator,
+    fiber_residual,
+    is_admissible,
+    project_norms,
+    random_frame_on_fiber,
+)
 from fiberframe._linalg import spectral_clusters
 
 
@@ -126,7 +137,50 @@ class TestPositiveVectorRule:
             lambda: FiberTarget(operator=np.eye(2, dtype=complex), norms_sq=bad),
             lambda: is_admissible([1.0, 1.0], bad),
             lambda: construct_frame([1.0, 1.0], bad),
+            lambda: project_norms(np.ones((2, 2)), bad),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"^norms_sq {message}$"):
                 call()
+
+
+class TestOneDecomposition:
+    """The target's decomposition is the only one of its operator: each entry
+    point takes the eigh and eigvalsh calls listed, by name and shape."""
+
+    S = np.array([[2.0, 0.5 - 0.25j, 0.0], [0.5 + 0.25j, 1.5, 0.1j], [0.0, -0.1j, 1.0]])
+    r = np.full(5, 0.9)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+
+            def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                seen.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return seen
+
+    def test_target_decomposes_once(self, calls):
+        t = FiberTarget(self.S, self.r)
+        assert calls == [("eigh", (3, 3))]
+        calls.clear()
+        assert np.array_equal(t.spectrum(), t._spectral[0])
+        assert calls == []
+
+    def test_construct_frame_takes_the_gram_eigh_alone(self, calls):
+        construct_frame([2.0, 1.5, 1.0], self.r)
+        assert calls == [("eigh", (5, 5))]
+
+    def test_construct_frame_with_operator_decomposes_once(self, calls):
+        construct_frame_with_operator(self.S, self.r)
+        assert calls == [("eigh", (3, 3)), ("eigh", (5, 5))]
+
+    def test_alternate_projections_reads_the_target(self, calls):
+        t = FiberTarget(self.S, self.r)
+        F = random_frame_on_fiber(t, seed=0) + 0.05
+        calls.clear()
+        _G, rep = alternate_projections(F, t, FlowOptions(max_iters=3))
+        assert rep.iterations == 3 and calls == []

@@ -205,6 +205,21 @@ class TestProjections:
         with pytest.raises(ValueError):
             project_norms(F, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "r,message",
+        [
+            ([np.nan, 1.0, 1.0, 1.0], "norms_sq contains non-finite entries"),
+            ([1.0, 1.0, 1.0], "norms_sq has 3 entries for 4 columns"),
+        ],
+        ids=["nan", "wrong_length"],
+    )
+    def test_norm_projection_rejects_bad_norms(self, r, message):
+        # without the check a NaN entry gave a NaN column and a wrong length a
+        # bare broadcast error; TestPositiveVectorRule checks the sign rule
+        F = rand_frame(np.random.default_rng(12), 2, 4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            project_norms(F, r)
+
 
 class TestAlternatingFlow:
     def test_converges_fast(self):

@@ -5,6 +5,7 @@ from conftest import (
     connect_depth_first,
     rand_hermitian,
     rand_unitary,
+    symmetry_gauge,
     symmetry_gauge_two_basis,
     tangent_part_bruteforce,
 )
@@ -29,7 +30,7 @@ from fiberframe import (
 )
 from fiberframe import homotopy
 from fiberframe._linalg import COINCIDE_RTOL, spectral_clusters
-from fiberframe.homotopy import _symmetry_gauge, _tangent_kick
+from fiberframe.homotopy import _tangent_kick
 
 
 def _pair(target, seed_a, seed_b):
@@ -169,6 +170,19 @@ class TestValidatePath:
         chk = validate_path(path, tol=1e-8, delta=0.05, endpoints=(F1, F0))
         assert not chk and "endpoints" in chk.message
 
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 1)])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_endpoint_shape_must_match_path(self, shape, end):
+        # a (1, N) or (k, 1) endpoint would broadcast against the samples
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        path = connect(F0, F1, t)
+        ends = [F0, F1]
+        ends[end] = ends[end][: shape[0], : shape[1]]
+        message = rf"frame shape \({shape[0]}, {shape[1]}\) does not match target \(2, 4\)"
+        with pytest.raises(ValueError, match=message):
+            validate_path(path, endpoints=tuple(ends))
+
 
 class TestGaugeAlign:
     def test_recovers_left_unitary_on_tight_fiber(self):
@@ -205,7 +219,7 @@ class TestSymmetryGauge:
     @pytest.mark.parametrize("seed", range(3))
     def test_never_farther_than_commutant_alignment(self, target, seed):
         F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
-        V, phi = homotopy._symmetry_gauge(F0, F1, target.operator)
+        V, phi = symmetry_gauge(F0, F1, target)
         aligned = V @ F1 * np.exp(1j * phi)
         commutant_only = gauge_align(F0, F1, target.operator)
         assert np.linalg.norm(F0 - aligned) <= np.linalg.norm(F0 - commutant_only) * (1.0 + 1e-12)
@@ -260,13 +274,9 @@ class TestEigenbasisGauge:
         V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, homotopy._blocks(clusters))
         assert np.linalg.norm(U @ V @ Uh - V_ref) <= 1e-13
         assert np.max(np.abs(phi - phi_ref)) <= 1e-13
-        V_orig, phi_orig = _symmetry_gauge(F0, F1, target.operator)
-        assert np.linalg.norm(V_orig - V_ref) <= 1e-13
-        assert np.max(np.abs(phi_orig - phi_ref)) <= 1e-13
         if clusters is None:
-            # no safe clustering: V is the identity and V F1 = F1 exactly
+            # no safe clustering: V is the identity
             assert np.array_equal(V, np.eye(target.k))
-            assert np.array_equal(V_orig @ F1, F1)
 
     def test_one_by_one_block_is_a_phase(self):
         # row 0 of A is orthogonal to row 0 of B, so its block is 1
@@ -543,7 +553,7 @@ class TestConnect:
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
         F0, F1 = _pair(t, 2, 9)
         real = homotopy._newton
-        V, phi = homotopy._symmetry_gauge(F0, F1, t.operator)
+        V, phi = symmetry_gauge(F0, F1, t)
         E = V @ F1 * np.exp(1j * phi)
         tol = 1e-14 * np.linalg.norm(F0)
         for delta, cuts in ((0.05, {1, 2}), (0.03, {2, 4})):
@@ -601,7 +611,7 @@ class TestConnect:
             F1 = rand_unitary(rng, 3) @ F0p
         else:
             F1 = F0p * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
-        V, phi = _symmetry_gauge(F0, F1, t.operator)
+        V, phi = symmetry_gauge(F0, F1, t)
         aligned = np.linalg.norm(V @ F1 * np.exp(1j * phi) - F0) / np.linalg.norm(F0)
         assert 1e-13 < aligned < COINCIDE_RTOL
         scaled = FiberTarget(c * c * t.operator, c * c * t.norms_sq)
