@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # The package's fixed numerical decisions, each made in one place and each
@@ -39,6 +41,12 @@ def _finite_array(a, dtype, ndim: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def _tolerance(tol, name: str = "tol") -> None:
+    """ValueError unless tol is a finite real number >= 0."""
+    if not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 def as_complex_matrix(A, name="matrix") -> np.ndarray:

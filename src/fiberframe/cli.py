@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._linalg import _tolerance
 from .core import _bounds_or_none, _funtf, norms_squared
 from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
@@ -246,11 +247,9 @@ def _cmd_equiv(args, out: _Output) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.tol < np.inf:
-        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
-        return 2
-    out = _Output(args)
     try:
+        _tolerance(args.tol, "--tol")
+        out = _Output(args)
         code = args.handler(args, out)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, as_complex_vector, full_row_rank, hermitize
+from ._linalg import _tolerance, as_complex_matrix, as_complex_vector, full_row_rank, hermitize
 from .errors import NotAFrameError
 
 __all__ = [
@@ -97,6 +97,8 @@ class FrameBounds:
     upper: float
 
     def is_tight(self, tol: float = 1e-8) -> bool:
+        """Whether upper - lower is at most tol (finite, >= 0) times their mean."""
+        _tolerance(tol)
         mid = 0.5 * (self.lower + self.upper)
         return self.upper - self.lower <= tol * max(mid, np.finfo(float).tiny)
 
@@ -120,13 +122,15 @@ def is_frame(F) -> bool:
 
 
 def is_tight(F, tol: float = 1e-8) -> bool:
-    """True when the frame bounds coincide up to relative tolerance tol."""
+    """True when the frame bounds coincide up to relative tolerance tol (finite, >= 0)."""
+    _tolerance(tol)
     b = _bounds_or_none(F)
     return b is not None and b.is_tight(tol)
 
 
 def is_funtf(F, tol: float = 1e-8) -> bool:
-    """True for a unit-norm tight frame: tight and every ||f_j||^2 = 1."""
+    """True for a unit-norm tight frame: tight and every ||f_j||^2 = 1, up to tol (finite, >= 0)."""
+    _tolerance(tol)
     return _funtf(F, _bounds_or_none(F), tol)
 
 

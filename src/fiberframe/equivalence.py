@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_hermitian, polar_unitary, spectral_clusters
+from ._linalg import _tolerance, as_hermitian, polar_unitary, spectral_clusters
 from .core import _frame_pair, as_frame_matrix, gram
 from .errors import ClusteringError
 
@@ -90,7 +90,11 @@ def reduced_dimension(ft: FlagType, N: int) -> int:
 
 
 def same_gram_class(F1, F2, tol: float = 1e-8) -> bool:
-    """Whether the two frames have the same Gram matrix within tolerance tol relative to ||F1* F1||."""
+    """Whether the two frames have the same Gram matrix within tolerance tol relative to ||F1* F1||.
+
+    ValueError unless tol is finite and >= 0.
+    """
+    _tolerance(tol)
     F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
     G1, G2 = gram(F1), gram(F2)
     return bool(np.linalg.norm(G1 - G2) <= tol * np.linalg.norm(G1))
@@ -101,8 +105,10 @@ def unitary_equivalent(F1, F2, tol: float = 1e-8):
 
     Equal Gram matrices force such a U; it is recovered as the unitary polar
     factor of F2 F1*, and the candidate is verified before being returned:
-    ||U F1 - F2|| at most tol times ||F1||.
+    ||U F1 - F2|| at most tol times ||F1||. ValueError unless tol is finite
+    and >= 0.
     """
+    _tolerance(tol)
     F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
     U = polar_unitary(F2 @ F1.conj().T)
     resid = np.linalg.norm(U @ F1 - F2)

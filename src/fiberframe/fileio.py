@@ -217,6 +217,8 @@ def read_path(path):
             raise ValueError("path sample must be an object with 't', 're' and 'im'")
         times.append(_number(obj, "t", float, "path sample"))
         frames.append(_mat_from_obj(obj, "sample"))
+    if not frames:
+        raise ValueError("path file has no samples")
     declared = _number(header, "samples", int, "path header") if "samples" in header else len(frames)
     if len(frames) != declared:
         raise ValueError("sample count does not match the header")

@@ -4,16 +4,19 @@ The distance to the fiber is measured by
 
     Phi(F) = ||F F* - S||_F^2 + sum_j (||f_j||^2 - r_j)^2.
 
-Three routes are provided: Armijo-backtracking gradient descent on Phi in
-the ambient matrix space, alternation of the two exact constraint
-projections (operator part, then column rescaling), and damped normal-space
-Gauss-Newton, which is project_to_fiber. A Newton step costs the k x k
-Hermitian eigendecomposition of F F* (a frame too ill-conditioned for it
-takes the thin SVD of F), a real rank-k^2 update B^T B with B of shape
-k^2 x N (O(k^2 N^2) real flops) and an N x N LU solve. The Newton loop runs
-on a stack of frames, each row on its own: newton_refine is a stack of one,
-and connect projects every bridge point of a round in one stacked run, so
-the per-call cost of the small solves is paid once per stack. Public
+Three routes share one damped loop and differ only in its direction: the
+normal-space Gauss-Newton step D(F)^+ e (newton_refine, which is
+project_to_fiber), steepest descent -grad Phi = 2 D(F)* e at its Cauchy step
+(flow_to_fiber), and the move to the alternation of the two exact constraint
+projections, operator part then column rescaling (alternate_projections);
+e = (S - F F*, r - |f_j|^2) are the defects. The loop halves a step until
+Phi decreases, and a run stalls when no damped step does. A
+Newton step costs the k x k Hermitian eigendecomposition of F F* (a frame
+too ill-conditioned for it takes the thin SVD of F), a real rank-k^2 update
+B^T B with B of shape k^2 x N (O(k^2 N^2) real flops) and an N x N LU solve.
+The loop runs on a stack of frames, each row on its own: a route is a stack
+of one, and connect projects every bridge point of a round in one stacked
+run, so the per-call cost of the small solves is paid once per stack. Public
 functions validate their arguments once; their loops call private kernels.
 """
 
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import EIGEN_RTOL, RANK_RTOL, as_hermitian, frame_polar_isometry, full_row_rank, hermitize, psd_sqrt
+from ._linalg import EIGEN_RTOL, RANK_RTOL, _tolerance, as_hermitian, frame_polar_isometry, hermitize, psd_sqrt
 from .core import _norms_squared, as_frame_matrix
 from .fiber import FiberTarget, _positive_vector
 
@@ -43,14 +46,6 @@ __all__ = [
 ]
 
 
-# Armijo line search of flow_to_fiber: first step, sufficient-decrease constant, backtracking factor
-_STEP_INIT = 0.1
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
-# steps (gradient) or rounds (alternating) without meaningful progress that end a run as stalled
-_STALL_ITERS = 50
-
-
 def _non_negative_int(value, name: str) -> None:
     """ValueError unless value is an integer >= 0; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -61,10 +56,10 @@ def _non_negative_int(value, name: str) -> None:
 class FlowOptions:
     """Knobs shared by the repair flows.
 
-    max_iters caps the iterations of a run, whichever its method (gradient
-    steps, alternating rounds or Newton steps); tol bounds the objective Phi
-    at which a run counts as converged. ValueError unless max_iters is an
-    integer >= 0 (not a bool) and tol a finite number >= 0.
+    max_iters caps the iterations of a run, whichever its direction (gradient,
+    alternating or Newton); tol bounds the objective Phi at which a run counts
+    as converged. ValueError unless max_iters is an integer >= 0 (not a bool)
+    and tol a finite number >= 0.
     """
 
     max_iters: int = 2000
@@ -72,8 +67,7 @@ class FlowOptions:
 
     def __post_init__(self):
         _non_negative_int(self.max_iters, "max_iters")
-        if not isinstance(self.tol, numbers.Real) or not 0 <= self.tol < np.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        _tolerance(self.tol)
 
 
 @dataclass
@@ -100,12 +94,6 @@ class FlowReport:
             "residual_trace": [float(x) for x in self.residual_trace],
             "message": self.message,
         }
-
-
-def _report(method, trace, status, message="", final_residual=None) -> FlowReport:
-    """FlowReport for a residual trace; final_residual defaults to its last entry."""
-    final = float(trace[-1]) if final_residual is None else final_residual
-    return FlowReport(method, status, len(trace) - 1, final, np.asarray(trace), message)
 
 
 def _target_frame(F, target: FiberTarget) -> np.ndarray:
@@ -148,12 +136,13 @@ def fiber_residual_gradient(F, target: FiberTarget) -> np.ndarray:
 
     grad Phi = 4 (F F* - S) F + 4 F diag(||f_j||^2 - r_j).
     """
-    return _residual_gradient(_target_frame(F, target), target)
+    F = _target_frame(F, target)
+    return -_descent(F, *_gaps(F, target))
 
 
-def _residual_gradient(F: np.ndarray, target: FiberTarget) -> np.ndarray:
-    delta, gap = _gaps(F, target)
-    return -4.0 * (delta @ F) - 4.0 * (F * gap[None, :])
+def _descent(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-grad Phi = 2 D(F)* (R, b) = 4 (R F + F diag(b)) from the defects R, b of F (or of a stack)."""
+    return 4.0 * (R @ F + F * b[..., None, :])
 
 
 @lru_cache(maxsize=None)
@@ -276,52 +265,6 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     return (U @ dFt).reshape(shape)
 
 
-def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
-    """Armijo gradient descent on Phi from F0; returns (frame, FlowReport).
-
-    Statuses: "converged" (Phi <= tol), "stalled" (line search exhausted or no
-    relative progress across 50 steps), "lost_rank" (an iterate came
-    within a relative 1e-12 of dropping rank), "max_iters".
-    """
-    opts = options or FlowOptions()
-    F = _target_frame(F0, target).copy()
-    phi = _residual(F, target)
-    trace = [phi]
-
-    def report(status, message=""):
-        return F, _report("gradient", trace, status, message)
-
-    if phi <= opts.tol:
-        return report("converged")
-
-    step = _STEP_INIT
-    for _ in range(opts.max_iters):
-        if not full_row_rank(np.linalg.svd(F, compute_uv=False), F.shape[0]):
-            return report("lost_rank", "iterate is numerically rank deficient")
-        G = _residual_gradient(F, target)
-        gnorm2 = float(np.vdot(G, G).real)
-        if gnorm2 == 0.0:
-            return report("stalled", "gradient vanished away from the fiber")
-        s = step
-        for _ in range(80):
-            Fn = F - s * G
-            phin = _residual(Fn, target)
-            if phin <= phi - _ARMIJO_C * s * gnorm2:
-                break
-            s *= _BACKTRACK
-        else:
-            return report("stalled", "line search hit the floating-point floor")
-        F, phi = Fn, phin
-        trace.append(phi)
-        step = min(s * 2.0, 1e8)
-        if phi <= opts.tol:
-            return report("converged")
-        win = _STALL_ITERS
-        if len(trace) > win and trace[-1 - win] - phi <= 1e-6 * trace[-1 - win]:
-            return report("stalled", f"no relative progress over {win} steps")
-    return report("max_iters")
-
-
 def project_frame_operator(F, operator):
     """Closest-in-spirit move onto {G : G G* = S}: F -> S^(1/2) (F F*)^(-1/2) F.
 
@@ -346,58 +289,72 @@ def project_norms(F, norms_sq) -> np.ndarray:
 
 def _project_norms(F: np.ndarray, r: np.ndarray) -> np.ndarray:
     n = _norms_squared(F)
-    if np.any(n <= 1e-300):
+    if (n <= 1e-300).any():
         raise ValueError("zero column cannot be rescaled to a positive norm")
-    return F * np.sqrt(r / n)[None, :]
+    return F * np.sqrt(r / n)
 
 
 def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None = None):
-    """Alternate the two exact projections until Phi <= tol; returns (frame, report).
+    """Alternate the two exact projections until Phi <= tol; returns (frame, FlowReport).
 
-    Keeps the best iterate seen; declares "stalled" when the best has not
-    improved for 50 rounds.
+    A round moves F toward P(F), the operator projection S^(1/2) polar(F)
+    followed by the column rescaling, in the damped loop of newton_refine: a
+    move that does not lower Phi is halved. Where P raises (F rank deficient,
+    or a zero column) the direction is 0, so the run stalls there.
     """
-    opts = options or FlowOptions()
-    F = _target_frame(F0, target).copy()
     w, U, _clusters = target._spectral
-    S_sqrt = hermitize((U * np.sqrt(w)) @ U.conj().T)
-    phi = _residual(F, target)
-    trace = [phi]
-    best_F, best_phi, best_it = F, phi, 0
+    S_sqrt, r = hermitize((U * np.sqrt(w)) @ U.conj().T), target.norms_sq
 
-    def report(G, status, message=""):
-        return G, _report("alternating", trace, status, message, _residual(G, target))
+    def toward_projection(X, _R, _b):
+        dF = np.empty_like(X)
+        for i, x in enumerate(X):
+            try:
+                np.subtract(_project_norms(S_sqrt @ frame_polar_isometry(x), r), x, out=dF[i])
+            except ValueError:
+                dF[i] = 0.0
+        return dF
 
-    if phi <= opts.tol:
-        return report(F, "converged")
-
-    for it in range(1, opts.max_iters + 1):
-        try:
-            F = S_sqrt @ frame_polar_isometry(F)
-            F = _project_norms(F, target.norms_sq)
-        except ValueError as exc:
-            return report(best_F, "lost_rank", str(exc))
-        phi = _residual(F, target)
-        trace.append(phi)
-        if phi < best_phi:
-            best_F, best_phi, best_it = F, phi, it
-        if phi <= opts.tol:
-            return report(F, "converged")
-        if it - best_it >= _STALL_ITERS:
-            return report(best_F, "stalled", f"best residual stuck for {_STALL_ITERS} rounds")
-    return report(best_F, "max_iters")
+    return _repair("alternating", F0, target, options, toward_projection)
 
 
-def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
-    """Damped Gauss-Newton on a stack of frames F (n, k, N), each row on its own.
+def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
+    """Gradient descent on Phi from F0; returns (frame, FlowReport).
 
-    Every iteration takes one normal-space step dF per live row from one
-    stacked _normal_preimage call and tries X + dF on the whole live stack;
-    after each try, every row whose Phi did not decrease halves its own dF,
-    and the stack tries X + dF again, so try j of a row is X + 2^-j dF (25
-    tries, j = 0 .. 24). A row leaves the stack when Phi <= opts.tol
-    (converged) or when no damped step decreases its Phi (stalled); at most
-    opts.max_iters iterations run.
+    Each step is V = -grad Phi scaled by the Cauchy step ||V||^2 / (2 ||D(F)
+    V||^2), which minimizes the linearized defect along V, in the damped loop
+    of newton_refine. The step is 0 where V vanishes, so the run stalls at a
+    critical point of Phi off the fiber.
+    """
+    return _repair("gradient", F0, target, options, _steepest_descent)
+
+
+def _steepest_descent(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy step t V along V = -grad Phi for a stack F (n, k, N) with defects R, b.
+
+    t = <(R, b), D(F) V> / ||D(F) V||^2 = ||V||^2 / (2 ||D(F) V||^2), with
+    D(F) V = (F V* + V F*, 2 Re <f_j, v_j>); t = 0 where V = 0.
+    """
+    V = _descent(F, R, b)
+    W = F @ V.conj().swapaxes(1, 2)
+    W += W.conj().swapaxes(1, 2)
+    dd = _phi(W, 2.0 * np.add.reduce((F.conj() * V).real, axis=1))
+    v = V.reshape(len(V), -1)
+    vv = np.vecdot(v, v).real
+    t = np.divide(vv, 2.0 * dd, out=np.zeros_like(vv), where=dd > 0)
+    return V * t[:, None, None]
+
+
+def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions, direction=_normal_preimage):
+    """The damped repair loop on a stack of frames F (n, k, N), each row on its own.
+
+    Every iteration takes one step dF per live row from one stacked
+    direction(X, R, b) call, with R, b the defects of the live frames X (by
+    default the Gauss-Newton step _normal_preimage), and tries X + dF on the
+    whole live stack; after each try, every row whose Phi did not decrease
+    halves its own dF, and the stack tries X + dF again, so try j of a row is
+    X + 2^-j dF (25 tries, j = 0 .. 24). A row leaves the stack when Phi <=
+    opts.tol (converged) or when no damped step decreases its Phi (stalled);
+    at most opts.max_iters iterations run.
 
     Returns (frames, phi, iterations, trace, stalled): per row, its final Phi,
     its accepted steps and whether it stalled; trace[i, j] is Phi of row j
@@ -422,7 +379,7 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions):
         if live < len(rows):
             F[rows[~keep]], iters[rows[~keep]] = X[~keep], it
             rows, X, p, delta, gap = rows[keep], X[keep], p[keep], delta[keep], gap[keep]
-        dF = _normal_preimage(X, delta, gap)
+        dF = direction(X, delta, gap)
         # halving is exact, so try j is X + 2^-j dF bit for bit (save where
         # an entry of dF is subnormal); a row that accepted keeps its dF, so
         # its trial frame and Phi recur unchanged
@@ -459,17 +416,26 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     k^2 + N coordinates, eliminated in the eigenbasis of F F*. A
     rank-deficient iterate takes the same step, with its kernel rows filled
     by the missing operator energy, so it regains rank.
-    Steps are halved until Phi decreases; a step that cannot decrease Phi ends
-    the run as "stalled". The run is the Newton loop on a stack of one frame.
+    """
+    return _repair("newton", F0, target, options, _normal_preimage)
+
+
+def _repair(method, F0, target, options, direction):
+    """The damped loop of _newton on a stack of one frame; returns (frame, FlowReport).
+
+    Steps are halved until Phi decreases; a step that cannot decrease Phi
+    ends the run as "stalled".
     """
     opts = options or FlowOptions()
-    Fs, phi, iters, trace, stalled = _newton(_target_frame(F0, target)[None], target, opts)
+    Fs, phi, iters, trace, stalled = _newton(_target_frame(F0, target)[None], target, opts, direction)
     trace = trace[: iters[0] + 1, 0]
     if phi[0] <= opts.tol:
-        return Fs[0], _report("newton", trace, "converged")
-    if stalled[0]:
-        return Fs[0], _report("newton", trace, "stalled", "no damped step decreases the residual")
-    return Fs[0], _report("newton", trace, "max_iters")
+        status, message = "converged", ""
+    elif stalled[0]:
+        status, message = "stalled", "no damped step decreases the residual"
+    else:
+        status, message = "max_iters", ""
+    return Fs[0], FlowReport(method, status, len(trace) - 1, float(trace[-1]), trace, message)
 
 
 def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):

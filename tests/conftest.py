@@ -7,6 +7,9 @@ they can serve as oracles.
 
 import numpy as np
 
+# tolerances that the rule of _linalg._tolerance (finite and >= 0) rejects
+BAD_TOLERANCES = [np.nan, -1.0, np.inf, "1e-8", None]
+
 
 def rand_frame(rng, k, N):
     return rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N))
@@ -72,11 +75,12 @@ def fiber_residual_bruteforce(F, S, r):
     return op + float(np.sum(gaps**2))
 
 
-def min_norm_step_bruteforce(F, R, b):
-    """Independent minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
+def realified_jacobian(F):
+    """The derivative D(F) dF = (F dF* + dF F*, 2 Re <f_j, df_j>) as a real matrix.
 
-    The realified Jacobian is built one real coordinate of F at a time from the
-    two derivative formulas and inverted with the pseudoinverse.
+    It is built one real coordinate of F at a time (real parts, then
+    imaginary parts) from the two derivative formulas; a column is
+    (Re W, Im W, g) flattened.
     """
     k, N = F.shape
 
@@ -91,9 +95,17 @@ def min_norm_step_bruteforce(F, R, b):
             E = np.zeros(k * N, dtype=complex)
             E[idx] = part
             cols.append(derivative(E.reshape(k, N)))
-    J = np.stack(cols, axis=1)
+    return np.stack(cols, axis=1)
+
+
+def min_norm_step_bruteforce(F, R, b):
+    """Independent minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
+
+    The realified Jacobian is inverted with the pseudoinverse.
+    """
+    k, N = F.shape
     R = np.asarray(R, dtype=complex)
-    x = np.linalg.pinv(J) @ np.concatenate([R.real.ravel(), R.imag.ravel(), np.asarray(b, float)])
+    x = np.linalg.pinv(realified_jacobian(F)) @ np.concatenate([R.real.ravel(), R.imag.ravel(), np.asarray(b, float)])
     return (x[: k * N] + 1j * x[k * N :]).reshape(k, N)
 
 

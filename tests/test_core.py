@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_frame, rand_rank_deficient
+from conftest import BAD_TOLERANCES, rand_frame, rand_rank_deficient
 
 from fiberframe import (
     NotAFrameError,
@@ -129,3 +129,20 @@ class TestTightness:
         F = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         assert not is_tight(F)
         assert not is_funtf(F)
+
+    # without the check nan and a negative tol judged every frame not tight,
+    # and inf judged every frame tight
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_is_tight_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_tight(harmonic_frame_2x3(), tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_is_funtf_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_funtf(harmonic_frame_2x3(), tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bounds_is_tight_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            frame_bounds(harmonic_frame_2x3()).is_tight(tol)

@@ -209,6 +209,21 @@ class TestPathRoundTrip:
         with pytest.raises(ValueError, match="empty"):
             read_path(p)
 
+    @pytest.mark.parametrize("declared", [None, 0])
+    def test_header_without_samples_rejected(self, tmp_path, declared):
+        # numpy's "need at least one array to stack" leaked out before
+        t = FiberTarget.funtf(2, 4)
+        F = random_frame_on_fiber(t, seed=0)
+        p = tmp_path / "path.jsonl"
+        write_path(connect(F, F, t), p)
+        header = json.loads(p.read_text().splitlines()[0])
+        header.pop("samples", None)
+        if declared is not None:
+            header["samples"] = declared
+        p.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match="^path file has no samples$"):
+            read_path(p)
+
     @pytest.mark.parametrize("sample", [[0.0], {"re": [[1.0]], "im": [[0.0]]}])
     def test_sample_not_a_timed_object_rejected(self, tmp_path, sample):
         t = FiberTarget.funtf(2, 4)

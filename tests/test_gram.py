@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_frame, rand_unitary
+from conftest import BAD_TOLERANCES, rand_frame, rand_unitary
 
 from fiberframe import (
     ClusteringError,
@@ -104,6 +104,13 @@ class TestGramClass:
         F2 = rand_frame(rng, 3, 6)
         assert not same_gram_class(F1, F2)
 
+    # without the check same_gram_class(F, F, tol=-1.0) was False
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_rejects_bad_tol(self, tol):
+        F = rand_frame(np.random.default_rng(46), 3, 6)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            same_gram_class(F, F, tol=tol)
+
 
 class TestUnitaryEquivalence:
     def test_recovers_planted_unitary(self):
@@ -129,6 +136,13 @@ class TestUnitaryEquivalence:
         rng = np.random.default_rng(45)
         F = rand_frame(rng, 3, 6)
         assert unitary_equivalent(F, 2.0 * F) is None
+
+    # without the check unitary_equivalent(F, F, tol=nan) was None
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_rejects_bad_tol(self, tol):
+        F = rand_frame(np.random.default_rng(47), 3, 6)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            unitary_equivalent(F, F, tol=tol)
 
     def test_fiber_points_same_gram_are_equivalent(self):
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))

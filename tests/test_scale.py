@@ -2,7 +2,8 @@
 
 The momentum map is quadratic, so F -> sqrt(c) F takes the fiber of (S, r) onto
 the fiber of (c S, c r): admissibility, flag types, Hermitian-ness and unitary
-equivalence cannot depend on c. Inputs are fixed or built from seeded normal
+equivalence cannot depend on c, nor can the iterations of a repair run whose
+tolerance scales as Phi does. Inputs are fixed or built from seeded normal
 matrices, so each case below gives its c = 1 verdict at every c.
 """
 
@@ -14,11 +15,16 @@ from conftest import rand_frame, rand_unitary
 from fiberframe import (
     ClusteringError,
     FiberTarget,
+    FlowOptions,
     InadmissibleError,
+    alternate_projections,
     construct_frame,
     flag_type,
+    flow_to_fiber,
     hermitian_with_diagonal,
     is_admissible,
+    newton_refine,
+    random_frame_on_fiber,
     same_gram_class,
     spectrum_correspondence_residual,
     unitary_equivalent,
@@ -96,3 +102,24 @@ def test_decisions_do_not_depend_on_scale(c):
     # (which scales every floating-point step exactly) leaves it unchanged
     H = rand_frame(rng, 3, 6)
     assert spectrum_correspondence_residual(2.0 ** np.round(np.log2(c)) * H) == spectrum_correspondence_residual(H)
+
+
+@pytest.mark.parametrize("k,N", [(2, 4), (3, 7), (4, 9)])
+@pytest.mark.parametrize(
+    "route", [newton_refine, flow_to_fiber, alternate_projections], ids=["newton", "gradient", "alternating"]
+)
+def test_repair_iterations_do_not_depend_on_scale(route, k, N):
+    # the criterion-05 start; F -> c F takes the fiber of (S, r) onto that of
+    # (c^2 S, c^2 r) and Phi to c^4 Phi, so tol scales as c^4
+    t = FiberTarget.funtf(k, N)
+    F0 = random_frame_on_fiber(t, seed=10 * k + N)
+    rng = np.random.default_rng(10 * k + N)
+    E = rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N))
+    start = F0 + 1e-2 * np.linalg.norm(F0) / np.linalg.norm(E) * E
+    iterations = []
+    for c in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12):
+        tc = FiberTarget(c**2 * t.operator, c**2 * t.norms_sq)
+        _F, rep = route(c * start, tc, FlowOptions(tol=1e-20 * c**4))
+        assert rep.converged, f"c = {c:g}: {rep.status} after {rep.iterations}"
+        iterations.append(rep.iterations)
+    assert len(set(iterations)) == 1, iterations
