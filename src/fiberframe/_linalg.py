@@ -43,10 +43,21 @@ def _finite_array(a, dtype, ndim: int, name: str) -> np.ndarray:
     return a
 
 
+def _real_number(value) -> bool:
+    """Whether value is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _tolerance(tol, name: str = "tol") -> None:
-    """ValueError unless tol is a finite real number >= 0."""
-    if not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+    """ValueError unless tol is a finite real number >= 0 (not a bool)."""
+    if not _real_number(tol) or not 0 <= tol < np.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
+def _non_negative_int(value, name: str) -> None:
+    """ValueError unless value is an integer >= 0; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def as_complex_matrix(A, name="matrix") -> np.ndarray:
@@ -147,21 +158,18 @@ def unitary_log_factors(V: np.ndarray):
 def cluster_by_gap(values_desc: np.ndarray):
     """Group a descending sequence into clusters split at large relative gaps.
 
-    A gap at most CLUSTER_TOL times the largest |value| merges, a gap at or
-    above CLUSTER_AMBIGUITY times that splits; with any gap in between the
-    grouping is ambiguous and the result is None. An all-zero sequence is one
-    cluster.
+    Returns the clusters as a tuple of contiguous index slices. A gap at most
+    CLUSTER_TOL times the largest |value| merges, a gap at or above
+    CLUSTER_AMBIGUITY times that splits; with any gap in between the grouping
+    is ambiguous and the result is None. An all-zero sequence is one cluster.
     """
     merge = CLUSTER_TOL * float(np.max(np.abs(values_desc)))
-    clusters = [[0]]
-    for i, gap in enumerate(values_desc[:-1] - values_desc[1:], start=1):
-        if gap <= merge:
-            clusters[-1].append(i)
-        elif gap >= CLUSTER_AMBIGUITY * merge:
-            clusters.append([i])
-        else:
-            return None
-    return clusters
+    gaps = values_desc[:-1] - values_desc[1:]
+    split = gaps > merge
+    if np.any(split & (gaps < CLUSTER_AMBIGUITY * merge)):
+        return None
+    cuts = [0, *(np.flatnonzero(split) + 1).tolist(), len(values_desc)]
+    return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
 
 def spectral_clusters(A: np.ndarray):

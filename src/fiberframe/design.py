@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, eigh_desc, haar_unitary
+from ._linalg import MAJORIZATION_TOL, _non_negative_int, as_hermitian, as_real_vector, eigh_desc, haar_unitary
 from .errors import InadmissibleError
 from .fiber import FiberTarget, _positive_vector, _regular_target, _sums_agree, as_spectrum
 from .flows import FlowOptions, _residual, project_to_fiber
@@ -188,10 +188,8 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     if rng is not None:
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
         G = G * np.outer(phase, phase.conj())
-    w, V = np.linalg.eigh(G)
-    wk = np.clip(w[-k:][::-1], 0.0, None)
-    Vk = V[:, -k:][:, ::-1]
-    return np.sqrt(wk)[:, None] * Vk.conj().T
+    w, V = eigh_desc(G)
+    return np.sqrt(np.clip(w[:k], 0.0, None))[:, None] * V[:, :k].conj().T
 
 
 def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator | None = None):
@@ -212,8 +210,10 @@ def random_admissible_norms(spectrum, N: int, rng: np.random.Generator) -> np.nd
     partial-sum conditions, blends toward the uniform split (always
     admissible); the admissible set is convex, so bisection along the blend
     finds the boundary and a small margin keeps the result strictly inside.
+    ValueError unless N is an integer >= k (not a bool).
     """
     lam = as_spectrum(spectrum)
+    _non_negative_int(N, "N")
     if N < lam.size:
         raise ValueError("need at least as many vectors as dimensions")
     total = float(np.sum(lam))
@@ -250,8 +250,9 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     unitary scramble Newton-projected back onto the fiber. The result has
     residual at most 1e-20 max(1, trace(S))^2, a bound that scales with the
     fiber as the residual does; RuntimeError is raised when the projection
-    misses it.
+    misses it. ValueError unless seed is an integer >= 0 (not a bool).
     """
+    _non_negative_int(seed, "seed")
     rng = np.random.default_rng(seed)
     w, U, clusters = target._spectral
     F = U @ construct_frame(w, target.norms_sq, rng=rng)
@@ -261,8 +262,8 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     if clusters is not None:
         B = np.zeros((target.k, target.k), dtype=complex)
         for cl in clusters:
-            m = len(cl)
-            B[np.ix_(cl, cl)] = haar_unitary(m, rng) if m > 1 else np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
+            m = cl.stop - cl.start
+            B[cl, cl] = haar_unitary(m, rng) if m > 1 else np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
         F = (U @ B @ U.conj().T) @ F
 
     F, _rep = project_to_fiber(F @ haar_unitary(N, rng), target, FlowOptions(tol=1e-26))

@@ -9,6 +9,7 @@ up to symmetry.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlagType:
-    """Distinct eigenvalues (descending) with their multiplicities."""
+    """Distinct eigenvalues (descending) with their multiplicities.
+
+    ValueError unless the lengths agree, the eigenvalues strictly descend and
+    every multiplicity is an integer >= 1 (not a bool).
+    """
 
     eigenvalues: tuple
     multiplicities: tuple
@@ -38,8 +43,10 @@ class FlagType:
     def __post_init__(self):
         if len(self.eigenvalues) != len(self.multiplicities):
             raise ValueError("eigenvalues and multiplicities must have equal length")
-        if len(self.multiplicities) == 0 or any(int(m) < 1 for m in self.multiplicities):
-            raise ValueError("multiplicities must be positive integers")
+        if len(self.multiplicities) == 0 or any(
+            isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1 for m in self.multiplicities
+        ):
+            raise ValueError(f"multiplicities must be positive integers, got {self.multiplicities!r}")
         vals = tuple(float(x) for x in self.eigenvalues)
         if any(a <= b for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be distinct and strictly descending")
@@ -64,7 +71,7 @@ def flag_type(operator) -> FlagType:
     if clusters is None:
         raise ClusteringError(f"a gap of the spectrum {w.tolist()} falls in the ambiguity band")
     reps = tuple(float(np.mean(w[cl])) for cl in clusters)
-    mults = tuple(len(cl) for cl in clusters)
+    mults = tuple(cl.stop - cl.start for cl in clusters)
     return FlagType(eigenvalues=reps, multiplicities=mults)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import MAJORIZATION_TOL, as_hermitian, as_real_vector, spectral_clusters
+from ._linalg import MAJORIZATION_TOL, _non_negative_int, as_hermitian, as_real_vector, spectral_clusters
 from .momentum import _regular_value
 
 __all__ = ["as_spectrum", "FiberTarget"]
@@ -58,7 +58,7 @@ class FiberTarget:
     the norms, N >= k and trace(S) = sum(r), without which the fiber is empty.
     Both arrays are read-only copies, so the fiber and the decomposition
     spectral_clusters(S) that construction computes once cannot drift apart;
-    it is the one decomposition of S that the package reads.
+    it is immutable, and the one decomposition of S that the package reads.
     """
 
     operator: np.ndarray
@@ -94,7 +94,12 @@ class FiberTarget:
 
     @classmethod
     def funtf(cls, k: int, N: int) -> "FiberTarget":
-        """Unit-norm tight frame target: S = (N/k) Id, all norms 1."""
+        """Unit-norm tight frame target: S = (N/k) Id, all norms 1.
+
+        ValueError unless k and N are integers (not bools) with 1 <= k <= N.
+        """
+        _non_negative_int(k, "k")
+        _non_negative_int(N, "N")
         if not (1 <= k <= N):
             raise ValueError("need 1 <= k <= N")
         return cls(operator=(N / k) * np.eye(k, dtype=complex), norms_sq=np.ones(N))

@@ -41,6 +41,12 @@ def _load_json(path):
         return json.load(f, parse_constant=_reject_constant)
 
 
+def _write_json(obj, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f)
+        f.write("\n")
+
+
 def _number(obj: dict, key: str, kind: type, name: str):
     """obj[key] as kind, int or float; ValueError naming the field unless it is a JSON number of that kind."""
     value = obj[key]
@@ -76,10 +82,7 @@ def _frame_obj(F: np.ndarray) -> dict:
 
 def _write_frame_json(F, path) -> None:
     """Write a frame as one JSON object {"k", "N", "re", "im"}."""
-    obj = _frame_obj(as_frame_matrix(F))
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f)
-        f.write("\n")
+    _write_json(_frame_obj(as_frame_matrix(F)), path)
 
 
 def _read_frame_json(path) -> np.ndarray:
@@ -121,25 +124,25 @@ def _read_frame_csv(path) -> np.ndarray:
     return as_frame_matrix(np.array(rows, dtype=complex), "frame")
 
 
+_FRAME_FORMATS = {".json": (_read_frame_json, _write_frame_json), ".csv": (_read_frame_csv, _write_frame_csv)}
+
+
+def _frame_format(path):
+    """(reader, writer) of a frame file by its extension (.json or .csv, in any case)."""
+    ext = os.path.splitext(os.fspath(path))[1].lower()
+    if ext not in _FRAME_FORMATS:
+        raise ValueError(f"unsupported frame file extension {ext!r}")
+    return _FRAME_FORMATS[ext]
+
+
 def write_frame(F, path) -> None:
     """Write a frame, dispatching on the file extension (.json or .csv)."""
-    ext = os.path.splitext(os.fspath(path))[1].lower()
-    if ext == ".json":
-        _write_frame_json(F, path)
-    elif ext == ".csv":
-        _write_frame_csv(F, path)
-    else:
-        raise ValueError(f"unsupported frame file extension {ext!r}")
+    _frame_format(path)[1](F, path)
 
 
 def read_frame(path) -> np.ndarray:
     """Read a frame, dispatching on the file extension (.json or .csv)."""
-    ext = os.path.splitext(os.fspath(path))[1].lower()
-    if ext == ".json":
-        return _read_frame_json(path)
-    if ext == ".csv":
-        return _read_frame_csv(path)
-    raise ValueError(f"unsupported frame file extension {ext!r}")
+    return _frame_format(path)[0](path)
 
 
 def _target_obj(target: FiberTarget) -> dict:
@@ -148,9 +151,7 @@ def _target_obj(target: FiberTarget) -> dict:
 
 def write_target(target: FiberTarget, path) -> None:
     """Write a fiber target as JSON {"S": {"re", "im"}, "r": [...]}, readable by read_target."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(_target_obj(target), f)
-        f.write("\n")
+    _write_json(_target_obj(target), path)
 
 
 def _target_from_obj(obj, name: str) -> FiberTarget:

@@ -22,15 +22,24 @@ functions validate their arguments once; their loops call private kernels.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import EIGEN_RTOL, RANK_RTOL, _tolerance, as_hermitian, frame_polar_isometry, hermitize, psd_sqrt
+from ._linalg import (
+    EIGEN_RTOL,
+    RANK_RTOL,
+    _non_negative_int,
+    _tolerance,
+    as_hermitian,
+    frame_polar_isometry,
+    hermitize,
+    psd_sqrt,
+)
 from .core import _norms_squared, as_frame_matrix
 from .fiber import FiberTarget, _positive_vector
+from .momentum import _adjoint, _derivative
 
 __all__ = [
     "FlowOptions",
@@ -44,12 +53,6 @@ __all__ = [
     "newton_refine",
     "project_to_fiber",
 ]
-
-
-def _non_negative_int(value, name: str) -> None:
-    """ValueError unless value is an integer >= 0; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,10 @@ def _residual(F: np.ndarray, target: FiberTarget) -> float:
 def fiber_residual_gradient(F, target: FiberTarget) -> np.ndarray:
     """Gradient of Phi for the real inner product Re trace(A* B).
 
-    grad Phi = 4 (F F* - S) F + 4 F diag(||f_j||^2 - r_j).
+    grad Phi = 4 (F F* - S) F + 4 F diag(||f_j||^2 - r_j) = -2 D(F)* e, e the defects.
     """
     F = _target_frame(F, target)
-    return -_descent(F, *_gaps(F, target))
-
-
-def _descent(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """-grad Phi = 2 D(F)* (R, b) = 4 (R F + F diag(b)) from the defects R, b of F (or of a stack)."""
-    return 4.0 * (R @ F + F * b[..., None, :])
+    return -2.0 * _adjoint(F, *_gaps(F, target))
 
 
 @lru_cache(maxsize=None)
@@ -332,12 +330,10 @@ def _steepest_descent(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray
     """Cauchy step t V along V = -grad Phi for a stack F (n, k, N) with defects R, b.
 
     t = <(R, b), D(F) V> / ||D(F) V||^2 = ||V||^2 / (2 ||D(F) V||^2), with
-    D(F) V = (F V* + V F*, 2 Re <f_j, v_j>); t = 0 where V = 0.
+    V = 2 D(F)* (R, b); t = 0 where V = 0.
     """
-    V = _descent(F, R, b)
-    W = F @ V.conj().swapaxes(1, 2)
-    W += W.conj().swapaxes(1, 2)
-    dd = _phi(W, 2.0 * np.add.reduce((F.conj() * V).real, axis=1))
+    V = 2.0 * _adjoint(F, R, b)
+    dd = _phi(*_derivative(F, V))
     v = V.reshape(len(V), -1)
     vv = np.vecdot(v, v).real
     t = np.divide(vv, 2.0 * dd, out=np.zeros_like(vv), where=dd > 0)

@@ -29,16 +29,25 @@ with S only up to the widths of its eigenvalue clusters) is dropped.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._linalg import COINCIDE_RTOL, _finite_array, as_hermitian, polar_unitary, spectral_clusters, unitary_log_factors
+from ._linalg import (
+    COINCIDE_RTOL,
+    _finite_array,
+    _non_negative_int,
+    _real_number,
+    as_hermitian,
+    polar_unitary,
+    spectral_clusters,
+    unitary_log_factors,
+)
 from .core import _frame_pair
 from .errors import ConnectError, OffFiberError
 from .fiber import FiberTarget
-from .flows import FlowOptions, _gaps, _newton, _non_negative_int, _normal_preimage, _phi, _residual, _target_frame
+from .flows import FlowOptions, _gaps, _newton, _normal_preimage, _phi, _residual, _target_frame
+from .momentum import _derivative
 
 __all__ = [
     "ConnectOptions",
@@ -71,8 +80,8 @@ _STACK_BYTES = 1 << 22
 
 
 def _positive(value, name: str) -> None:
-    """ValueError unless value is a finite real number > 0."""
-    if not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+    """ValueError unless value is a finite real number > 0; a bool is not one."""
+    if not _real_number(value) or not 0 < value < np.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -219,11 +228,6 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
     )
 
 
-def _blocks(clusters) -> list:
-    """The contiguous index slices of the clusters; none when the spectrum cannot be clustered safely (None)."""
-    return [slice(cl[0], cl[-1] + 1) for cl in clusters or ()]
-
-
 def _block_procrustes(A: np.ndarray, B: np.ndarray, blocks) -> np.ndarray:
     """Block-diagonal unitary V minimizing ||A - V B||, frames in the eigenbasis of the operator.
 
@@ -253,7 +257,7 @@ def gauge_align(F0, F1, operator) -> np.ndarray:
         return F1.copy()
     Uh = U.conj().T
     B = Uh @ F1
-    return U @ (_block_procrustes(Uh @ F0, B, _blocks(clusters)) @ B)
+    return U @ (_block_procrustes(Uh @ F0, B, clusters) @ B)
 
 
 def _column_angles(F0: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -312,8 +316,7 @@ def _tangent_kick(rng: np.random.Generator, F: np.ndarray, size: float) -> np.nd
     """
     k, N = F.shape
     G0 = rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N))
-    W = F @ G0.conj().T
-    T = G0 - _normal_preimage(F, W + W.conj().T, 2.0 * np.real(np.sum(F.conj() * G0, axis=0)))
+    T = G0 - _normal_preimage(F, *_derivative(F, G0))
     nrm = np.linalg.norm(T)
     if nrm == 0.0:
         return np.zeros_like(F)
@@ -418,7 +421,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     # U(k)_S is block diagonal over its clusters: the endpoints are mapped
     # once, and the unwind samples are mapped back by one product
     _w, U, clusters = target._spectral
-    blocks = _blocks(clusters)
+    blocks = clusters or ()
     Uh = U.conj().T
     B = Uh @ F1
     V, phi = _eigen_gauge(Uh @ F0, B, blocks)

@@ -46,7 +46,10 @@ __all__ = [
 
 def symplectic_form(X1, X2) -> float:
     """omega(X1, X2) = -Im trace(X1* X2) on C^{k x N}."""
-    X1, X2 = _frame_pair(X1, X2, ("X1", "X2"))
+    return _omega(*_frame_pair(X1, X2, ("X1", "X2")))
+
+
+def _omega(X1: np.ndarray, X2: np.ndarray) -> float:
     return float(-np.imag(np.vdot(X1, X2)))
 
 
@@ -74,7 +77,10 @@ class LieAlgebraElement:
 
 def infinitesimal_field(F, xi: LieAlgebraElement) -> np.ndarray:
     """Tangent field of the action at F: B F + F i diag(t)."""
-    F = as_frame_matrix(F)
+    return _field(as_frame_matrix(F), xi)
+
+
+def _field(F: np.ndarray, xi: LieAlgebraElement) -> np.ndarray:
     k, N = F.shape
     if xi.skew.shape[0] != k or xi.torus.shape[0] != N:
         raise ValueError("algebra element does not match frame shape")
@@ -106,21 +112,24 @@ def momentum(F) -> MomentumValue:
 
 def momentum_derivative_unitary(F, X) -> np.ndarray:
     """Derivative of F -> F F* at F in direction X: F X* + X F* (Hermitian)."""
-    F, X = _frame_pair(F, X, ("F", "X"))
-    return hermitize(F @ X.conj().T + X @ F.conj().T)
+    return _derivative(*_frame_pair(F, X, ("F", "X")))[0]
 
 
 def momentum_derivative_torus(F, X) -> np.ndarray:
     """Derivative of the torus momentum: -Re <f_j, x_j> per column."""
-    F, X = _frame_pair(F, X, ("F", "X"))
-    return -np.real(np.sum(np.conj(F) * X, axis=0))
+    return -0.5 * _derivative(*_frame_pair(F, X, ("F", "X")))[1]
 
 
-def _pair_with_algebra(W: np.ndarray, w: np.ndarray, xi: LieAlgebraElement) -> float:
-    # (i/2) trace(B W) is real for B anti-Hermitian and W Hermitian; the torus
-    # factor pairs by the ordinary dot product.
-    unit = 0.5j * np.trace(xi.skew @ W)
-    return float(unit.real + np.dot(xi.torus, w))
+def _derivative(F: np.ndarray, X: np.ndarray):
+    """D(F) X = (F X* + X F*, 2 Re <f_j, x_j>) for frames (..., k, N); the first part is exactly Hermitian."""
+    W = F @ X.conj().swapaxes(-1, -2)
+    W += W.conj().swapaxes(-1, -2)
+    return W, 2.0 * np.add.reduce((F.conj() * X).real, axis=-2)
+
+
+def _adjoint(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D(F)* (R, b) = 2 (R F + F diag(b)), the adjoint of _derivative for Re trace(A* B)."""
+    return 2.0 * (R @ F + F * b[..., None, :])
 
 
 def defining_property_residual(F, X, xi: LieAlgebraElement) -> float:
@@ -130,12 +139,12 @@ def defining_property_residual(F, X, xi: LieAlgebraElement) -> float:
     the statement that F F* and the half-squared-norm vector generate the two
     group actions Hamiltonianly.
     """
-    F = as_frame_matrix(F)
-    lhs = _pair_with_algebra(
-        momentum_derivative_unitary(F, X), momentum_derivative_torus(F, X), xi
-    )
-    rhs = symplectic_form(X, infinitesimal_field(F, xi))
-    return abs(lhs - rhs)
+    F, X = _frame_pair(F, X, ("F", "X"))
+    rhs = _omega(X, _field(F, xi))
+    W, g = _derivative(F, X)
+    # (i/2) trace(B W) is real for B anti-Hermitian and W Hermitian; the torus
+    # factor pairs with the torus derivative -g / 2 by the ordinary dot product
+    return abs(float((0.5j * np.trace(xi.skew @ W)).real + np.dot(xi.torus, -0.5 * g)) - rhs)
 
 
 def invert_momentum_derivative(F, W) -> np.ndarray:

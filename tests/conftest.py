@@ -7,8 +7,8 @@ they can serve as oracles.
 
 import numpy as np
 
-# tolerances that the rule of _linalg._tolerance (finite and >= 0) rejects
-BAD_TOLERANCES = [np.nan, -1.0, np.inf, "1e-8", None]
+# tolerances that the rule of _linalg._tolerance (finite and >= 0, not a bool) rejects
+BAD_TOLERANCES = [np.nan, -1.0, np.inf, "1e-8", None, True]
 
 
 def rand_frame(rng, k, N):
@@ -259,7 +259,7 @@ def symmetry_gauge_two_basis(F0, F1, operator):
         blocks = np.zeros((k, k), dtype=complex)
         for cl in clusters:
             X, _s, Yh = np.linalg.svd(A[cl] @ B[cl].conj().T)
-            blocks[np.ix_(cl, cl)] = X @ Yh
+            blocks[cl, cl] = X @ Yh
         return U @ blocks @ U.conj().T
 
     def angles(G):
@@ -283,5 +283,5 @@ def symmetry_gauge(F0, F1, target):
 
     _w, U, clusters = target._spectral
     Uh = U.conj().T
-    V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, homotopy._blocks(clusters))
+    V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, clusters or ())
     return (V if clusters is None else U @ V @ Uh), phi

@@ -105,6 +105,25 @@ class TestFiberTarget:
         with pytest.raises(ValueError, match="1 <= k <= N"):
             FiberTarget.funtf(k, N)
 
+    @pytest.mark.parametrize(
+        "k,N,name", [(2.0, 4, "k"), (2, 4.0, "N"), (True, 4, "k"), (2, "4", "N"), (-1, 4, "k")]
+    )
+    def test_funtf_needs_integer_sizes(self, k, N, name):
+        # a float size leaked numpy's TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+            FiberTarget.funtf(k, N)
+
+    def test_funtf_accepts_numpy_integers(self):
+        t = FiberTarget.funtf(np.int64(2), np.int32(4))
+        assert (t.k, t.N) == (2, 4)
+
+    def test_decomposition_is_immutable(self):
+        # the clusters are a tuple of slices, so no part of the decomposition can be changed
+        t = FiberTarget.from_spectrum([3.0, 3.0, 1.0], np.ones(7))
+        assert isinstance(t._spectral, tuple)
+        assert t._spectral[2] == (slice(0, 2), slice(2, 3))
+        assert all(type(cl) is slice for cl in t._spectral[2])
+
     def test_repr(self):
         assert repr(FiberTarget.funtf(2, 4)) == "FiberTarget(k=2, N=4, trace=4)"
 

@@ -386,6 +386,11 @@ class TestOptions:
             FlowOptions(**kwargs)
 
     @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_tol(self, value):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            FlowOptions(tol=value)
+
+    @pytest.mark.parametrize("value", [True, False])
     def test_rejects_bool_max_iters(self, value):
         with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
             FlowOptions(max_iters=value)

@@ -52,6 +52,20 @@ class TestFlagType:
         with pytest.raises(ValueError, match="equal length"):
             FlagType(eigenvalues=(2.0, 1.0), multiplicities=(2,))
 
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, False, 0, -1, "2", None, np.bool_(True)])
+    def test_multiplicity_must_be_a_positive_integer(self, m):
+        # 1.5 was truncated to 1 and True counted as 1
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+            FlagType(eigenvalues=(1.0,), multiplicities=(m,))
+
+    def test_numpy_integer_multiplicity(self):
+        ft = FlagType(eigenvalues=(2.0, 1.0), multiplicities=(np.int64(2), 1))
+        assert ft.multiplicities == (2, 1) and type(ft.multiplicities[0]) is int
+
+    def test_zero_operator_is_one_cluster(self):
+        # every gap of an all-zero spectrum is 0, at most the merge threshold 0
+        assert flag_type(np.zeros((3, 3))) == FlagType((0.0,), (3,))
+
 
 class TestDimensions:
     def test_funtf_two_four(self):

@@ -271,7 +271,7 @@ class TestEigenbasisGauge:
         V_ref, phi_ref = symmetry_gauge_two_basis(F0, F1, target.operator)
         _w, U, clusters = target._spectral
         Uh = U.conj().T
-        V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, homotopy._blocks(clusters))
+        V, phi = homotopy._eigen_gauge(Uh @ F0, Uh @ F1, clusters or ())
         assert np.linalg.norm(U @ V @ Uh - V_ref) <= 1e-13
         assert np.max(np.abs(phi - phi_ref)) <= 1e-13
         if clusters is None:
@@ -457,6 +457,19 @@ class TestConnect:
         # each field named in the error, before any work is done
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
             ConnectOptions(**kwargs)
+
+    @pytest.mark.parametrize("name", ["path_tol", "delta"])
+    def test_options_reject_bool(self, name):
+        # True passed as 1.0, while seed rejected a bool
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            ConnectOptions(**{name: True})
+
+    @pytest.mark.parametrize("name", ["tol", "delta"])
+    def test_validate_path_rejects_bool(self, name):
+        t = FiberTarget.funtf(2, 4)
+        path = FramePath(np.array([0.0, 1.0]), np.stack(_pair(t, 0, 0)), t)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            validate_path(path, **{name: True})
 
     def test_options_accept_numpy_scalars(self):
         opts = ConnectOptions(path_tol=np.float64(1e-8), delta=np.float32(0.05), seed=np.int64(3))

@@ -12,6 +12,7 @@ from fiberframe._linalg import (
     RANK_RTOL,
     as_complex_matrix,
     as_hermitian,
+    cluster_by_gap,
     frame_polar_isometry,
     full_row_rank,
     unitary_log_factors,
@@ -90,3 +91,25 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, fiberframe; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestClusterByGap:
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ([3.0], (slice(0, 1),)),
+            ([3.0, 2.0, 1.0], (slice(0, 1), slice(1, 2), slice(2, 3))),
+            ([2.0, 2.0, 1.0], (slice(0, 2), slice(2, 3))),
+            ([5.0, 1.0 + 1e-12, 1.0, 1.0 - 1e-12], (slice(0, 1), slice(1, 4))),
+            ([0.0, 0.0, 0.0], (slice(0, 3),)),
+            ([1e-300, 1e-300, 0.5e-300], (slice(0, 2), slice(2, 3))),
+        ],
+        ids=["one", "distinct", "pair", "merged_chain", "all_zero", "tiny_scale"],
+    )
+    def test_contiguous_slices(self, values, expected):
+        clusters = cluster_by_gap(np.array(values))
+        assert isinstance(clusters, tuple) and clusters == expected
+
+    def test_ambiguous_gap_is_none(self):
+        # a relative gap of 5e-8 lies between CLUSTER_TOL and ten times it
+        assert cluster_by_gap(np.array([2.0, 2.0 - 1e-7, 1.0])) is None

@@ -8,6 +8,7 @@ from conftest import (
     rand_hermitian,
     rand_rank_deficient,
     rand_unitary,
+    realified_jacobian,
 )
 
 from fiberframe import (
@@ -28,6 +29,7 @@ from fiberframe import (
     norms_squared,
     symplectic_form,
 )
+from fiberframe.momentum import _adjoint, _derivative
 
 
 def frame_with_condition(rng, k, N, ratio):
@@ -279,3 +281,55 @@ class TestRegularValues:
             FiberTarget(c * np.diag([2.0, 0.0]), c * np.ones(2))
         chk = is_regular_value(c * t.operator, -0.5 * c * np.array([2.0, 2.0, 0.0, 0.0]))
         assert not chk and "torus" in chk.reason
+
+
+class TestLinearization:
+    """momentum._derivative is D(F) for every caller, and momentum._adjoint is its adjoint."""
+
+    @pytest.mark.parametrize("k,N", [(2, 4), (3, 7), (8, 64)])
+    def test_derivative_is_the_realified_jacobian_on_a_stack(self, k, N):
+        rng = np.random.default_rng(k * N)
+        F = np.stack([rand_frame(rng, k, N) for _ in range(4)])
+        X = np.stack([rand_frame(rng, k, N) for _ in range(4)])
+        W, g = _derivative(F, X)
+        assert W.shape == (4, k, k) and g.shape == (4, N)
+        for i in range(4):
+            expected = realified_jacobian(F[i]) @ np.concatenate([X[i].real.ravel(), X[i].imag.ravel()])
+            got = np.concatenate([W[i].real.ravel(), W[i].imag.ravel(), g[i]])
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+            # the unitary part is Hermitian to the last bit
+            assert np.array_equal(W[i], W[i].conj().T)
+            # and one frame of the stack alone gives the same numbers
+            W1, g1 = _derivative(F[i], X[i])
+            assert_allclose(W1, W[i], rtol=0, atol=1e-13 * np.abs(W[i]).max())
+            assert_allclose(g1, g[i], rtol=0, atol=1e-13 * np.abs(g[i]).max())
+
+    @pytest.mark.parametrize("k,N", [(1, 1), (2, 4), (3, 7), (5, 5), (8, 64)])
+    def test_adjoint_pairing(self, k, N):
+        # <D(F) X, (R, b)> = <X, D(F)* (R, b)> for the real inner product Re trace(A* B)
+        rng = np.random.default_rng(100 + k * N)
+        for _ in range(5):
+            F, X = rand_frame(rng, k, N), rand_frame(rng, k, N)
+            R, b = rand_hermitian(rng, k), rng.standard_normal(N)
+            W, g = _derivative(F, X)
+            Y = _adjoint(F, R, b)
+            lhs = np.vdot(W, R).real + np.dot(g, b)
+            rhs = np.vdot(X, Y).real
+            scale = np.linalg.norm(W) * np.linalg.norm(R) + np.linalg.norm(g) * np.linalg.norm(b)
+            assert abs(lhs - rhs) <= 1e-12 * scale
+
+    def test_public_derivatives_read_it(self):
+        rng = np.random.default_rng(13)
+        F, X = rand_frame(rng, 3, 6), rand_frame(rng, 3, 6)
+        W, g = _derivative(F, X)
+        assert np.array_equal(momentum_derivative_unitary(F, X), W)
+        assert np.array_equal(momentum_derivative_torus(F, X), -0.5 * g)
+
+    def test_defining_property_validates_its_frames(self):
+        xi = LieAlgebraElement.zero(2, 3)
+        with pytest.raises(ValueError, match="F contains non-finite entries"):
+            defining_property_residual(np.full((2, 3), np.nan), np.ones((2, 3)), xi)
+        with pytest.raises(ValueError, match="X contains non-finite entries"):
+            defining_property_residual(np.ones((2, 3)), np.full((2, 3), np.inf), xi)
+        with pytest.raises(ValueError, match="does not match frame shape"):
+            defining_property_residual(np.ones((2, 4)), np.ones((2, 4)), xi)

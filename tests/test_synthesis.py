@@ -184,6 +184,17 @@ class TestRandomAdmissibleNorms:
         with pytest.raises(ValueError, match="at least as many vectors"):
             random_admissible_norms([2.0, 1.0, 1.0], 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("N", [3.0, True, "3", -3])
+    def test_rejects_non_integer_count(self, N):
+        # a float N leaked numpy's TypeError
+        with pytest.raises(ValueError, match="^N must be a non-negative integer"):
+            random_admissible_norms([2.0, 1.0], N, np.random.default_rng(0))
+
+    def test_numpy_integer_count(self):
+        r1 = random_admissible_norms([2.0, 1.0], np.int64(5), np.random.default_rng(3))
+        r2 = random_admissible_norms([2.0, 1.0], 5, np.random.default_rng(3))
+        assert np.array_equal(r1, r2)
+
 
 class TestRandomFrameOnFiber:
     def test_on_fiber_and_deterministic(self):
@@ -198,6 +209,16 @@ class TestRandomFrameOnFiber:
         F1 = random_frame_on_fiber(t, seed=1)
         F2 = random_frame_on_fiber(t, seed=2)
         assert np.linalg.norm(F1 - F2) > 1e-3
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, -1, "1", None])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        # True was taken as seed 1, 1.5 leaked numpy's TypeError
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            random_frame_on_fiber(FiberTarget.funtf(2, 4), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        t = FiberTarget.funtf(2, 4)
+        assert np.array_equal(random_frame_on_fiber(t, seed=np.int64(7)), random_frame_on_fiber(t, seed=7))
 
     def test_non_degenerate_operator(self):
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
