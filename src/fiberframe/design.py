@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import MAJORIZATION_TOL, _non_negative_int, as_hermitian, as_real_vector, eigh_desc, haar_unitary
 from .errors import InadmissibleError
 from .fiber import FiberTarget, _positive_vector, _regular_target, _sums_agree, as_spectrum
-from .flows import FlowOptions, _residual, project_to_fiber
+from .flows import FlowOptions, _newton, _residual
 
 __all__ = [
     "AdmissibilityCheck",
@@ -266,7 +266,8 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
             B[cl, cl] = haar_unitary(m, rng) if m > 1 else np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
         F = (U @ B @ U.conj().T) @ F
 
-    F, _rep = project_to_fiber(F @ haar_unitary(N, rng), target, FlowOptions(tol=1e-26))
+    # the loop's default, plain Newton step: newton_refine's would move every seeded output
+    F = _newton((F @ haar_unitary(N, rng))[None], target, FlowOptions(tol=1e-26))[0][0]
     phi, bound = _residual(F, target), 1e-20 * max(1.0, float(np.sum(w))) ** 2
     if phi > bound:
         raise RuntimeError(f"projected frame missed the fiber: residual {phi:.3e} > {bound:.3e}")

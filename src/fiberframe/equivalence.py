@@ -9,12 +9,13 @@ up to symmetry.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _tolerance, as_hermitian, polar_unitary, spectral_clusters
+from ._linalg import _non_negative_int, _real_number, _tolerance, as_hermitian, polar_unitary, spectral_clusters
 from .core import _frame_pair, as_frame_matrix, gram
 from .errors import ClusteringError
 
@@ -33,8 +34,9 @@ __all__ = [
 class FlagType:
     """Distinct eigenvalues (descending) with their multiplicities.
 
-    ValueError unless the lengths agree, the eigenvalues strictly descend and
-    every multiplicity is an integer >= 1 (not a bool).
+    ValueError unless the lengths agree, the eigenvalues are finite real
+    numbers (not bools) that strictly descend and every multiplicity is an
+    integer >= 1 (not a bool).
     """
 
     eigenvalues: tuple
@@ -47,6 +49,8 @@ class FlagType:
             isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1 for m in self.multiplicities
         ):
             raise ValueError(f"multiplicities must be positive integers, got {self.multiplicities!r}")
+        if not all(_real_number(x) and math.isfinite(x) for x in self.eigenvalues):
+            raise ValueError(f"eigenvalues must be finite real numbers, got {self.eigenvalues!r}")
         vals = tuple(float(x) for x in self.eigenvalues)
         if any(a <= b for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be distinct and strictly descending")
@@ -89,7 +93,9 @@ def reduced_dimension(ft: FlagType, N: int) -> int:
     """Real dimension of the space of frames with this operator, up to symmetry.
 
     2 k (N - k) for the fixed-operator slice plus the orbit dimension.
+    ValueError unless N is an integer >= k (not a bool).
     """
+    _non_negative_int(N, "N")
     k = ft.dimension
     if N < k:
         raise ValueError("need at least as many vectors as dimensions")

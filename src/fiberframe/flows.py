@@ -13,7 +13,9 @@ e = (S - F F*, r - |f_j|^2) are the defects. The loop halves a step until
 Phi decreases, and a run stalls when no damped step does. A
 Newton step costs the k x k Hermitian eigendecomposition of F F* (a frame
 too ill-conditioned for it takes the thin SVD of F), a real rank-k^2 update
-B^T B with B of shape k^2 x N (O(k^2 N^2) real flops) and an N x N LU solve.
+B^T B with B of shape k^2 x N (O(k^2 N^2) real flops) and one or two N x N
+LU solves: newton_refine's step adds a second solve with the same factors,
+which removes the exact second-order defect a step leaves.
 The loop runs on a stack of frames, each row on its own: a route is a stack
 of one, and connect projects every bridge point of a round in one stacked
 run, so the per-call cost of the small solves is paid once per stack. Public
@@ -23,7 +25,7 @@ functions validate their arguments once; their loops call private kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -159,7 +161,7 @@ def _pairs(k: int):
     return ia, ib, ab, m
 
 
-def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
+def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, tol=None):
     """Minimum-norm dF with F dF* + dF F* = R and 2 Re <f_j, df_j> = b_j.
 
     F may carry leading stack axes, (..., k, N) with R (..., k, k) and b
@@ -196,6 +198,14 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     orthogonal to the rows of F, so the iterate regains rank with the missing
     energy. At full rank neither rule changes the step, and a stack with no
     SVD frame skips both.
+
+    With tol given and (R, b) the defects e, the step is Newton's, and as the
+    momentum is quadratic, D(F) dF = e leaves exactly the defect -Q(dF) =
+    -(dF dF*, |df_j|^2), of Phi q. A frame with tol < q <= Phi / 4 (Phi =
+    |e|^2), no kernel fill and no lstsq solve returns dF + dF2 with D(F) dF2 =
+    -Q(dF), solved with the same factors: its defect is third order, and its
+    slope -2 <e, e - Q(dF)> <= -Phi makes it a descent direction. Every other
+    frame returns dF bit for bit.
     """
     shape = F.shape
     k, N = shape[-2:]
@@ -242,6 +252,7 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
     T.reshape(-1, N * N)[:, :: N + 1] += diag
     T += 1.0 / N
     rhs = c - np.add.reduce(c, axis=1, keepdims=True) / N
+    singular = []
     try:
         g = np.linalg.solve(T, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -251,16 +262,42 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray):
                 g[i] = np.linalg.solve(T[i], rhs[i])
             except np.linalg.LinAlgError:
                 g[i] = np.linalg.lstsq(T[i] - 1.0 / N, c[i], rcond=None)[0]
-    Ftg = Ft * g[:, None]
-    Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
-    dFt = Wt @ Ft + Ftg
+                singular.append(i)
+    dFt = _lift(Ft, Ftc, K, Rt, g)
     # only an SVD frame can have kernel directions
     if svd:
         ker = sq < rank_floor
         if np.count_nonzero(ker):
             fill = np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))
             dFt[ker] += fill[:, None] * Vh[ker[ill]]
+    if tol is not None:
+        Qt, Qb = dFt @ dFt.conj().swapaxes(1, 2), _norms_squared(dFt)
+        q = _phi(Qt, Qb)
+        fix = (q > tol) & (4.0 * q <= _phi(R, b))
+        fix[singular] = False
+        if svd:
+            fix &= ~np.any(sq < rank_floor, axis=1)
+        m = np.count_nonzero(fix)
+        if m:
+            # a mask would copy T and B; a stack of one takes this branch
+            if m == n:
+                fix = slice(None)
+            # right-hand side (-Q~, -Qb); P is freed, so its c is read off B
+            Rt2 = -Qt[fix]
+            v = w[fix] * Rt2.reshape(m, -1).take(ab, axis=1)
+            v = np.concatenate((v.real, -v.imag[:, k:]), axis=1)
+            c = -0.5 * Qb[fix] - (v[:, None] @ B[fix])[:, 0]
+            rhs = c - np.add.reduce(c, axis=1, keepdims=True) / N
+            g = np.linalg.solve(T[fix], rhs[:, :, None])[:, :, 0]
+            dFt[fix] += _lift(Ft[fix], Ftc[fix], K[fix], Rt2, g)
     return (U @ dFt).reshape(shape)
+
+
+def _lift(Ft, Ftc, K, Rt, g):
+    """The eigenbasis step W~ Ft + Ft diag(g), W~ = K o (R~ - 2 Ft diag(g) Ft*), of each frame."""
+    Ftg = Ft * g[:, None]
+    Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
+    return Wt @ Ft + Ftg
 
 
 def project_frame_operator(F, operator):
@@ -345,7 +382,7 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions, direction=_no
 
     Every iteration takes one step dF per live row from one stacked
     direction(X, R, b) call, with R, b the defects of the live frames X (by
-    default the Gauss-Newton step _normal_preimage), and tries X + dF on the
+    default the plain Newton step _normal_preimage), and tries X + dF on the
     whole live stack; after each try, every row whose Phi did not decrease
     halves its own dF, and the stack tries X + dF again, so try j of a row is
     X + 2^-j dF (25 tries, j = 0 .. 24). A row leaves the stack when Phi <=
@@ -411,9 +448,14 @@ def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
     in the normal space {W F + F diag(g)} of the fiber, so it is solved in its
     k^2 + N coordinates, eliminated in the eigenbasis of F F*. A
     rank-deficient iterate takes the same step, with its kernel rows filled
-    by the missing operator energy, so it regains rank.
+    by the missing operator energy, so it regains rank. As the constraints
+    are quadratic, the defect a step dF leaves is exactly -(dF dF*,
+    |df_j|^2); where that is above tol and at most a quarter of Phi, one more
+    solve with the step's factors removes it, and the step converges at third
+    order (the two-step method of Traub).
     """
-    return _repair("newton", F0, target, options, _normal_preimage)
+    opts = options or FlowOptions()
+    return _repair("newton", F0, target, opts, partial(_normal_preimage, tol=opts.tol))
 
 
 def _repair(method, F0, target, options, direction):
@@ -438,6 +480,7 @@ def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None
     """Projection onto the fiber; returns (frame, report).
 
     The Newton solve in the fiber's normal space {W F + F diag(g)}, the range
-    of the momentum derivative's adjoint: newton_refine (method "newton").
+    of the momentum derivative's adjoint, with its second-order correction:
+    newton_refine (method "newton").
     """
     return newton_refine(F0, target, options)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._linalg import (
     RANK_RTOL,
+    _non_negative_int,
     as_complex_matrix,
     as_hermitian,
     as_real_vector,
@@ -72,6 +73,9 @@ class LieAlgebraElement:
 
     @classmethod
     def zero(cls, k: int, N: int) -> "LieAlgebraElement":
+        """The zero of u(k) x R^N; ValueError unless k and N are integers >= 0 (not bools)."""
+        _non_negative_int(k, "k")
+        _non_negative_int(N, "N")
         return cls(np.zeros((k, k), dtype=complex), np.zeros(N))
 
 

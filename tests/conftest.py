@@ -155,13 +155,15 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     to the one before it is dropped (F0 and F1 stay). Each gap wider than
     delta, of width w, is then bridged recursively: it is cut into
     m = 2^min(levels, ceil(log2(w / delta))) pieces at the chord points
-    Fa + (j / m)(Fb - Fa), one project_to_fiber call per point from left to
-    right, and each piece still wider than delta is bridged the same way,
-    left before right. The cap `levels` is the package's
-    homotopy._ROUND_LEVELS, so the reference follows its round geometry;
-    otherwise only public package functions are used.
+    Fa + (j / m)(Fb - Fa), one run of the package's damped Newton loop
+    flows._newton per point, a stack of one with the plain step connect
+    takes, from left to right, and each piece still wider than delta is
+    bridged the same way, left before right. The cap `levels` is the
+    package's homotopy._ROUND_LEVELS, so the reference follows its round
+    geometry; otherwise only public package functions are used.
     """
-    from fiberframe import FlowOptions, fiber_residual, project_to_fiber
+    from fiberframe import FlowOptions, fiber_residual
+    from fiberframe.flows import _newton
     from fiberframe.homotopy import _ROUND_LEVELS as levels
 
     k, N = F0.shape
@@ -217,7 +219,7 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
         m = 2 ** min(levels, max(1, int(np.ceil(np.log2(np.linalg.norm(Fb - Fa) / step)))))
         points = [Fa]
         for j in range(1, m):
-            M, _rep = project_to_fiber(Fa + (j / m) * (Fb - Fa), target, opts)
+            M = _newton((Fa + (j / m) * (Fb - Fa))[None], target, opts)[0][0]
             assert fiber_residual(M, target) <= accept
             points.append(M)
         points.append(Fb)

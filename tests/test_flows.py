@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -33,7 +35,7 @@ from fiberframe import (
 )
 from fiberframe import flows
 from fiberframe._linalg import EIGEN_RTOL
-from fiberframe.flows import _gaps, _newton, _normal_preimage, _phi
+from fiberframe.flows import _gaps, _newton, _normal_preimage, _phi, _repair
 
 
 def spy_linalg(monkeypatch, name):
@@ -299,7 +301,7 @@ class TestNewtonRefine:
         F0 = perturbed_fiber_point(t, seed=22, rel=0.2)
         F, rep = newton_refine(F0, t, FlowOptions(tol=1e-24))
         assert rep.converged
-        assert rep.iterations == 4
+        assert rep.iterations == 3
         assert fiber_residual(F, t) <= 1e-24
 
     @pytest.mark.parametrize(
@@ -498,6 +500,12 @@ class TestNormalStep:
         assert np.linalg.norm(dG - (U @ dF) * D) <= 1e-10 * np.linalg.norm(dF)
 
 
+def newton_directions(opts):
+    """The loop's two Newton directions: the plain step (its default, which
+    connect takes) and the corrected step newton_refine takes at opts.tol."""
+    return [_normal_preimage, partial(_normal_preimage, tol=opts.tol)]
+
+
 class TestStackedSolve:
     """The kernel and the Newton loop on a stack agree with their rows solved one at a time."""
 
@@ -544,17 +552,18 @@ class TestStackedSolve:
             rand_rank_deficient(rng, 2, 3, rank=1),
         ]
         opts = FlowOptions(tol=1e-24)
-        Fs, phi, iters, trace, stalled = _newton(np.stack(starts), t, opts)
-        reps = [newton_refine(F0, t, opts) for F0 in starts]
-        assert reps[0][1].iterations == 0
-        assert len({rep.iterations for _F, rep in reps}) >= 3
-        for i, (F, rep) in enumerate(reps):
-            assert rep.converged and not stalled[i]
-            assert iters[i] == rep.iterations
-            assert np.linalg.norm(Fs[i] - F) <= 1e-12 * np.linalg.norm(F)
-            assert_allclose(trace[: iters[i] + 1, i], rep.residual_trace, rtol=1e-9, atol=1e-30)
-            # after a row leaves, its trace holds its final Phi
-            assert np.all(trace[iters[i] :, i] == phi[i])
+        for step in newton_directions(opts):
+            Fs, phi, iters, trace, stalled = _newton(np.stack(starts), t, opts, step)
+            reps = [_repair("newton", F0, t, opts, step) for F0 in starts]
+            assert reps[0][1].iterations == 0
+            assert len({rep.iterations for _F, rep in reps}) >= 3
+            for i, (F, rep) in enumerate(reps):
+                assert rep.converged and not stalled[i]
+                assert iters[i] == rep.iterations
+                assert np.linalg.norm(Fs[i] - F) <= 1e-12 * np.linalg.norm(F)
+                assert_allclose(trace[: iters[i] + 1, i], rep.residual_trace, rtol=1e-9, atol=1e-30)
+                # after a row leaves, its trace holds its final Phi
+                assert np.all(trace[iters[i] :, i] == phi[i])
 
     def test_trial_loop_is_exact(self):
         # one row takes its full step, one needs halvings, one stalls at once
@@ -562,29 +571,30 @@ class TestStackedSolve:
         t = CRITICAL_TARGET
         starts = np.array([[[0.75, 1.0]], [[0.1, 0.05]], [[1.0, 0.0]]], dtype=complex)
         opts = FlowOptions(tol=1e-24)
-        Fs, phi, iters, trace, stalled = _newton(starts, t, opts)
-        statuses = []
-        for i in range(3):
-            F, rep = newton_refine(starts[i], t, opts)
-            statuses.append(rep.status)
-            assert np.array_equal(Fs[i], F)
-            assert iters[i] == rep.iterations
-            assert np.array_equal(trace[: iters[i] + 1, i], rep.residual_trace)
-            assert stalled[i] == (rep.status == "stalled")
-        assert statuses == ["converged", "converged", "stalled"] and iters[2] == 0
-        # the first accepted frame of each row is X + 2^-j dF, j its first
-        # try that lowers Phi, bit for bit
-        first, _phi1, _iters, _trace, _stalled = _newton(starts, t, FlowOptions(max_iters=1, tol=1e-24))
-        tries = []
-        for i in range(2):
-            X = starts[i]
-            p = _phi(*_gaps(X[None], t))[0]
-            dF = _normal_preimage(X[None], *_gaps(X[None], t))[0]
-            j = next(j for j in range(25) if _phi(*_gaps((X + 2.0**-j * dF)[None], t))[0] < p)
-            assert np.array_equal(first[i], X + 2.0**-j * dF)
-            tries.append(j)
-        assert tries[0] == 0 and tries[1] >= 1
-        assert np.array_equal(first[2], CRITICAL_START)
+        for step in newton_directions(opts):
+            Fs, phi, iters, trace, stalled = _newton(starts, t, opts, step)
+            statuses = []
+            for i in range(3):
+                F, rep = _repair("newton", starts[i], t, opts, step)
+                statuses.append(rep.status)
+                assert np.array_equal(Fs[i], F)
+                assert iters[i] == rep.iterations
+                assert np.array_equal(trace[: iters[i] + 1, i], rep.residual_trace)
+                assert stalled[i] == (rep.status == "stalled")
+            assert statuses == ["converged", "converged", "stalled"] and iters[2] == 0
+            # the first accepted frame of each row is X + 2^-j dF, j its first
+            # try that lowers Phi, bit for bit
+            first, _phi1, _iters, _trace, _stalled = _newton(starts, t, FlowOptions(max_iters=1, tol=1e-24), step)
+            tries = []
+            for i in range(2):
+                X = starts[i]
+                p = _phi(*_gaps(X[None], t))[0]
+                dF = step(X[None], *_gaps(X[None], t))[0]
+                j = next(j for j in range(25) if _phi(*_gaps((X + 2.0**-j * dF)[None], t))[0] < p)
+                assert np.array_equal(first[i], X + 2.0**-j * dF)
+                tries.append(j)
+            assert tries[0] == 0 and tries[1] >= 1
+            assert np.array_equal(first[2], CRITICAL_START)
 
     def test_stacked_residual_sums_match_single_frames(self):
         # the loop's residuals are summed as fiber_residual sums one frame, so
@@ -602,23 +612,161 @@ class TestStackedSolve:
         t = FiberTarget.funtf(3, 7)
         starts = np.stack([random_frame_on_fiber(t, seed=s) + 1e-3 * (s + 1) for s in range(3)])
         opts = FlowOptions(tol=0.0)
-        Fs, phi, iters, _trace, stalled = _newton(starts, t, opts)
-        assert list(iters) == [6, 7, 8] and stalled.all()
-        assert np.all(phi <= 1e-30)
-        for i in range(3):
-            F, rep = newton_refine(starts[i], t, opts)
-            assert rep.status == "stalled" and rep.iterations == iters[i]
-            assert np.array_equal(Fs[i], F)
+        # where each row stalls depends on rounding, so each direction has its counts
+        for step, counts in zip(newton_directions(opts), ([6, 7, 8], [8, 6, 14])):
+            Fs, phi, iters, _trace, stalled = _newton(starts, t, opts, step)
+            assert list(iters) == counts and stalled.all()
+            assert np.all(phi <= 1e-30)
+            for i in range(3):
+                F, rep = _repair("newton", starts[i], t, opts, step)
+                assert rep.status == "stalled" and rep.iterations == iters[i]
+                assert np.array_equal(Fs[i], F)
 
     def test_capped_rows_report_max_iters(self):
         t = FiberTarget.funtf(2, 4)
         starts = np.stack([perturbed_fiber_point(t, seed=s, rel=0.1) for s in (3, 4)])
-        Fs, phi, iters, _trace, stalled = _newton(starts, t, FlowOptions(max_iters=1, tol=1e-24))
-        assert list(iters) == [1, 1] and not stalled.any()
-        for i in range(2):
-            F, rep = newton_refine(starts[i], t, FlowOptions(max_iters=1, tol=1e-24))
-            assert rep.status == "max_iters"
-            assert np.linalg.norm(Fs[i] - F) <= 1e-12 * np.linalg.norm(F)
+        opts = FlowOptions(max_iters=1, tol=1e-24)
+        for step in newton_directions(opts):
+            Fs, phi, iters, _trace, stalled = _newton(starts, t, opts, step)
+            assert list(iters) == [1, 1] and not stalled.any()
+            for i in range(2):
+                F, rep = _repair("newton", starts[i], t, opts, step)
+                assert rep.status == "max_iters"
+                assert np.linalg.norm(Fs[i] - F) <= 1e-12 * np.linalg.norm(F)
+
+
+def second_order_defect(dF):
+    """Q(dF) = (dF dF*, |df_j|^2), the defect a Newton step dF leaves with the sign flipped."""
+    return dF @ dF.conj().T, norms_squared(dF)
+
+
+class TestCorrectedStep:
+    """newton_refine's step: a second solve for the defect -Q(dF) that the Newton step dF leaves."""
+
+    def test_second_solve_is_the_min_norm_step_for_the_left_defect(self):
+        t = FiberTarget.funtf(4, 16)
+        F = perturbed_fiber_point(t, seed=40)
+        R, b = _gaps(F[None], t)
+        dF = _normal_preimage(F[None], R, b)[0]
+        Q, q = second_order_defect(dF)
+        # the prediction is exact: Phi after the plain step is |Q(dF)|^2
+        assert_allclose(fiber_residual(F + dF, t), np.vdot(Q, Q).real + q @ q, rtol=1e-6)
+        both = _normal_preimage(F[None], R, b, tol=1e-20)[0]
+        ref = min_norm_step_bruteforce(F, -Q, -q)
+        assert np.linalg.norm(both - dF - ref) <= 1e-10 * np.linalg.norm(ref)
+        # third order: the corrected step lands far closer than the plain one
+        assert fiber_residual(F + both, t) <= 1e-3 * fiber_residual(F + dF, t)
+
+    def test_rows_outside_the_rule_take_the_plain_step(self):
+        # a stack of four rows at tol = 1e-14: q <= tol (near the fiber),
+        # q > Phi / 4 (a scaled fiber frame), a kernel fill (row 3 of a rank-2 frame
+        # is 0, on a fiber with eigenvalues (3.5, 3.5, 1e-3)) and one
+        # corrected row. Only the last row changes, and the others keep
+        # their plain step bit for bit
+        lam = np.array([3.5, 3.5, 1e-3])
+        t = FiberTarget.from_spectrum(lam, np.full(7, lam.sum() / 7))
+        F = construct_frame(lam, t.norms_sq, rng=np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        fill = F.copy()
+        fill[2] = 0.0
+        fill[:2] += 1e-2 * np.linalg.norm(F) * rand_frame(rng, 2, 7) / np.sqrt(28.0)
+        # at c F the step is radial, a F with a = (1 - c^2) / (2 c), and
+        # q / Phi = a^4 / (1 - c^2)^2 = 9 / 16 at c = 1/2
+        far = 0.5 * F
+        Fs = np.stack([F + 1e-6 * rand_frame(rng, 3, 7), far, fill, F + 1e-3 * rand_frame(rng, 3, 7)])
+        R, b = _gaps(Fs, t)
+        plain = _normal_preimage(Fs, R, b)
+        tol = 1e-14
+        phi = _phi(R, b)
+        q = np.array([_phi(*(x[None] for x in second_order_defect(dF)))[0] for dF in plain])
+        assert q[0] <= tol and q[1] > phi[1] / 4
+        assert tol < q[2] <= phi[2] / 4 and tol < q[3] <= phi[3] / 4
+        assert np.linalg.svd(fill, compute_uv=False)[-1] == 0.0
+        corrected = _normal_preimage(Fs, R, b, tol=tol)
+        for i in range(3):
+            assert np.array_equal(corrected[i], plain[i])
+        assert not np.array_equal(corrected[3], plain[3])
+        after = _phi(*_gaps(Fs + corrected, t))
+        assert after[3] <= 1e-2 * _phi(*_gaps(Fs + plain, t))[3]
+
+    def test_rows_that_take_lstsq_take_the_plain_step(self, monkeypatch):
+        # three plain steps from 2 I (k = N) reach a scaled unitary whose
+        # norms matrix rounds to exactly 0, so its step takes lstsq. Its q
+        # is inside the rule, but the derivative is not onto there, and a
+        # second LU solve of that matrix would raise
+        t = FiberTarget.funtf(3, 3)
+        F = _newton(2.0 * np.eye(3, dtype=complex)[None], t, FlowOptions(max_iters=3, tol=1e-20))[0]
+        R, b = _gaps(F, t)
+        calls = spy_linalg(monkeypatch, "lstsq")
+        plain = _normal_preimage(F, R, b)
+        assert len(calls) == 1
+        q = _phi(*(x[None] for x in second_order_defect(plain[0])))[0]
+        assert 1e-20 < q <= _phi(R, b)[0] / 4
+        assert np.array_equal(_normal_preimage(F, R, b, tol=1e-20), plain)
+
+    def test_newton_refine_takes_the_corrected_step(self):
+        t = FiberTarget.funtf(3, 7)
+        F0 = perturbed_fiber_point(t, seed=21)
+        opts = FlowOptions(tol=1e-20)
+        F, rep = newton_refine(F0, t, opts)
+        G, ref = _repair("newton", F0, t, opts, partial(_normal_preimage, tol=opts.tol))
+        assert np.array_equal(F, G) and np.array_equal(rep.residual_trace, ref.residual_trace)
+        _G, plain = _repair("newton", F0, t, opts, _normal_preimage)
+        assert (rep.iterations, plain.iterations) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            FiberTarget.funtf(2, 4),
+            FiberTarget.funtf(3, 7),
+            FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)),
+            FiberTarget.funtf(4, 16),
+        ],
+        ids=["funtf_2_4", "funtf_3_7", "diag_2_1_N3", "funtf_4_16"],
+    )
+    def test_never_slower_from_scrambled_starts(self, target, monkeypatch):
+        # the Haar-scrambled frames random_frame_on_fiber polishes, seeds 0-59
+        from fiberframe import design
+
+        starts = []
+        real = design._newton
+
+        def spy(F, target, options):
+            starts.append(F[0].copy())
+            return real(F, target, options)
+
+        monkeypatch.setattr(design, "_newton", spy)
+        for seed in range(60):
+            random_frame_on_fiber(target, seed)
+        opts = FlowOptions(tol=1e-20)
+        plain, corrected = [], []
+        for X in starts:
+            _F, rep = _repair("newton", X, target, opts, _normal_preimage)
+            _G, fast = newton_refine(X, target, opts)
+            assert rep.converged and fast.converged
+            plain.append(rep.iterations)
+            corrected.append(fast.iterations)
+        assert all(c <= p for p, c in zip(plain, corrected))
+        assert np.median(corrected) < np.median(plain)
+
+    @pytest.mark.parametrize("k,N", [(2, 4), (2, 6), (3, 6), (4, 8), (3, 9)])
+    def test_never_slower_near_critical_funtfs(self, k, N):
+        # N / k copies of an orthonormal basis: an orthodecomposable FUNTF,
+        # where the derivative is not onto
+        t = FiberTarget.funtf(k, N)
+        F = np.tile(np.eye(k, dtype=complex), N // k)
+        opts = FlowOptions(tol=1e-20)
+        plain, corrected = [], []
+        for seed in range(20):
+            E = rand_frame(np.random.default_rng(seed), k, N)
+            X = F + 1e-2 * np.linalg.norm(F) * E / np.linalg.norm(E)
+            _F, rep = _repair("newton", X, t, opts, _normal_preimage)
+            _G, fast = newton_refine(X, t, opts)
+            assert rep.converged and fast.converged
+            plain.append(rep.iterations)
+            corrected.append(fast.iterations)
+        assert all(c <= p for p, c in zip(plain, corrected))
+        assert sum(corrected) < sum(plain)
 
 
 class TestCompositeProjection:

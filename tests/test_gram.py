@@ -58,6 +58,18 @@ class TestFlagType:
         with pytest.raises(ValueError, match="multiplicities must be positive integers"):
             FlagType(eigenvalues=(1.0,), multiplicities=(m,))
 
+    @pytest.mark.parametrize(
+        "vals", [("2",), (True,), (np.nan,), (np.inf, 2.0), (None,)], ids=["str", "bool", "nan", "inf", "none"]
+    )
+    def test_eigenvalues_must_be_finite_real_numbers(self, vals):
+        # "2" was read as 2.0, True as 1.0, and nan and inf were kept
+        with pytest.raises(ValueError, match="eigenvalues must be finite real numbers"):
+            FlagType(eigenvalues=vals, multiplicities=(1,) * len(vals))
+
+    def test_numpy_real_eigenvalues(self):
+        ft = FlagType(eigenvalues=(np.float32(2.0), np.int64(1)), multiplicities=(1, 1))
+        assert ft.eigenvalues == (2.0, 1.0) and all(type(x) is float for x in ft.eigenvalues)
+
     def test_numpy_integer_multiplicity(self):
         ft = FlagType(eigenvalues=(2.0, 1.0), multiplicities=(np.int64(2), 1))
         assert ft.multiplicities == (2, 1) and type(ft.multiplicities[0]) is int
@@ -93,6 +105,12 @@ class TestDimensions:
                 for j in range(i + 1, len(mults))
             )
             assert orbit_dimension(ft) == expected
+
+    @pytest.mark.parametrize("N", [4.5, True, "3"])
+    def test_reduced_dimension_needs_an_integer_n(self, N):
+        # 4.5 gave 10.0
+        with pytest.raises(ValueError, match="N must be a non-negative integer"):
+            reduced_dimension(FlagType(eigenvalues=(1.0,), multiplicities=(2,)), N)
 
     def test_reduced_dimension_needs_n_at_least_k(self):
         with pytest.raises(ValueError, match="at least as many vectors"):

@@ -142,6 +142,15 @@ class TestDefiningProperty:
             LieAlgebraElement(np.eye(2), np.zeros(2))  # not anti-Hermitian
 
 
+    @pytest.mark.parametrize("value", [4.5, True, "3"])
+    def test_zero_element_needs_integer_sizes(self, value):
+        # a float size leaked numpy's TypeError
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            LieAlgebraElement.zero(value, 3)
+        with pytest.raises(ValueError, match="N must be a non-negative integer"):
+            LieAlgebraElement.zero(2, value)
+
+
 class TestDerivative:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)

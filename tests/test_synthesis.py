@@ -252,6 +252,6 @@ class TestRandomFrameOnFiber:
         # a projection that leaves the scrambled frame off the fiber is an error, not a fallback
         from fiberframe import design
 
-        monkeypatch.setattr(design, "project_to_fiber", lambda F, target, opts: (F, None))
+        monkeypatch.setattr(design, "_newton", lambda F, target, opts: (F, None, None, None, None))
         with pytest.raises(RuntimeError, match="missed the fiber"):
             random_frame_on_fiber(FiberTarget.funtf(2, 4), seed=0)

@@ -128,14 +128,30 @@ def test_cli_setup_polishes_past_sixty_newton_steps(workloads, seed, steps, tmp_
     # at these seeds one polish in random_frame_on_fiber needs more than 60
     # Newton steps; FlowOptions.max_iters alone bounds it, so the set-up builds
     polishes = []
-    project = fiberframe.design.project_to_fiber
+    newton = fiberframe.design._newton
 
     def counted(F, target, options):
-        F, rep = project(F, target, options)
-        polishes.append(rep)
-        return F, rep
+        out = newton(F, target, options)
+        polishes.append(out)
+        return out
 
-    monkeypatch.setattr(fiberframe.design, "project_to_fiber", counted)
+    monkeypatch.setattr(fiberframe.design, "_newton", counted)
     workloads.Cli(fiberframe, seed, tmp_path, smoke=False)
-    assert all(rep.converged for rep in polishes)
-    assert max(rep.iterations for rep in polishes) == steps
+    # _newton returns (frames, phi, iterations, trace, stalled) of a stack of one
+    assert all(phi[0] <= 1e-26 for _F, phi, _iters, _trace, _stalled in polishes)
+    assert max(iters[0] for _F, _phi, iters, _trace, _stalled in polishes) == steps
+
+
+def test_repair_newton_inputs_take_two_newton_steps(workloads, tmp_path):
+    # every repair-newton input (1e-2 perturbations of constructed frames on
+    # generic targets at (4,16), (8,64) and (16,128)) reaches 1e-20 in 2
+    # steps of newton_refine, where the plain Newton step takes 3
+    from fiberframe.flows import _normal_preimage, _repair
+
+    work = workloads.RepairNewton(fiberframe, 1, tmp_path, smoke=False)
+    opts = FlowOptions(tol=1e-20)
+    for shape, pool in work.inputs.items():
+        for _S, _r, target, X in pool:
+            _F, rep = project_to_fiber(X, target, opts)
+            _G, plain = _repair("newton", X, target, opts, _normal_preimage)
+            assert (rep.status, rep.iterations, plain.status, plain.iterations) == ("converged", 2, "converged", 3), shape
