@@ -82,10 +82,13 @@ def is_hermitian(A: np.ndarray) -> bool:
     return bool(np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * np.linalg.norm(A))
 
 
-def as_hermitian(A, name="matrix") -> np.ndarray:
+def as_hermitian(A, name="matrix", k=None) -> np.ndarray:
+    """A as a Hermitian complex matrix, of shape (k, k) when k is given; ValueError otherwise."""
     A = as_complex_matrix(A, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if k is not None and A.shape != (k, k):
+        raise ValueError(f"{name} has shape {A.shape}, expected {(k, k)}")
     if not is_hermitian(A):
         raise ValueError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
     return hermitize(A)

@@ -194,6 +194,8 @@ def _cmd_tighten(args, out: _Output) -> int:
     if args.out:
         write_frame(F, args.out)
         out.add("out", args.out)
+    # the run's report goes to --json output only, as connect's does
+    out.payload["report"] = report.to_dict()
     return 0 if report.converged else 1
 
 

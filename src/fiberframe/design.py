@@ -266,7 +266,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
             B[cl, cl] = haar_unitary(m, rng) if m > 1 else np.exp(1j * rng.uniform(0, 2 * np.pi, (1, 1)))
         F = (U @ B @ U.conj().T) @ F
 
-    # the loop's default, plain Newton step: newton_refine's would move every seeded output
+    # the loop's default, plain Newton step: project_to_fiber's would move every seeded output
     F = _newton((F @ haar_unitary(N, rng))[None], target, FlowOptions(tol=1e-26))[0][0]
     phi, bound = _residual(F, target), 1e-20 * max(1.0, float(np.sum(w))) ** 2
     if phi > bound:

@@ -5,17 +5,17 @@ The distance to the fiber is measured by
     Phi(F) = ||F F* - S||_F^2 + sum_j (||f_j||^2 - r_j)^2.
 
 Three routes share one damped loop and differ only in its direction: the
-normal-space Gauss-Newton step D(F)^+ e (newton_refine, which is
-project_to_fiber), steepest descent -grad Phi = 2 D(F)* e at its Cauchy step
-(flow_to_fiber), and the move to the alternation of the two exact constraint
-projections, operator part then column rescaling (alternate_projections);
-e = (S - F F*, r - |f_j|^2) are the defects. The loop halves a step until
-Phi decreases, and a run stalls when no damped step does. A
-Newton step costs the k x k Hermitian eigendecomposition of F F* (a frame
-too ill-conditioned for it takes the thin SVD of F), a real rank-k^2 update
-B^T B with B of shape k^2 x N (O(k^2 N^2) real flops) and one or two N x N
-LU solves: newton_refine's step adds a second solve with the same factors,
-which removes the exact second-order defect a step leaves.
+normal-space Gauss-Newton step D(F)^+ e (project_to_fiber), steepest descent
+-grad Phi = 2 D(F)* e at its Cauchy step (flow_to_fiber), and the move to
+the alternation of the two exact constraint projections, operator part then
+column rescaling (alternate_projections); e = (S - F F*, r - |f_j|^2) are
+the defects. The loop halves a step until Phi decreases, and a run stalls
+when no damped step does. A Newton step costs the k x k Hermitian
+eigendecomposition of F F* (a frame too ill-conditioned for it takes the
+thin SVD of F), a real rank-k^2 update B^T B with B of shape k^2 x N
+(O(k^2 N^2) real flops) and one or two N x N LU solves: project_to_fiber's
+step adds a second solve with the same factors, which removes the exact
+second-order defect a step leaves.
 The loop runs on a stack of frames, each row on its own: a route is a stack
 of one, and connect projects every bridge point of a round in one stacked
 run, so the per-call cost of the small solves is paid once per stack. Public
@@ -24,7 +24,7 @@ functions validate their arguments once; their loops call private kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "project_frame_operator",
     "project_norms",
     "alternate_projections",
-    "newton_refine",
     "project_to_fiber",
 ]
 
@@ -91,14 +90,7 @@ class FlowReport:
         return self.status == "converged"
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "status": self.status,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "residual_trace": [float(x) for x in self.residual_trace],
-            "message": self.message,
-        }
+        return {**asdict(self), "residual_trace": self.residual_trace.tolist()}
 
 
 def _target_frame(F, target: FiberTarget) -> np.ndarray:
@@ -304,10 +296,11 @@ def project_frame_operator(F, operator):
     """Closest-in-spirit move onto {G : G G* = S}: F -> S^(1/2) (F F*)^(-1/2) F.
 
     Computed through the polar isometry of F for stability. Raises ValueError
-    when F is rank deficient (the move is undefined there).
+    unless operator is Hermitian k x k, and when F is rank deficient (the
+    move is undefined there).
     """
     F = as_frame_matrix(F)
-    return psd_sqrt(as_hermitian(operator, name="operator")) @ frame_polar_isometry(F)
+    return psd_sqrt(as_hermitian(operator, name="operator", k=F.shape[0])) @ frame_polar_isometry(F)
 
 
 def project_norms(F, norms_sq) -> np.ndarray:
@@ -333,9 +326,9 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     """Alternate the two exact projections until Phi <= tol; returns (frame, FlowReport).
 
     A round moves F toward P(F), the operator projection S^(1/2) polar(F)
-    followed by the column rescaling, in the damped loop of newton_refine: a
-    move that does not lower Phi is halved. Where P raises (F rank deficient,
-    or a zero column) the direction is 0, so the run stalls there.
+    followed by the column rescaling, in the damped loop of project_to_fiber:
+    a move that does not lower Phi is halved. Where P raises (F rank
+    deficient, or a zero column) the direction is 0, so the run stalls there.
     """
     w, U, _clusters = target._spectral
     S_sqrt, r = hermitize((U * np.sqrt(w)) @ U.conj().T), target.norms_sq
@@ -357,8 +350,8 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
 
     Each step is V = -grad Phi scaled by the Cauchy step ||V||^2 / (2 ||D(F)
     V||^2), which minimizes the linearized defect along V, in the damped loop
-    of newton_refine. The step is 0 where V vanishes, so the run stalls at a
-    critical point of Phi off the fiber.
+    of project_to_fiber. The step is 0 where V vanishes, so the run stalls at
+    a critical point of Phi off the fiber.
     """
     return _repair("gradient", F0, target, options, _steepest_descent)
 
@@ -440,24 +433,6 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions, direction=_no
     return F, phi, iters, np.array(trace), stalled
 
 
-def newton_refine(F0, target: FiberTarget, options: FlowOptions | None = None):
-    """Damped Gauss-Newton on the constraint map; returns (frame, FlowReport).
-
-    The constraints (F F* - S, norms^2 - r) are quadratic in F, so near the
-    fiber the minimum-norm Newton step converges quadratically. That step lies
-    in the normal space {W F + F diag(g)} of the fiber, so it is solved in its
-    k^2 + N coordinates, eliminated in the eigenbasis of F F*. A
-    rank-deficient iterate takes the same step, with its kernel rows filled
-    by the missing operator energy, so it regains rank. As the constraints
-    are quadratic, the defect a step dF leaves is exactly -(dF dF*,
-    |df_j|^2); where that is above tol and at most a quarter of Phi, one more
-    solve with the step's factors removes it, and the step converges at third
-    order (the two-step method of Traub).
-    """
-    opts = options or FlowOptions()
-    return _repair("newton", F0, target, opts, partial(_normal_preimage, tol=opts.tol))
-
-
 def _repair(method, F0, target, options, direction):
     """The damped loop of _newton on a stack of one frame; returns (frame, FlowReport).
 
@@ -477,10 +452,25 @@ def _repair(method, F0, target, options, direction):
 
 
 def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
-    """Projection onto the fiber; returns (frame, report).
+    """Projection onto the fiber by damped Gauss-Newton; returns (frame, FlowReport).
 
-    The Newton solve in the fiber's normal space {W F + F diag(g)}, the range
-    of the momentum derivative's adjoint, with its second-order correction:
-    newton_refine (method "newton").
+    Each step (method "newton") is the minimum-norm Newton solve of the
+    quadratic constraints (F F* - S, norms^2 - r) in the fiber's normal space
+    {W F + F diag(g) : W Hermitian, g real}, in its k^2 + N coordinates,
+    eliminated in the eigenbasis of F F*; a rank-deficient iterate fills its
+    kernel rows with the missing operator energy, so it regains rank. A step
+    dF leaves exactly the defect -(dF dF*, |df_j|^2); where that is above tol
+    and at most a quarter of Phi, a second solve with the step's factors
+    removes it (the second-order correction), and the run converges at third
+    order (the two-step method of Traub). A converged frame is on the fiber,
+    but it is the fiber point nearest F0 only to first order.
     """
-    return newton_refine(F0, target, options)
+    opts = options or FlowOptions()
+    return _repair("newton", F0, target, opts, partial(_normal_preimage, tol=opts.tol))
+
+
+# perfbench/tracing.py binds this name: wrapping it as well as
+# project_to_fiber records a flows.newton_refine span nested in each
+# flows.project_to_fiber span. The alias, not a wrapper, keeps one function;
+# it goes when the tracer reads the reports instead (ROADMAP item 1B).
+newton_refine = project_to_fiber

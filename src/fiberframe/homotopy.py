@@ -249,10 +249,10 @@ def gauge_align(F0, F1, operator) -> np.ndarray:
     preserves both fiber constraints (operator and column norms) up to the
     cluster widths; blockwise it is the orthogonal-Procrustes optimum. When
     the spectrum cannot be clustered safely V is the identity and F1 comes
-    back unchanged.
+    back unchanged. Raises ValueError unless operator is Hermitian k x k.
     """
     F0, F1 = _frame_pair(F0, F1)
-    _w, U, clusters = spectral_clusters(as_hermitian(operator, name="operator"))
+    _w, U, clusters = spectral_clusters(as_hermitian(operator, name="operator", k=F0.shape[0]))
     if clusters is None:
         return F1.copy()
     Uh = U.conj().T

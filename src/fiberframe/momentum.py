@@ -161,10 +161,8 @@ def invert_momentum_derivative(F, W) -> np.ndarray:
     v* (F X* + X F*) v = 0, so W with v* W v != 0 are unreachable.
     """
     F = as_frame_matrix(F)
-    W = as_hermitian(W, name="W")
     k = F.shape[0]
-    if W.shape != (k, k):
-        raise ValueError(f"W has shape {W.shape}, expected {(k, k)}")
+    W = as_hermitian(W, name="W", k=k)
     U, s, Vh = np.linalg.svd(F, full_matrices=False)
     if not full_row_rank(s, k):
         raise NotAFrameError("derivative is not surjective: frame is rank deficient")

@@ -6,7 +6,11 @@ import pytest
 
 from fiberframe import (
     FiberTarget,
+    FlowOptions,
+    alternate_projections,
     fiber_residual,
+    flow_to_fiber,
+    project_to_fiber,
     random_frame_on_fiber,
     read_frame,
     read_path,
@@ -225,6 +229,28 @@ class TestTighten:
         lines = dict(line.split(": ", 1) for line in out.splitlines())
         assert lines["status"] == "stalled" and lines["message"] == message
         assert float(lines["final_residual"]) >= 1e-2
+
+    @pytest.mark.parametrize("method", ["auto", "gradient", "alternating"])
+    def test_report_in_json_only(self, tmp_path, capsys, method):
+        t, tfile, (ffile,) = funtf_files(tmp_path)
+        F0 = read_frame(ffile) * 1.01
+        noisy = tmp_path / "noisy.json"
+        write_frame(F0, noisy)
+        argv = ["tighten", str(noisy), "--target", tfile, "--method", method, "--max-iters", "50"]
+        code, out, _ = run(capsys, "--json", *argv)
+        obj = json.loads(out)
+        route = {"auto": project_to_fiber, "gradient": flow_to_fiber, "alternating": alternate_projections}[method]
+        _F, report = route(F0, t, FlowOptions(max_iters=50, tol=1e-16))
+        assert code == (0 if report.converged else 1)
+        assert obj["report"] == report.to_dict()
+        assert obj["report"]["residual_trace"][-1] == obj["report"]["final_residual"] == obj["final_residual"]
+        code, out, _ = run(capsys, "--quiet", *argv)
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "method",
+            "status",
+            "iterations",
+            "final_residual",
+        ]
 
 
 class TestConnect:

@@ -211,6 +211,13 @@ class TestGaugeAlign:
         with pytest.raises(ValueError, match="Hermitian"):
             gauge_align(F0, F1, np.array([[2.0, 5.0], [0.0, 2.0]]))
 
+    def test_rejects_operator_of_another_size(self):
+        # checked before numpy's matmul could report a core-dimension mismatch
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        with pytest.raises(ValueError, match=r"operator has shape \(3, 3\), expected \(2, 2\)"):
+            gauge_align(F0, F1, np.eye(3))
+
 
 class TestSymmetryGauge:
     """connect aligns F1 over the commutant unitaries and the column phases."""

@@ -1,7 +1,10 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its API list is the package's."""
 
+import importlib
 import re
 from pathlib import Path
+
+import fiberframe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,14 @@ def test_python_blocks_run():
     namespace = {"__name__": "readme"}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_api_list_is_the_package_all():
+    # one "- `module`: `name`, ..." item per module, wrapped freely
+    section = README.read_text(encoding="utf-8").split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- `(fiberframe[\w.]*)`:(.*?)(?=^- |\Z)", section, re.M | re.S)
+    listed = {module: re.findall(r"`(\w+)`", body) for module, body in items}
+    assert sorted(name for names in listed.values() for name in names) == sorted(fiberframe.__all__)
+    for module, names in listed.items():
+        declared = ["__version__"] if module == "fiberframe" else importlib.import_module(module).__all__
+        assert sorted(names) == sorted(declared), module

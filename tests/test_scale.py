@@ -23,7 +23,7 @@ from fiberframe import (
     flow_to_fiber,
     hermitian_with_diagonal,
     is_admissible,
-    newton_refine,
+    project_to_fiber,
     random_frame_on_fiber,
     same_gram_class,
     spectrum_correspondence_residual,
@@ -106,7 +106,7 @@ def test_decisions_do_not_depend_on_scale(c):
 
 @pytest.mark.parametrize("k,N", [(2, 4), (3, 7), (4, 9)])
 @pytest.mark.parametrize(
-    "route", [newton_refine, flow_to_fiber, alternate_projections], ids=["newton", "gradient", "alternating"]
+    "route", [project_to_fiber, flow_to_fiber, alternate_projections], ids=["newton", "gradient", "alternating"]
 )
 def test_repair_iterations_do_not_depend_on_scale(route, k, N):
     # the criterion-05 start; F -> c F takes the fiber of (S, r) onto that of

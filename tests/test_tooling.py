@@ -3,9 +3,10 @@
 perfbench/tracing.py wraps package functions by name when a workload runs
 with --trace 1; a traced name that no longer resolves, or a return value its
 post hooks cannot read, breaks that run. These checks load the tracer's
-tables and call its hooks without installing anything, and check that
-importing the package loads every module the tracer wraps. The last checks
-pin the package's export surface and keep every public name documented.
+tables and call its hooks, install it once around one call (and uninstall
+it), and check that importing the package loads every module the tracer
+wraps. The last checks pin the package's export surface and keep every
+public name documented.
 """
 
 import importlib
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 import fiberframe
-from fiberframe import FiberTarget, FlowOptions, connect, newton_refine, project_to_fiber, random_frame_on_fiber
+from fiberframe import FiberTarget, FlowOptions, connect, project_to_fiber, random_frame_on_fiber
+from fiberframe.flows import newton_refine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -58,6 +60,37 @@ def test_post_hooks_read_real_returns():
     assert counts["homotopy.project.accepted"] == 1
     assert counts["flows.newton_refine.iters"] == refined[1].iterations
     assert counts["homotopy.samples"] == len(path)
+
+
+def test_tracer_nests_the_newton_alias_in_project_to_fiber():
+    # the tracer wraps flows.newton_refine and flows.project_to_fiber by name.
+    # newton_refine is an alias, so one call records a newton_refine span
+    # inside its project_to_fiber span, and uninstall restores one function
+    flows = importlib.import_module("fiberframe.flows")
+    t = FiberTarget.funtf(2, 4)
+    X = random_frame_on_fiber(t, seed=0) + 1e-3 * np.ones((2, 4))
+    originals = (flows.project_to_fiber, flows.newton_refine, fiberframe.project_to_fiber)
+    tracer = TABLES.Tracer()
+    tracer.install()
+    try:
+        _F, rep = fiberframe.project_to_fiber(X, t, FlowOptions(tol=1e-20))
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.span_name]
+    outer = [i for i, name in enumerate(names) if name == "flows.project_to_fiber"]
+    inner = [i for i, name in enumerate(names) if name == "flows.newton_refine"]
+    assert len(outer) == 1 and tracer.span_parent[outer[0]] == -1
+    assert len(inner) == 1 and tracer.span_parent[inner[0]] == outer[0]
+    assert rep.iterations > 0
+    assert tracer.counters[(tracer.scope, "flows.newton_refine.iters")] == rep.iterations
+    restored = (flows.project_to_fiber, flows.newton_refine, fiberframe.project_to_fiber)
+    assert all(now is before for now, before in zip(restored, originals))
+
+
+def test_newton_refine_is_an_alias_not_an_export():
+    # the tracer's name for the Newton route; no wrapper, and not public
+    assert importlib.import_module("fiberframe.flows").newton_refine is fiberframe.project_to_fiber
+    assert "newton_refine" not in fiberframe.__all__
 
 
 def test_public_names_have_docstrings():
@@ -145,7 +178,7 @@ def test_cli_setup_polishes_past_sixty_newton_steps(workloads, seed, steps, tmp_
 def test_repair_newton_inputs_take_two_newton_steps(workloads, tmp_path):
     # every repair-newton input (1e-2 perturbations of constructed frames on
     # generic targets at (4,16), (8,64) and (16,128)) reaches 1e-20 in 2
-    # steps of newton_refine, where the plain Newton step takes 3
+    # steps of project_to_fiber, where the plain Newton step takes 3
     from fiberframe.flows import _normal_preimage, _repair
 
     work = workloads.RepairNewton(fiberframe, 1, tmp_path, smoke=False)
