@@ -100,6 +100,7 @@ def eigh_desc(A: np.ndarray):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
+# no caller in the package: perfbench/tracing.py binds this name, and it goes with ROADMAP item 1B
 def psd_sqrt(A: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix."""
     w, V = np.linalg.eigh(A)

@@ -178,6 +178,13 @@ def _cmd_tighten(args, out: _Output) -> int:
         r = norms_squared(F0)
         c = float(np.sum(r)) / F0.shape[0]
         target = FiberTarget(operator=c * np.eye(F0.shape[0], dtype=complex), norms_sq=r)
+    # FiberTarget checks the sums rule, not majorization: an empty fiber
+    # fails with its certificate, where every route would stall
+    adm = is_admissible(target.spectrum(), target.norms_sq)
+    if not adm:
+        out.add("admissible", False)
+        out.add("violation", adm.describe())
+        return 1
     opts = FlowOptions(max_iters=args.max_iters, tol=args.tol**2)
     runner = {
         "gradient": flow_to_fiber,

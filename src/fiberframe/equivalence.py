@@ -24,7 +24,6 @@ __all__ = [
     "flag_type",
     "orbit_dimension",
     "reduced_dimension",
-    "same_gram_class",
     "unitary_equivalent",
     "spectrum_correspondence_residual",
 ]
@@ -100,17 +99,6 @@ def reduced_dimension(ft: FlagType, N: int) -> int:
     if N < k:
         raise ValueError("need at least as many vectors as dimensions")
     return 2 * k * (N - k) + orbit_dimension(ft)
-
-
-def same_gram_class(F1, F2, tol: float = 1e-8) -> bool:
-    """Whether the two frames have the same Gram matrix within tolerance tol relative to ||F1* F1||.
-
-    ValueError unless tol is finite and >= 0.
-    """
-    _tolerance(tol)
-    F1, F2 = _frame_pair(F1, F2, ("F1", "F2"))
-    G1, G2 = gram(F1), gram(F2)
-    return bool(np.linalg.norm(G1 - G2) <= tol * np.linalg.norm(G1))
 
 
 def unitary_equivalent(F1, F2, tol: float = 1e-8):

@@ -34,13 +34,11 @@ from ._linalg import (
     RANK_RTOL,
     _non_negative_int,
     _tolerance,
-    as_hermitian,
     frame_polar_isometry,
     hermitize,
-    psd_sqrt,
 )
 from .core import _norms_squared, as_frame_matrix
-from .fiber import FiberTarget, _positive_vector
+from .fiber import FiberTarget
 from .momentum import _adjoint, _derivative
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "fiber_residual",
     "fiber_residual_gradient",
     "flow_to_fiber",
-    "project_frame_operator",
-    "project_norms",
     "alternate_projections",
     "project_to_fiber",
 ]
@@ -292,30 +288,8 @@ def _lift(Ft, Ftc, K, Rt, g):
     return Wt @ Ft + Ftg
 
 
-def project_frame_operator(F, operator):
-    """Closest-in-spirit move onto {G : G G* = S}: F -> S^(1/2) (F F*)^(-1/2) F.
-
-    Computed through the polar isometry of F for stability. Raises ValueError
-    unless operator is Hermitian k x k, and when F is rank deficient (the
-    move is undefined there).
-    """
-    F = as_frame_matrix(F)
-    return psd_sqrt(as_hermitian(operator, name="operator", k=F.shape[0])) @ frame_polar_isometry(F)
-
-
-def project_norms(F, norms_sq) -> np.ndarray:
-    """Rescale each column to the prescribed squared norm.
-
-    Raises ValueError unless norms_sq is N finite positive values, and when a
-    column is numerically zero (no direction to keep).
-    """
-    F, r = as_frame_matrix(F), _positive_vector(norms_sq, "norms_sq")
-    if r.shape != (F.shape[1],):
-        raise ValueError(f"norms_sq has {r.size} entries for {F.shape[1]} columns")
-    return _project_norms(F, r)
-
-
 def _project_norms(F: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each column rescaled to its squared norm r_j; ValueError at a column of squared norm <= 1e-300."""
     n = _norms_squared(F)
     if (n <= 1e-300).any():
         raise ValueError("zero column cannot be rescaled to a positive norm")

@@ -38,12 +38,9 @@ from ._linalg import (
     _finite_array,
     _non_negative_int,
     _real_number,
-    as_hermitian,
     polar_unitary,
-    spectral_clusters,
     unitary_log_factors,
 )
-from .core import _frame_pair
 from .errors import ConnectError, OffFiberError
 from .fiber import FiberTarget
 from .flows import FlowOptions, _gaps, _newton, _normal_preimage, _phi, _residual, _target_frame
@@ -54,7 +51,6 @@ __all__ = [
     "ConnectReport",
     "FramePath",
     "PathCheck",
-    "gauge_align",
     "connect",
     "validate_path",
 ]
@@ -242,24 +238,6 @@ def _block_procrustes(A: np.ndarray, B: np.ndarray, blocks) -> np.ndarray:
     return V
 
 
-def gauge_align(F0, F1, operator) -> np.ndarray:
-    """Best commutant-unitary alignment V F1 of F1 toward F0.
-
-    V commutes with the clustered spectral projections of the operator, so it
-    preserves both fiber constraints (operator and column norms) up to the
-    cluster widths; blockwise it is the orthogonal-Procrustes optimum. When
-    the spectrum cannot be clustered safely V is the identity and F1 comes
-    back unchanged. Raises ValueError unless operator is Hermitian k x k.
-    """
-    F0, F1 = _frame_pair(F0, F1)
-    _w, U, clusters = spectral_clusters(as_hermitian(operator, name="operator", k=F0.shape[0]))
-    if clusters is None:
-        return F1.copy()
-    Uh = U.conj().T
-    B = Uh @ F1
-    return U @ (_block_procrustes(Uh @ F0, B, clusters) @ B)
-
-
 def _column_angles(F0: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Angles phi minimizing ||F0 - G diag(exp(i phi))||: those of <g_j, f0_j>, 0 where one vanishes."""
     return np.angle(np.vecdot(G, F0, axis=0))
@@ -272,11 +250,11 @@ def _eigen_gauge(A: np.ndarray, B: np.ndarray, blocks):
     is block diagonal over the clusters (blocks). Alternating exact block
     minimisation of ||A - V B diag(exp(i phi))|| over V (the block Procrustes
     optimum for the current phases) and phi. It starts from the closer of the
-    two one-group optima, V for phi = 0 (gauge_align's) and phi for V = I,
-    and then solves V and phi once more. No step lengthens the distance, so
-    V B D is never farther from A than gauge_align's V B. From V, the
-    alternation would close a pure column-phase difference B = A D only
-    linearly.
+    two one-group optima, V for phi = 0 (the block-Procrustes optimum
+    _block_procrustes(A, B)) and phi for V = I, and then solves V and phi once
+    more. No step lengthens the distance, so V B D is never farther from A
+    than _block_procrustes(A, B) B. From V, the alternation would close a
+    pure column-phase difference B = A D only linearly.
     """
     V = _block_procrustes(A, B, blocks)
     phi = _column_angles(A, B)

@@ -210,25 +210,37 @@ class TestTighten:
         assert "iterations: 0" in out
 
     @pytest.mark.parametrize(
-        "method,message",
+        "method,target,violation",
         [
-            ("auto", "no damped step decreases the residual"),
-            ("gradient", "no damped step decreases the residual"),
-            ("alternating", "no damped step decreases the residual"),
+            ("auto", "file", "partial sum violated at ell=1: top norms add to 1.9 > spectrum 1.5"),
+            ("gradient", "file", "partial sum violated at ell=1: top norms add to 1.9 > spectrum 1.5"),
+            ("alternating", "file", "partial sum violated at ell=1: top norms add to 1.9 > spectrum 1.5"),
+            ("auto", "default", "partial sum violated at ell=1: top norms add to 9 > spectrum 4.585"),
         ],
+        ids=["auto", "gradient", "alternating", "default_target"],
     )
-    def test_empty_fiber_fails_with_message(self, tmp_path, capsys, method, message):
-        # diag(1.5, 0.5) with r = (1.9, 0.05, 0.05) fails majorization: every route stalls
-        tfile = tmp_path / "empty.json"
-        write_target(FiberTarget(operator=np.diag([1.5, 0.5]).astype(complex), norms_sq=[1.9, 0.05, 0.05]), tfile)
-        rng = np.random.default_rng(0)
+    def test_empty_fiber_fails_with_message(self, tmp_path, capsys, method, target, violation):
+        # the target is tested before a route runs, where each would stall. The
+        # file holds diag(1.5, 0.5) with r = (1.9, 0.05, 0.05); the default
+        # target c I with the frame's own norms puts 9 against c = 4.585
         ffile = tmp_path / "start.json"
-        write_frame(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)), ffile)
-        code, out, _ = run(capsys, "--quiet", "tighten", str(ffile), "--target", str(tfile), "--method", method)
+        argv = ["tighten", str(ffile), "--method", method]
+        if target == "file":
+            tfile = tmp_path / "empty.json"
+            empty = FiberTarget(operator=np.diag([1.5, 0.5]).astype(complex), norms_sq=[1.9, 0.05, 0.05])
+            write_target(empty, tfile)
+            rng = np.random.default_rng(0)
+            write_frame(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)), ffile)
+            argv += ["--target", str(tfile)]
+        else:
+            write_frame(np.array([[3.0, 0.1, 0.1, 0.1], [0.0, 0.2, 0.1, 0.3]]), ffile)
+        code, out, _ = run(capsys, "--quiet", *argv)
         assert code == 1
-        lines = dict(line.split(": ", 1) for line in out.splitlines())
-        assert lines["status"] == "stalled" and lines["message"] == message
-        assert float(lines["final_residual"]) >= 1e-2
+        assert out.splitlines() == ["admissible: False", f"violation: {violation}"]
+        code, out, _ = run(capsys, "--json", *argv)
+        obj = json.loads(out)
+        assert code == 1
+        assert (obj["admissible"], obj["violation"]) == (False, violation) and "report" not in obj
 
     @pytest.mark.parametrize("method", ["auto", "gradient", "alternating"])
     def test_report_in_json_only(self, tmp_path, capsys, method):

@@ -11,7 +11,6 @@ from fiberframe import (
     construct_frame_with_operator,
     fiber_residual,
     is_admissible,
-    project_norms,
     random_frame_on_fiber,
 )
 from fiberframe._linalg import spectral_clusters
@@ -156,7 +155,6 @@ class TestPositiveVectorRule:
             lambda: FiberTarget(operator=np.eye(2, dtype=complex), norms_sq=bad),
             lambda: is_admissible([1.0, 1.0], bad),
             lambda: construct_frame([1.0, 1.0], bad),
-            lambda: project_norms(np.ones((2, 2)), bad),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"^norms_sq {message}$"):

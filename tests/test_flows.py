@@ -23,12 +23,9 @@ from fiberframe import (
     fiber_residual,
     fiber_residual_gradient,
     flow_to_fiber,
-    frame_operator,
     is_admissible,
     is_frame,
     norms_squared,
-    project_frame_operator,
-    project_norms,
     project_to_fiber,
     random_frame_on_fiber,
 )
@@ -174,62 +171,19 @@ class TestGradientFlow:
 
 
 class TestProjections:
-    def test_operator_projection_exact(self):
-        rng = np.random.default_rng(8)
-        t = FiberTarget.from_spectrum([3.0, 1.0], np.array([2.0, 1.0, 1.0]))
-        for _ in range(15):
-            F = rand_frame(rng, 2, 3)
-            P = project_frame_operator(F, t.operator)
-            assert np.linalg.norm(frame_operator(P) - t.operator) <= 1e-12 * np.linalg.norm(
-                t.operator
-            )
-
-    def test_operator_projection_rank_deficient_raises(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValueError):
-            project_frame_operator(rand_rank_deficient(rng, 3, 5), np.eye(3) * (5 / 3))
-
-    def test_operator_projection_rejects_operator_of_another_size(self):
-        F = rand_frame(np.random.default_rng(10), 2, 4)
-        with pytest.raises(ValueError, match=r"operator has shape \(3, 3\), expected \(2, 2\)"):
-            project_frame_operator(F, np.eye(3))
-
-    @pytest.mark.parametrize("scale", [1e-13, 1.0])
-    def test_operator_projection_indefinite_raises(self, scale):
-        # the semidefinite floor is relative to the operator: diag(1, -1) is
-        # rejected at every scale, diag(1, 0) accepted
-        F = rand_frame(np.random.default_rng(11), 2, 4)
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            project_frame_operator(F, scale * np.diag([1.0, -1.0]))
-        S = scale * np.diag([1.0, 0.0])
-        assert np.linalg.norm(frame_operator(project_frame_operator(F, S)) - S) <= 1e-12 * scale
+    """The column rescaling of alternate_projections' move."""
 
     def test_norm_projection_exact(self):
         rng = np.random.default_rng(10)
         r = np.array([2.0, 0.5, 1.0, 1.5])
         F = rand_frame(rng, 2, 4)
-        P = project_norms(F, r)
+        P = flows._project_norms(F, r)
         assert_allclose(norms_squared(P), r, rtol=1e-13)
 
     def test_norm_projection_zero_column_raises(self):
         F = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            project_norms(F, np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize(
-        "r,message",
-        [
-            ([np.nan, 1.0, 1.0, 1.0], "norms_sq contains non-finite entries"),
-            ([1.0, 1.0, 1.0], "norms_sq has 3 entries for 4 columns"),
-        ],
-        ids=["nan", "wrong_length"],
-    )
-    def test_norm_projection_rejects_bad_norms(self, r, message):
-        # without the check a NaN entry gave a NaN column and a wrong length a
-        # bare broadcast error; TestPositiveVectorRule checks the sign rule
-        F = rand_frame(np.random.default_rng(12), 2, 4)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            project_norms(F, r)
+        with pytest.raises(ValueError, match="zero column"):
+            flows._project_norms(F, np.array([1.0, 1.0]))
 
 
 class TestAlternatingFlow:

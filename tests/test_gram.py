@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from conftest import BAD_TOLERANCES, rand_frame, rand_unitary
+from conftest import BAD_TOLERANCES, rand_frame, rand_rank_deficient, rand_unitary
 
 from fiberframe import (
     ClusteringError,
@@ -13,7 +12,6 @@ from fiberframe import (
     orbit_dimension,
     random_frame_on_fiber,
     reduced_dimension,
-    same_gram_class,
     spectrum_correspondence_residual,
     unitary_equivalent,
 )
@@ -117,33 +115,6 @@ class TestDimensions:
             reduced_dimension(FlagType(eigenvalues=(1.0,), multiplicities=(3,)), 2)
 
 
-class TestGramClass:
-    def test_same_frame(self):
-        rng = np.random.default_rng(40)
-        F = rand_frame(rng, 3, 6)
-        assert same_gram_class(F, F)
-
-    def test_left_unitary_preserves_gram(self):
-        rng = np.random.default_rng(41)
-        F = rand_frame(rng, 3, 6)
-        U = rand_unitary(rng, 3)
-        assert same_gram_class(F, U @ F)
-        assert np.linalg.norm(gram(F) - gram(U @ F)) <= 1e-12 * np.linalg.norm(gram(F))
-
-    def test_different_frames(self):
-        rng = np.random.default_rng(42)
-        F1 = rand_frame(rng, 3, 6)
-        F2 = rand_frame(rng, 3, 6)
-        assert not same_gram_class(F1, F2)
-
-    # without the check same_gram_class(F, F, tol=-1.0) was False
-    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-    def test_rejects_bad_tol(self, tol):
-        F = rand_frame(np.random.default_rng(46), 3, 6)
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            same_gram_class(F, F, tol=tol)
-
-
 class TestUnitaryEquivalence:
     def test_recovers_planted_unitary(self):
         rng = np.random.default_rng(43)
@@ -157,6 +128,25 @@ class TestUnitaryEquivalence:
             assert W is not None
             assert np.linalg.norm(W @ F1 - F2) <= 1e-10 * np.linalg.norm(F1)
             assert np.linalg.norm(W.conj().T @ W - np.eye(k)) <= 1e-12
+
+    def test_same_frame(self):
+        F = rand_frame(np.random.default_rng(40), 3, 6)
+        W = unitary_equivalent(F, F)
+        assert W is not None and np.linalg.norm(W - np.eye(3)) <= 1e-12
+
+    @pytest.mark.parametrize("k,N", [(3, 6), (4, 4), (2, 5)])
+    def test_rank_deficient_left_unitary(self, k, N):
+        # equal Grams are the relation: F* F = (U F)* (U F) with F F* singular,
+        # so the unitary is not unique, but one maps F to U F
+        rng = np.random.default_rng(41)
+        F = rand_rank_deficient(rng, k, N)
+        U = rand_unitary(rng, k)
+        assert np.linalg.norm(gram(F) - gram(U @ F)) <= 1e-12 * np.linalg.norm(gram(F))
+        W = unitary_equivalent(F, U @ F)
+        assert W is not None
+        assert np.linalg.norm(W @ F - U @ F) <= 1e-10 * np.linalg.norm(F)
+        assert np.linalg.norm(W.conj().T @ W - np.eye(k)) <= 1e-12
+        assert unitary_equivalent(F, rand_rank_deficient(rng, k, N)) is None
 
     def test_rejects_unrelated_frames(self):
         rng = np.random.default_rng(44)

@@ -21,9 +21,6 @@ from fiberframe import (
     connect,
     fiber_residual,
     flag_type,
-    frame_operator,
-    gauge_align,
-    norms_squared,
     project_to_fiber,
     random_frame_on_fiber,
     validate_path,
@@ -184,43 +181,21 @@ class TestValidatePath:
             validate_path(path, endpoints=tuple(ends))
 
 
-class TestGaugeAlign:
+class TestSymmetryGauge:
+    """connect aligns F1 over the commutant unitaries and the column phases."""
+
     def test_recovers_left_unitary_on_tight_fiber(self):
         t = FiberTarget.funtf(2, 5)
         F = random_frame_on_fiber(t, seed=3)
         U = rand_unitary(np.random.default_rng(4), 2)
-        G = gauge_align(F, U @ F, t.operator)
-        assert np.linalg.norm(G - F) <= 1e-10 * np.linalg.norm(F)
+        V, phi = symmetry_gauge(F, U @ F, t)
+        assert np.linalg.norm(V @ U @ F * np.exp(1j * phi) - F) <= 1e-10 * np.linalg.norm(F)
 
     def test_never_worse_than_identity(self):
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
         F0, F1 = _pair(t, 5, 6)
-        G = gauge_align(F0, F1, t.operator)
-        assert np.linalg.norm(F0 - G) <= np.linalg.norm(F0 - F1) + 1e-12
-
-    def test_preserves_fiber(self):
-        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
-        F0, F1 = _pair(t, 7, 8)
-        G = gauge_align(F0, F1, t.operator)
-        assert np.linalg.norm(frame_operator(G) - t.operator) <= 1e-12
-        assert np.max(np.abs(norms_squared(G) - t.norms_sq)) <= 1e-12
-
-    def test_rejects_non_hermitian_operator(self):
-        t = FiberTarget.funtf(2, 4)
-        F0, F1 = _pair(t, 0, 1)
-        with pytest.raises(ValueError, match="Hermitian"):
-            gauge_align(F0, F1, np.array([[2.0, 5.0], [0.0, 2.0]]))
-
-    def test_rejects_operator_of_another_size(self):
-        # checked before numpy's matmul could report a core-dimension mismatch
-        t = FiberTarget.funtf(2, 4)
-        F0, F1 = _pair(t, 0, 1)
-        with pytest.raises(ValueError, match=r"operator has shape \(3, 3\), expected \(2, 2\)"):
-            gauge_align(F0, F1, np.eye(3))
-
-
-class TestSymmetryGauge:
-    """connect aligns F1 over the commutant unitaries and the column phases."""
+        V, phi = symmetry_gauge(F0, F1, t)
+        assert np.linalg.norm(F0 - V @ F1 * np.exp(1j * phi)) <= np.linalg.norm(F0 - F1) + 1e-12
 
     @hard_fibers
     @pytest.mark.parametrize("seed", range(3))
@@ -228,7 +203,10 @@ class TestSymmetryGauge:
         F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
         V, phi = symmetry_gauge(F0, F1, target)
         aligned = V @ F1 * np.exp(1j * phi)
-        commutant_only = gauge_align(F0, F1, target.operator)
+        # the block-Procrustes alignment over U(k)_S alone, in the eigenbasis
+        _w, U, clusters = target._spectral
+        Uh = U.conj().T
+        commutant_only = U @ homotopy._block_procrustes(Uh @ F0, Uh @ F1, clusters or ()) @ Uh @ F1
         assert np.linalg.norm(F0 - aligned) <= np.linalg.norm(F0 - commutant_only) * (1.0 + 1e-12)
         # V F1 D stays on the fiber up to the cluster widths
         assert fiber_residual(aligned, target) <= 1e-16
@@ -253,7 +231,7 @@ class TestAmbiguityBand:
 
     def test_connect_falls_back_to_identity_gauge(self):
         F0, F1 = _pair(self.target, 0, 1)
-        assert np.array_equal(gauge_align(F0, F1, self.target.operator), F1)
+        assert np.array_equal(symmetry_gauge(F0, F1, self.target)[0], np.eye(2))
         path = connect(F0, F1, self.target)
         assert validate_path(path, tol=1e-8, delta=0.05, endpoints=(F0, F1))
 

@@ -15,6 +15,7 @@ from fiberframe._linalg import (
     cluster_by_gap,
     frame_polar_isometry,
     full_row_rank,
+    psd_sqrt,
     unitary_log_factors,
 )
 
@@ -74,6 +75,18 @@ class TestFullRowRank:
             frame_polar_isometry(rand_frame(np.random.default_rng(1), 3, 2))
         Q = frame_polar_isometry(rand_frame(np.random.default_rng(2), 2, 3))
         assert np.linalg.norm(Q @ Q.conj().T - np.eye(2)) <= 1e-12
+
+
+class TestPsdSqrt:
+    @pytest.mark.parametrize("scale", [1e-13, 1.0])
+    def test_indefinite_raises(self, scale):
+        # the semidefinite floor is relative to the matrix: diag(1, -1) is
+        # rejected at every scale, diag(1, 0) accepted
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            psd_sqrt(scale * np.diag([1.0, -1.0]))
+        S = scale * np.diag([1.0, 0.0])
+        R = psd_sqrt(S)
+        assert np.linalg.norm(R @ R - S) <= 1e-12 * scale
 
 
 class TestInputRules:

@@ -25,7 +25,6 @@ from fiberframe import (
     is_admissible,
     project_to_fiber,
     random_frame_on_fiber,
-    same_gram_class,
     spectrum_correspondence_residual,
     unitary_equivalent,
 )
@@ -88,15 +87,12 @@ def test_decisions_do_not_depend_on_scale(c):
     with pytest.raises(ValueError, match="not Hermitian"):
         as_hermitian(c * (A + np.array([[0.0, 0.03], [0.0, 0.0]])))
 
-    # unitary_equivalent and same_gram_class: U F is equivalent to F, an
-    # independent frame is not
+    # unitary_equivalent: U F is equivalent to F, an independent frame is not
     rng = np.random.default_rng(7)
     F, G, U = c * rand_frame(rng, 3, 6), c * rand_frame(rng, 3, 6), rand_unitary(rng, 3)
     V = unitary_equivalent(F, U @ F)
     assert V is not None and _close(V, U, 1e-8)
     assert unitary_equivalent(F, G) is None
-    assert same_gram_class(F, U @ F)
-    assert not same_gram_class(F, G)
 
     # spectrum_correspondence_residual: relative, so the nearest power of two
     # (which scales every floating-point step exactly) leaves it unchanged

@@ -5,10 +5,11 @@ with --trace 1; a traced name that no longer resolves, or a return value its
 post hooks cannot read, breaks that run. These checks load the tracer's
 tables and call its hooks, install it once around one call (and uninstall
 it), and check that importing the package loads every module the tracer
-wraps. The last checks pin the package's export surface and keep every
-public name documented.
+wraps. The last checks pin the package's export surface, keep every
+public name documented and every module's imports read.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -24,6 +25,7 @@ from fiberframe import FiberTarget, FlowOptions, connect, project_to_fiber, rand
 from fiberframe.flows import newton_refine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(fiberframe.__file__).resolve().parent
 TRACING = PERFBENCH / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
 TABLES = importlib.util.module_from_spec(_SPEC)
@@ -141,6 +143,21 @@ def test_exports_are_the_submodules_all():
 def test_momentum_export_is_the_function():
     # the function shares its submodule's name, and the package binds the function
     assert fiberframe.momentum is importlib.import_module("fiberframe.momentum").momentum
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_module_reads_every_import(path):
+    # a name imported and never read is left over from a deleted caller;
+    # __init__.py re-exports by design, and __future__ imports are directives
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
 
 
 @pytest.fixture(scope="module")
