@@ -23,6 +23,7 @@ from fiberframe import (
     fiber_residual,
     fiber_residual_gradient,
     flow_to_fiber,
+    frame_operator,
     is_admissible,
     is_frame,
     norms_squared,
@@ -30,7 +31,7 @@ from fiberframe import (
     random_frame_on_fiber,
 )
 from fiberframe import flows
-from fiberframe._linalg import EIGEN_RTOL
+from fiberframe._linalg import EIGEN_RTOL, frame_polar_isometry
 from fiberframe.flows import _gaps, _newton, _normal_preimage, _phi, _repair
 
 
@@ -171,7 +172,23 @@ class TestGradientFlow:
 
 
 class TestProjections:
-    """The column rescaling of alternate_projections' move."""
+    """The two halves of alternate_projections' move: S^(1/2) Q, then the column rescaling."""
+
+    def test_operator_projection_exact(self):
+        rng = np.random.default_rng(8)
+        t = FiberTarget.from_spectrum([3.0, 1.0], np.array([2.0, 1.0, 1.0]))
+        w, U, _clusters = t._spectral
+        S_sqrt = (U * np.sqrt(w)) @ U.conj().T
+        for _ in range(15):
+            P = S_sqrt @ frame_polar_isometry(rand_frame(rng, 2, 3))
+            assert np.linalg.norm(frame_operator(P) - t.operator) <= 1e-12 * np.linalg.norm(
+                t.operator
+            )
+
+    def test_operator_projection_rank_deficient_raises(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            frame_polar_isometry(rand_rank_deficient(rng, 3, 5))
 
     def test_norm_projection_exact(self):
         rng = np.random.default_rng(10)

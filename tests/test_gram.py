@@ -115,6 +115,29 @@ class TestDimensions:
             reduced_dimension(FlagType(eigenvalues=(1.0,), multiplicities=(3,)), 2)
 
 
+class TestGramClass:
+    """Equal Gram matrices are the relation unitary_equivalent decides."""
+
+    def test_same_frame(self):
+        F = rand_frame(np.random.default_rng(40), 3, 6)
+        W = unitary_equivalent(F, F)
+        assert W is not None and np.linalg.norm(W - np.eye(3)) <= 1e-12
+
+    def test_different_frames(self):
+        rng = np.random.default_rng(42)
+        F1 = rand_frame(rng, 3, 6)
+        F2 = rand_frame(rng, 3, 6)
+        assert np.linalg.norm(gram(F1) - gram(F2)) > 1e-8 * np.linalg.norm(gram(F1))
+        assert unitary_equivalent(F1, F2) is None
+
+    # tol is checked before any factorization, on a rank-deficient pair too
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_rejects_bad_tol(self, tol):
+        F = rand_rank_deficient(np.random.default_rng(46), 3, 6)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            unitary_equivalent(F, F, tol=tol)
+
+
 class TestUnitaryEquivalence:
     def test_recovers_planted_unitary(self):
         rng = np.random.default_rng(43)
@@ -128,11 +151,6 @@ class TestUnitaryEquivalence:
             assert W is not None
             assert np.linalg.norm(W @ F1 - F2) <= 1e-10 * np.linalg.norm(F1)
             assert np.linalg.norm(W.conj().T @ W - np.eye(k)) <= 1e-12
-
-    def test_same_frame(self):
-        F = rand_frame(np.random.default_rng(40), 3, 6)
-        W = unitary_equivalent(F, F)
-        assert W is not None and np.linalg.norm(W - np.eye(3)) <= 1e-12
 
     @pytest.mark.parametrize("k,N", [(3, 6), (4, 4), (2, 5)])
     def test_rank_deficient_left_unitary(self, k, N):

@@ -21,6 +21,8 @@ from fiberframe import (
     connect,
     fiber_residual,
     flag_type,
+    frame_operator,
+    norms_squared,
     project_to_fiber,
     random_frame_on_fiber,
     validate_path,
@@ -181,6 +183,38 @@ class TestValidatePath:
             validate_path(path, endpoints=tuple(ends))
 
 
+def _commutant_alignment(F0, F1, target):
+    """The block-Procrustes alignment of F1 to F0 over U(k)_S alone, in the eigenbasis."""
+    _w, U, clusters = target._spectral
+    Uh = U.conj().T
+    return U @ homotopy._block_procrustes(Uh @ F0, Uh @ F1, clusters or ()) @ Uh @ F1
+
+
+class TestGaugeAlign:
+    """The commutant part of connect's gauge, U(k)_S without the column phases."""
+
+    def test_recovers_left_unitary_on_tight_fiber(self):
+        # S = c I commutes with every unitary, so U(k)_S is all of U(k)
+        t = FiberTarget.funtf(2, 5)
+        F = random_frame_on_fiber(t, seed=3)
+        U = rand_unitary(np.random.default_rng(4), 2)
+        G = _commutant_alignment(F, U @ F, t)
+        assert np.linalg.norm(G - F) <= 1e-10 * np.linalg.norm(F)
+
+    def test_never_worse_than_identity(self):
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(t, 5, 6)
+        G = _commutant_alignment(F0, F1, t)
+        assert np.linalg.norm(F0 - G) <= np.linalg.norm(F0 - F1) + 1e-12
+
+    def test_preserves_fiber(self):
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(t, 7, 8)
+        G = _commutant_alignment(F0, F1, t)
+        assert np.linalg.norm(frame_operator(G) - t.operator) <= 1e-12
+        assert np.max(np.abs(norms_squared(G) - t.norms_sq)) <= 1e-12
+
+
 class TestSymmetryGauge:
     """connect aligns F1 over the commutant unitaries and the column phases."""
 
@@ -203,10 +237,7 @@ class TestSymmetryGauge:
         F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
         V, phi = symmetry_gauge(F0, F1, target)
         aligned = V @ F1 * np.exp(1j * phi)
-        # the block-Procrustes alignment over U(k)_S alone, in the eigenbasis
-        _w, U, clusters = target._spectral
-        Uh = U.conj().T
-        commutant_only = U @ homotopy._block_procrustes(Uh @ F0, Uh @ F1, clusters or ()) @ Uh @ F1
+        commutant_only = _commutant_alignment(F0, F1, target)
         assert np.linalg.norm(F0 - aligned) <= np.linalg.norm(F0 - commutant_only) * (1.0 + 1e-12)
         # V F1 D stays on the fiber up to the cluster widths
         assert fiber_residual(aligned, target) <= 1e-16
