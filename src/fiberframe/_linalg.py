@@ -83,10 +83,12 @@ def is_hermitian(A: np.ndarray) -> bool:
 
 
 def as_hermitian(A, name="matrix", k=None) -> np.ndarray:
-    """A as a Hermitian complex matrix, of shape (k, k) when k is given; ValueError otherwise."""
+    """A as a non-empty Hermitian complex matrix, of shape (k, k) when k is given; ValueError otherwise."""
     A = as_complex_matrix(A, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if not A.size:
+        raise ValueError(f"{name} must be non-empty")
     if k is not None and A.shape != (k, k):
         raise ValueError(f"{name} has shape {A.shape}, expected {(k, k)}")
     if not is_hermitian(A):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import _tolerance
+from ._linalg import RANK_RTOL, _tolerance
 from .core import _bounds_or_none, _funtf, norms_squared
 from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
@@ -149,15 +149,10 @@ def _cmd_check(args, out: _Output) -> int:
 def _cmd_construct(args, out: _Output) -> int:
     r = np.asarray(args.r, dtype=float)
     rng = np.random.default_rng(args.seed)
-    try:
-        if args.operator_file:
-            F = construct_frame_with_operator(_read_operator(args.operator_file), r, rng=rng)
-        else:
-            F = construct_frame(np.asarray(args.lam, dtype=float), r, rng=rng)
-    except InadmissibleError as exc:
-        out.add("admissible", False)
-        out.add("violation", str(exc))
-        return 1
+    if args.operator_file:
+        F = construct_frame_with_operator(_read_operator(args.operator_file), r, rng=rng)
+    else:
+        F = construct_frame(np.asarray(args.lam, dtype=float), r, rng=rng)
     out.add("admissible", True)
     out.add("norm_error", float(np.max(np.abs(norms_squared(F) - r))))
     if args.out:
@@ -176,15 +171,21 @@ def _cmd_tighten(args, out: _Output) -> int:
         target = read_target(args.target)
     else:
         r = norms_squared(F0)
+        # c I with these norms is a regular value only when no column is zero
+        # (the rule of is_regular_value: r_j > RANK_RTOL max(r))
+        zero = np.flatnonzero(r <= RANK_RTOL * np.max(r)) + 1
+        if zero.size:
+            out.add("target_regular_value", False)
+            cols = ", ".join(map(str, zero))
+            out.add("reason", f"zero column(s) {cols} of {r.size}: the default target c I is not a regular value")
+            return 1
         c = float(np.sum(r)) / F0.shape[0]
         target = FiberTarget(operator=c * np.eye(F0.shape[0], dtype=complex), norms_sq=r)
     # FiberTarget checks the sums rule, not majorization: an empty fiber
     # fails with its certificate, where every route would stall
     adm = is_admissible(target.spectrum(), target.norms_sq)
     if not adm:
-        out.add("admissible", False)
-        out.add("violation", adm.describe())
-        return 1
+        raise InadmissibleError(adm.describe(), adm)
     opts = FlowOptions(max_iters=args.max_iters, tol=args.tol**2)
     runner = {
         "gradient": flow_to_fiber,
@@ -260,6 +261,12 @@ def main(argv=None) -> int:
         _tolerance(args.tol, "--tol")
         out = _Output(args)
         code = args.handler(args, out)
+    except InadmissibleError as exc:
+        # an empty fiber (construct or tighten) is a failed check with its
+        # certificate; caught first, as InadmissibleError is a ValueError
+        out.add("admissible", False)
+        out.add("violation", str(exc))
+        code = 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

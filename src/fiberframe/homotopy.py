@@ -68,11 +68,6 @@ _ROUND_LEVELS = 4
 # the bridge gives up when gaps stay open after _EXTRA_DEPTH rounds beyond
 # those a straight chord of the widest anchor gap needs
 _EXTRA_DEPTH = 4
-# bytes of kernel temporaries one stacked projection may hold; a round with
-# more rows is projected in several runs. A (16,128) row holds about 0.9 MB,
-# and runs of 4 rows instead of 15 made funtf(16,128) about 12% faster on a
-# core with 4 MB of L2 cache
-_STACK_BYTES = 1 << 22
 
 
 def _positive(value, name: str) -> None:
@@ -321,12 +316,11 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     close to the one before it is dropped. The bridge pass then runs round by
     round over the ordered array of samples: each round cuts every gap of
     width w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w / delta)))
-    pieces (2, 4, 8 or 16), projects their chord points in one Newton solve
-    (in several when its kernel temporaries would pass _STACK_BYTES), retries
-    each rejected point (accepted within half of path_tol^2) with seeded
-    tangent kicks in path order and merges the points in; every piece of a gap
-    must be shorter than it. Every interior sample is a bridge point or an
-    exact unwind sample; the path's report counts the work.
+    pieces (2, 4, 8 or 16), projects their chord points in one stacked Newton
+    run, retries each rejected point (accepted within half of path_tol^2)
+    with seeded tangent kicks in path order and merges the points in; every
+    piece of a gap must be shorter than it. Every interior sample is a bridge
+    point or an exact unwind sample; the path's report counts the work.
 
     Raises OffFiberError when an endpoint is off the fiber (beyond path_tol),
     F0 first, and ConnectError when the bridge pass cannot close a gap between
@@ -366,17 +360,10 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
     accept_tol = 0.5 * ptol2
 
-    # a row of the Newton kernel holds about 24 k^2 N + 8 N^2 bytes (its pair
-    # products, their real factor and its N x N system)
-    chunk = max(1, _STACK_BYTES // (24 * k * k * target.N + 8 * target.N**2))
-
     def project(X):
         # Newton projection of the stack X; the frames and which rows are accepted
-        G, phi = np.empty_like(X), np.empty(len(X))
-        for i in range(0, len(X), chunk):
-            rows = slice(i, i + chunk)
-            G[rows], phi[rows], iters, _trace, _stalled = _newton(X[rows], target, proj_opts)
-            report.newton_iterations += int(iters.sum())
+        G, phi, iters, _trace, _stalled = _newton(X, target, proj_opts)
+        report.newton_iterations += int(iters.sum())
         report.projections += len(X)
         return G, phi <= accept_tol
 
@@ -463,11 +450,11 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         G, ok = project(X)
         for j in np.flatnonzero(~ok):
             G[j] = kicked(X[j], arr[rep[j]], float(tm[j]))
-        order = np.argsort(np.concatenate((np.arange(len(arr)), rep + f)), kind="stable")
-        arr, t = np.concatenate((arr, G))[order], np.concatenate((t, tm))[order]
+        # rows of one gap go in after its left end in order, so row r lands
+        # at rep[r] + r + 1; every piece of its gap borders a row
+        arr, t = np.insert(arr, rep + 1, G, axis=0), np.insert(t, rep + 1, tm)
         wide = seg[rep] * (1.0 - 1e-12)
         seg = _frobenius(np.diff(arr, axis=0))
-        # row r now sits at rep[r] + r + 1; every piece of its gap borders a row
         at = rep + np.arange(rep.size) + 1
         stuck = np.flatnonzero(np.maximum(seg[at - 1], seg[at]) >= wide)
         if stuck.size:

@@ -22,7 +22,6 @@ from ._linalg import (
     as_hermitian,
     as_real_vector,
     full_row_rank,
-    hermitize,
     is_hermitian,
 )
 from .core import _frame_pair, as_frame_matrix, frame_operator, norms_squared
@@ -195,18 +194,20 @@ class RegularValueCheck:
 def is_regular_value(S, torus) -> RegularValueCheck:
     """Whether (S, torus) is a regular value of the joint momentum map.
 
-    Requires S Hermitian positive definite and every torus entry strictly
-    negative (each equals -||f_j||^2 / 2 on the fiber, and zero columns are
-    the critical degeneration), both relative to scale: the smallest
-    eigenvalue of S above RANK_RTOL times the largest, and every torus entry
-    below -RANK_RTOL times the largest |entry|.
+    Requires S non-empty, Hermitian and positive definite and every torus
+    entry strictly negative (each equals -||f_j||^2 / 2 on the fiber, and
+    zero columns are the critical degeneration), both relative to scale:
+    the smallest eigenvalue of S above RANK_RTOL times the largest, and
+    every torus entry below -RANK_RTOL times the largest |entry|.
     """
     S = as_complex_matrix(S, "S")
     if S.shape[0] != S.shape[1]:
         return RegularValueCheck(False, "operator part is not square")
-    if not is_hermitian(S):
-        return RegularValueCheck(False, "operator part is not Hermitian")
-    return _regular_value(np.linalg.eigvalsh(hermitize(S))[::-1], as_real_vector(torus, "torus"))
+    try:
+        S = as_hermitian(S, "operator part")
+    except ValueError as exc:
+        return RegularValueCheck(False, str(exc))
+    return _regular_value(np.linalg.eigvalsh(S)[::-1], as_real_vector(torus, "torus"))
 
 
 def _regular_value(w: np.ndarray, t: np.ndarray) -> RegularValueCheck:

@@ -242,6 +242,26 @@ class TestTighten:
         assert code == 1
         assert (obj["admissible"], obj["violation"]) == (False, violation) and "report" not in obj
 
+    @pytest.mark.parametrize(
+        "frame,columns",
+        [([[1, 0, 0], [0, 1, 0]], "3 of 3"), ([[1, 0, 0, 1e-13], [0, 1, 0, 0]], "3, 4 of 4")],
+        ids=["zero", "below_floor"],
+    )
+    def test_default_target_with_zero_column_fails(self, tmp_path, capsys, frame, columns):
+        # c I with a zero norm is not a regular value: a failed check (exit 1)
+        # naming the columns; a column below RANK_RTOL times the largest norm
+        # counts as zero
+        ffile = tmp_path / "z.json"
+        write_frame(np.array(frame, dtype=complex), ffile)
+        reason = f"zero column(s) {columns}: the default target c I is not a regular value"
+        code, out, err = run(capsys, "--quiet", "tighten", str(ffile))
+        assert code == 1 and not err
+        assert out.splitlines() == ["target_regular_value: False", f"reason: {reason}"]
+        code, out, _ = run(capsys, "--json", "tighten", str(ffile))
+        obj = json.loads(out)
+        assert code == 1
+        assert (obj["target_regular_value"], obj["reason"]) == (False, reason) and "report" not in obj
+
     @pytest.mark.parametrize("method", ["auto", "gradient", "alternating"])
     def test_report_in_json_only(self, tmp_path, capsys, method):
         t, tfile, (ffile,) = funtf_files(tmp_path)

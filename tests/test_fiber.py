@@ -35,6 +35,10 @@ class TestFiberTarget:
         assert t.k == 2 and t.N == 3
         assert_allclose(t.spectrum(), [2.0, 1.0])
 
+    def test_empty_operator_rejected(self):
+        with pytest.raises(ValueError, match="^operator must be non-empty$"):
+            FiberTarget(np.zeros((0, 0)), [1.0])
+
     def test_arrays_are_read_only_copies(self):
         # the caller's arrays stay theirs and writable; writing the target's raises
         S, r = 2.0 * np.eye(2), np.ones(4)

@@ -584,10 +584,13 @@ class TestStackedSolve:
         t = FiberTarget.funtf(3, 7)
         starts = np.stack([random_frame_on_fiber(t, seed=s) + 1e-3 * (s + 1) for s in range(3)])
         opts = FlowOptions(tol=0.0)
-        # where each row stalls depends on rounding, so each direction has its counts
-        for step, counts in zip(newton_directions(opts), ([6, 7, 8], [8, 6, 14])):
+        # where each row stalls depends on rounding, and so on the BLAS kernel
+        # (OpenBLAS 0.3.31 stalls them at [6, 7, 8] and [8, 6, 14] with its
+        # SkylakeX kernel, at [5, 9, 5] and [7, 7, 5] with Haswell or Zen):
+        # each row takes a step before it stalls
+        for step in newton_directions(opts):
             Fs, phi, iters, _trace, stalled = _newton(starts, t, opts, step)
-            assert list(iters) == counts and stalled.all()
+            assert iters.min() >= 1 and stalled.all()
             assert np.all(phi <= 1e-30)
             for i in range(3):
                 F, rep = _repair("newton", starts[i], t, opts, step)

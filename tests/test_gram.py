@@ -76,6 +76,10 @@ class TestFlagType:
         # every gap of an all-zero spectrum is 0, at most the merge threshold 0
         assert flag_type(np.zeros((3, 3))) == FlagType((0.0,), (3,))
 
+    def test_empty_operator_rejected(self):
+        with pytest.raises(ValueError, match="^operator must be non-empty$"):
+            flag_type(np.zeros((0, 0)))
+
 
 class TestDimensions:
     def test_funtf_two_four(self):

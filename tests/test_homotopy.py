@@ -27,7 +27,7 @@ from fiberframe import (
     random_frame_on_fiber,
     validate_path,
 )
-from fiberframe import homotopy
+from fiberframe import flows, homotopy
 from fiberframe._linalg import COINCIDE_RTOL, spectral_clusters
 from fiberframe.homotopy import _tangent_kick
 
@@ -558,16 +558,18 @@ class TestConnect:
         F0, F1 = _pair(t, 2, 9)
         whole = connect(F0, F1, t)
         runs = []
-        real = homotopy._newton
+        real = flows._normal_preimage
 
-        def spy(X, target, opts):
-            runs.append(len(X))
-            return real(X, target, opts)
+        def spy(F, R, b, tol=None):
+            runs.append(len(F))
+            return real(F, R, b, tol)
 
-        monkeypatch.setattr(homotopy, "_STACK_BYTES", 1)
-        monkeypatch.setattr(homotopy, "_newton", spy)
+        # the kernel solves a stack over the cap in runs, each by a call of
+        # its module name: one run of one row per Newton step
+        monkeypatch.setattr(flows, "_STACK_BYTES", 1)
+        monkeypatch.setattr(flows, "_normal_preimage", spy)
         split = connect(F0, F1, t)
-        assert max(runs) == 1 and len(runs) == whole.report.projections
+        assert max(runs) == 1 and len(runs) == whole.report.newton_iterations
         assert len(split) == len(whole)
         assert np.max(np.linalg.norm(split.frames - whole.frames, axis=(1, 2))) <= 1e-12 * np.linalg.norm(F0)
         assert split.report == whole.report

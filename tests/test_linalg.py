@@ -98,6 +98,10 @@ class TestInputRules:
         with pytest.raises(ValueError, match="S must be square, got shape \\(2, 3\\)"):
             as_hermitian(np.ones((2, 3)), "S")
 
+    def test_empty_not_hermitian(self):
+        with pytest.raises(ValueError, match="^S must be non-empty$"):
+            as_hermitian(np.zeros((0, 0)), "S")
+
 
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fiberframe.__file__)))

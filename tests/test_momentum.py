@@ -275,6 +275,10 @@ class TestRegularValues:
     def test_rejects_non_hermitian(self):
         assert not is_regular_value(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([-1.0, -1.0]))
 
+    def test_rejects_empty_operator(self):
+        chk = is_regular_value(np.zeros((0, 0)), [])
+        assert not chk and chk.reason == "operator part must be non-empty"
+
     @pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
     def test_scale_relative(self, c):
         # F -> sqrt(c) F maps the fiber of (S, r) onto that of (c S, c r), so

@@ -158,6 +158,10 @@ class TestConstructFrame:
         with pytest.raises(ValueError, match=reason):
             FiberTarget(S, norms_sq)
 
+    def test_with_empty_operator_rejected(self):
+        with pytest.raises(ValueError, match="^operator must be non-empty$"):
+            construct_frame_with_operator(np.zeros((0, 0)), [1.0])
+
     def test_with_operator(self):
         rng = np.random.default_rng(34)
         S = rand_pd_hermitian(rng, 3)
