@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import RANK_RTOL, _tolerance
+from ._linalg import _tolerance
 from .core import _bounds_or_none, _funtf, norms_squared
 from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
@@ -31,7 +31,7 @@ from .flows import (
 from .design import construct_frame, construct_frame_with_operator, is_admissible
 from .equivalence import unitary_equivalent
 from .homotopy import ConnectOptions, connect
-from .momentum import momentum
+from .momentum import is_regular_value, momentum
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,10 +138,13 @@ def _cmd_check(args, out: _Output) -> int:
         on_fiber = phi <= args.tol**2
         out.add("fiber_residual", phi)
         out.add("on_fiber", on_fiber)
-        # FiberTarget construction rejects a target that is not a regular value
+        # FiberTarget construction rejects a target that is not a regular value,
+        # and one whose sums leave the fiber empty
         out.add("target_regular_value", True)
         adm = is_admissible(target.spectrum(), target.norms_sq)
         out.add("target_admissible", bool(adm))
+        if not adm:
+            out.add("violation", adm.describe())
         failed = failed or not on_fiber
     return 1 if failed else 0
 
@@ -171,18 +174,16 @@ def _cmd_tighten(args, out: _Output) -> int:
         target = read_target(args.target)
     else:
         r = norms_squared(F0)
-        # c I with these norms is a regular value only when no column is zero
-        # (the rule of is_regular_value: r_j > RANK_RTOL max(r))
-        zero = np.flatnonzero(r <= RANK_RTOL * np.max(r)) + 1
-        if zero.size:
+        S = float(np.sum(r)) / F0.shape[0] * np.eye(F0.shape[0], dtype=complex)
+        # c I with the frame's norms: a zero column is a failed check, not a usage error
+        regular = is_regular_value(S, -0.5 * r)
+        if not regular:
             out.add("target_regular_value", False)
-            cols = ", ".join(map(str, zero))
-            out.add("reason", f"zero column(s) {cols} of {r.size}: the default target c I is not a regular value")
+            out.add("reason", regular.reason)
             return 1
-        c = float(np.sum(r)) / F0.shape[0]
-        target = FiberTarget(operator=c * np.eye(F0.shape[0], dtype=complex), norms_sq=r)
-    # FiberTarget checks the sums rule, not majorization: an empty fiber
-    # fails with its certificate, where every route would stall
+        target = FiberTarget(operator=S, norms_sq=r)
+    # a fiber empty through a partial sum is a valid target, where every
+    # route would stall: it fails here with its certificate
     adm = is_admissible(target.spectrum(), target.norms_sq)
     if not adm:
         raise InadmissibleError(adm.describe(), adm)
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
         out = _Output(args)
         code = args.handler(args, out)
     except InadmissibleError as exc:
-        # an empty fiber (construct or tighten) is a failed check with its
+        # an empty fiber, from any command, is a failed check with its
         # certificate; caught first, as InadmissibleError is a ValueError
         out.add("admissible", False)
         out.add("violation", str(exc))

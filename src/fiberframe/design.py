@@ -5,22 +5,20 @@ column norms r (N positive values) exists exactly when sum(r) = sum(lambda)
 and, after sorting both descending, the partial sums of r never exceed those
 of lambda. The constructive route builds an N x N Hermitian matrix with
 spectrum (lambda, 0, ..., 0) and diagonal r by a chain of plane rotations,
-then reads the frame off a truncated eigendecomposition.
+then reads the frame off a truncated eigendecomposition. The test itself,
+with its certificate, lives in fiber next to FiberTarget, which applies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import MAJORIZATION_TOL, _non_negative_int, as_hermitian, as_real_vector, eigh_desc, haar_unitary
+from ._linalg import _non_negative_int, as_real_vector, eigh_desc, haar_unitary
 from .errors import InadmissibleError
-from .fiber import FiberTarget, _positive_vector, _regular_target, _sums_agree, as_spectrum
+from .fiber import AdmissibilityCheck, FiberTarget, _admissibility, _positive_vector, _regular_target, as_spectrum
 from .flows import FlowOptions, _newton, _residual
 
 __all__ = [
-    "AdmissibilityCheck",
     "is_admissible",
     "hermitian_with_diagonal",
     "construct_frame",
@@ -28,38 +26,6 @@ __all__ = [
     "random_admissible_norms",
     "random_frame_on_fiber",
 ]
-
-
-@dataclass(frozen=True)
-class AdmissibilityCheck:
-    """Outcome of the existence test, with the first violated condition.
-
-    kind is "" when admissible, otherwise one of "shape" (fewer vectors than
-    dimensions), "total" (sum(r) != sum(lambda)) or "partial_sum" (the top-ell
-    partial sum of sorted r exceeds that of lambda; ell in ``index``, 1-based).
-    lhs/rhs hold the two sides of the violated (in)equality.
-    """
-
-    ok: bool
-    kind: str = ""
-    index: int | None = None
-    lhs: float = 0.0
-    rhs: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def describe(self) -> str:
-        if self.ok:
-            return "admissible"
-        if self.kind == "shape":
-            return f"only {int(self.lhs)} vectors for dimension {int(self.rhs)}"
-        if self.kind == "total":
-            return f"sum of norms {self.lhs:.12g} != sum of spectrum {self.rhs:.12g}"
-        return (
-            f"partial sum violated at ell={self.index}: "
-            f"top norms add to {self.lhs:.12g} > spectrum {self.rhs:.12g}"
-        )
 
 
 def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
@@ -71,29 +37,6 @@ def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
     both by c > 0 leaves the verdict as it is.
     """
     return _admissibility(as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq"))
-
-
-def _admissibility(lam: np.ndarray, r: np.ndarray) -> AdmissibilityCheck:
-    """The majorization test of r by a descending lam, with slack MAJORIZATION_TOL * sum(|lam|)."""
-    k, N = lam.size, r.size
-    if N < k:
-        return AdmissibilityCheck(False, kind="shape", lhs=float(N), rhs=float(k))
-    if not _sums_agree(lam, r):
-        return AdmissibilityCheck(False, kind="total", lhs=float(np.sum(r)), rhs=float(np.sum(lam)))
-    slack = MAJORIZATION_TOL * float(np.sum(np.abs(lam)))
-    rs = np.sort(r)[::-1]
-    sums_r = np.cumsum(rs[:k])
-    sums_lam = np.cumsum(lam)
-    for ell in range(1, k + 1):
-        if sums_r[ell - 1] > sums_lam[ell - 1] + slack:
-            return AdmissibilityCheck(
-                False,
-                kind="partial_sum",
-                index=ell,
-                lhs=float(sums_r[ell - 1]),
-                rhs=float(sums_lam[ell - 1]),
-            )
-    return AdmissibilityCheck(True)
 
 
 def _rotate_sym(W: np.ndarray, i: int, j: int, c: float, s: float) -> None:
@@ -180,6 +123,26 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     """
     lam, r = as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq")
     _regular_target(lam, r)
+    return _construct(lam, r, rng)
+
+
+def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator | None = None):
+    """Frame with the given (positive definite) frame operator and squared norms.
+
+    Validates (operator, norms_sq) as FiberTarget does: ValueError when it is
+    not a regular value, and InadmissibleError when no such frame exists.
+    """
+    target = FiberTarget(operator, norms_sq)
+    w, U, _clusters = target._spectral
+    return U @ _construct(w, target.norms_sq, rng)
+
+
+def _construct(lam: np.ndarray, r: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+    """construct_frame for a descending spectrum lam and positive norms r at a regular value.
+
+    InadmissibleError with the certificate when lam does not majorize r;
+    otherwise the rotation chain's Gram matrix, read off by one eigh.
+    """
     check = _admissibility(lam, r)
     if not check:
         raise InadmissibleError(check.describe(), check)
@@ -190,17 +153,6 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
         G = G * np.outer(phase, phase.conj())
     w, V = eigh_desc(G)
     return np.sqrt(np.clip(w[:k], 0.0, None))[:, None] * V[:, :k].conj().T
-
-
-def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator | None = None):
-    """Frame with the given (positive definite) frame operator and squared norms.
-
-    Raises ValueError when (operator, norms_sq) is not a regular value, the
-    rule of FiberTarget, and InadmissibleError when no such frame exists.
-    """
-    w, U = eigh_desc(as_hermitian(operator, name="operator"))
-    _regular_target(w, _positive_vector(norms_sq, "norms_sq"))
-    return U @ construct_frame(w, norms_sq, rng=rng)
 
 
 def random_admissible_norms(spectrum, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,7 +207,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     _non_negative_int(seed, "seed")
     rng = np.random.default_rng(seed)
     w, U, clusters = target._spectral
-    F = U @ construct_frame(w, target.norms_sq, rng=rng)
+    F = U @ _construct(w, target.norms_sq, rng)
     N = target.N
     F = F * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))[None, :]
 

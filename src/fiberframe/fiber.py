@@ -2,7 +2,9 @@
 
 A fiber target fixes the frame operator S and the squared column norms r.
 The frames satisfying F F* = S and ||f_j||^2 = r_j form the fiber all repair
-flows and path searches in this package aim at.
+flows and path searches in this package aim at. The fiber is non-empty
+exactly when the spectrum of S majorizes r (Schur-Horn); that test and its
+certificate live here, next to the target that applies it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import MAJORIZATION_TOL, _non_negative_int, as_hermitian, as_real_vector, spectral_clusters
+from .errors import InadmissibleError
 from .momentum import _regular_value
 
-__all__ = ["as_spectrum", "FiberTarget"]
+__all__ = ["as_spectrum", "AdmissibilityCheck", "FiberTarget"]
 
 
 def _positive_vector(values, name: str) -> np.ndarray:
@@ -25,14 +28,6 @@ def _positive_vector(values, name: str) -> np.ndarray:
     if np.any(v <= 0.0):
         raise ValueError(f"{name} entries must be strictly positive")
     return v
-
-
-def _sums_agree(values: np.ndarray, r: np.ndarray) -> bool:
-    """The sums rule of a fiber: sum(r) = sum(values) up to MAJORIZATION_TOL times sum(|values|).
-
-    values is a spectrum, or the diagonal of an operator, whose sum is its trace.
-    """
-    return abs(float(np.sum(r)) - float(np.sum(values))) <= MAJORIZATION_TOL * float(np.sum(np.abs(values)))
 
 
 def _regular_target(w: np.ndarray, r: np.ndarray) -> None:
@@ -47,6 +42,61 @@ def as_spectrum(values) -> np.ndarray:
     return np.sort(_positive_vector(values, "spectrum"))[::-1].copy()
 
 
+@dataclass(frozen=True)
+class AdmissibilityCheck:
+    """Outcome of the existence test, with the first violated condition.
+
+    kind is "" when admissible, otherwise one of "shape" (fewer vectors than
+    dimensions), "total" (sum(r) != sum(lambda)) or "partial_sum" (the top-ell
+    partial sum of sorted r exceeds that of lambda; ell in ``index``, 1-based).
+    lhs/rhs hold the two sides of the violated (in)equality.
+    """
+
+    ok: bool
+    kind: str = ""
+    index: int | None = None
+    lhs: float = 0.0
+    rhs: float = 0.0
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def describe(self) -> str:
+        if self.ok:
+            return "admissible"
+        if self.kind == "shape":
+            return f"only {int(self.lhs)} vectors for dimension {int(self.rhs)}"
+        if self.kind == "total":
+            return f"sum of norms {self.lhs:.12g} != sum of spectrum {self.rhs:.12g}"
+        return (
+            f"partial sum violated at ell={self.index}: "
+            f"top norms add to {self.lhs:.12g} > spectrum {self.rhs:.12g}"
+        )
+
+
+def _admissibility(lam: np.ndarray, r: np.ndarray) -> AdmissibilityCheck:
+    """The majorization test of r by a descending lam, with slack MAJORIZATION_TOL * sum(|lam|)."""
+    k, N = lam.size, r.size
+    if N < k:
+        return AdmissibilityCheck(False, kind="shape", lhs=float(N), rhs=float(k))
+    slack = MAJORIZATION_TOL * float(np.sum(np.abs(lam)))
+    if abs(float(np.sum(r)) - float(np.sum(lam))) > slack:
+        return AdmissibilityCheck(False, kind="total", lhs=float(np.sum(r)), rhs=float(np.sum(lam)))
+    rs = np.sort(r)[::-1]
+    sums_r = np.cumsum(rs[:k])
+    sums_lam = np.cumsum(lam)
+    for ell in range(1, k + 1):
+        if sums_r[ell - 1] > sums_lam[ell - 1] + slack:
+            return AdmissibilityCheck(
+                False,
+                kind="partial_sum",
+                index=ell,
+                lhs=float(sums_r[ell - 1]),
+                rhs=float(sums_lam[ell - 1]),
+            )
+    return AdmissibilityCheck(True)
+
+
 @dataclass(frozen=True, eq=False)
 class FiberTarget:
     """Prescribed frame operator and squared norms defining one fiber.
@@ -54,9 +104,13 @@ class FiberTarget:
     operator : k x k Hermitian positive definite matrix
     norms_sq : length-N vector of strictly positive squared norms
 
-    Construction validates Hermitianity, positive definiteness, positivity of
-    the norms, N >= k and trace(S) = sum(r), without which the fiber is empty.
-    Both arrays are read-only copies, so the fiber and the decomposition
+    Construction validates Hermitianity, positivity of the norms and the rule
+    of is_regular_value (ValueError), then the sums of the existence test:
+    fewer vectors than dimensions or trace(S) != sum(r) leave the fiber empty
+    at any S, and raise InadmissibleError with the certificate. A fiber empty
+    only through a partial sum stays a valid target: Phi, its gradient and
+    the repair routes are defined there, and is_admissible decides it. Both
+    arrays are read-only copies, so the fiber and the decomposition
     spectral_clusters(S) that construction computes once cannot drift apart;
     it is immutable, and the one decomposition of S that the package reads.
     """
@@ -67,12 +121,11 @@ class FiberTarget:
     def __post_init__(self):
         S = as_hermitian(self.operator, name="operator")
         r = _positive_vector(self.norms_sq, "norms_sq")
-        if r.size < S.shape[0]:
-            raise ValueError("need at least as many vectors as dimensions (N >= k); fiber is empty")
         spectral = spectral_clusters(S)
         _regular_target(spectral[0], r)
-        if not _sums_agree(np.diagonal(S).real, r):
-            raise ValueError("trace(operator) must equal sum(norms_sq); fiber is empty")
+        check = _admissibility(spectral[0], r)
+        if check.kind in ("shape", "total"):
+            raise InadmissibleError(check.describe(), check)
         r = r.copy()
         for a in (S, r, *spectral[:2]):
             a.setflags(write=False)

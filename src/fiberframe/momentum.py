@@ -198,11 +198,9 @@ def is_regular_value(S, torus) -> RegularValueCheck:
     entry strictly negative (each equals -||f_j||^2 / 2 on the fiber, and
     zero columns are the critical degeneration), both relative to scale:
     the smallest eigenvalue of S above RANK_RTOL times the largest, and
-    every torus entry below -RANK_RTOL times the largest |entry|.
+    every torus entry below -RANK_RTOL times the largest |entry|. A failed
+    check names its cause; the torus reason lists the failing columns, 1-based.
     """
-    S = as_complex_matrix(S, "S")
-    if S.shape[0] != S.shape[1]:
-        return RegularValueCheck(False, "operator part is not square")
     try:
         S = as_hermitian(S, "operator part")
     except ValueError as exc:
@@ -214,6 +212,7 @@ def _regular_value(w: np.ndarray, t: np.ndarray) -> RegularValueCheck:
     """is_regular_value from the descending eigenvalues w of S and a real vector t."""
     if w[-1] <= RANK_RTOL * w[0]:
         return RegularValueCheck(False, "operator part is not positive definite")
-    if np.any(t >= -RANK_RTOL * np.max(np.abs(t), initial=0.0)):
-        return RegularValueCheck(False, "torus part has a non-negative entry")
+    cols = ", ".join(map(str, np.flatnonzero(t >= -RANK_RTOL * np.max(np.abs(t), initial=0.0)) + 1))
+    if cols:
+        return RegularValueCheck(False, f"torus part has a non-negative entry in column(s) {cols} of {t.size}")
     return RegularValueCheck(True)

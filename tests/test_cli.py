@@ -253,7 +253,7 @@ class TestTighten:
         # counts as zero
         ffile = tmp_path / "z.json"
         write_frame(np.array(frame, dtype=complex), ffile)
-        reason = f"zero column(s) {columns}: the default target c I is not a regular value"
+        reason = f"torus part has a non-negative entry in column(s) {columns}"
         code, out, err = run(capsys, "--quiet", "tighten", str(ffile))
         assert code == 1 and not err
         assert out.splitlines() == ["target_regular_value: False", f"reason: {reason}"]
@@ -544,3 +544,48 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestTargetVerdicts:
+    """Each command reports a target's verdict alike: an empty fiber of any
+    kind exits 1 with its certificate, and a target that is not a regular
+    value is a usage error (exit 2)."""
+
+    PARTIAL = "partial sum violated at ell=1: top norms add to 1.9 > spectrum 1.5"
+    TARGETS = {
+        "total": ({"lambda": [2.0, 1.0], "r": [1.0, 1.0, 1.5]}, "sum of norms 3.5 != sum of spectrum 3"),
+        "shape": ({"lambda": [2.0, 1.0, 1.0], "r": [2.0, 2.0]}, "only 2 vectors for dimension 3"),
+        "partial_sum": ({"lambda": [1.5, 0.5], "r": [1.9, 0.05, 0.05]}, PARTIAL),
+        "not_regular": (
+            {"lambda": [2.0, 1.0], "r": [1.5, 1.5 - 1e-13, 1e-13]},
+            "target is not a regular momentum value: torus part has a non-negative entry in column(s) 3 of 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "tighten", "connect"])
+    @pytest.mark.parametrize("case", list(TARGETS))
+    def test_verdict_report(self, tmp_path, capsys, command, case):
+        obj, verdict = self.TARGETS[case]
+        tfile, ffile = tmp_path / "t.json", tmp_path / "f.json"
+        tfile.write_text(json.dumps(obj))
+        write_frame(np.array([[1.0, 0.1, 0.0], [0.0, 0.2, 0.3]], dtype=complex), ffile)
+        argv = {
+            "check": ["check", str(ffile), "--target", str(tfile)],
+            "tighten": ["tighten", str(ffile), "--target", str(tfile)],
+            "connect": ["connect", str(ffile), str(ffile), str(tfile), "--out", str(tmp_path / "p.jsonl")],
+        }[command]
+        code, out, err = run(capsys, "--quiet", *argv)
+        if case == "not_regular":
+            assert (code, err) == (2, f"error: {verdict}\n")
+            assert "admissible" not in out
+            return
+        # a partial-sum fiber reads as a target: check reports it with its own key
+        lines = ["admissible: False", f"violation: {verdict}"]
+        if command == "check" and case == "partial_sum":
+            lines = ["on_fiber: False", "target_regular_value: True", "target_admissible: False", lines[1]]
+        assert code == 1 and not err
+        assert out.splitlines()[-len(lines) :] == lines
+        if command != "check":
+            assert out.splitlines() == lines
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 1 and json.loads(out)["violation"] == verdict

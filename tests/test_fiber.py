@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from fiberframe import (
     FiberTarget,
     FlowOptions,
+    InadmissibleError,
     alternate_projections,
     as_spectrum,
     construct_frame,
@@ -100,8 +101,9 @@ class TestFiberTarget:
 
     def test_rejects_fewer_vectors_than_dimensions(self):
         # trace(S) = sum(r), but rank F <= N < k leaves the fiber empty
-        with pytest.raises(ValueError, match="N >= k"):
+        with pytest.raises(InadmissibleError, match="^only 2 vectors for dimension 3$") as err:
             FiberTarget(operator=np.eye(3, dtype=complex), norms_sq=np.array([1.5, 1.5]))
+        assert err.value.check.kind == "shape"
 
     @pytest.mark.parametrize("k,N", [(0, 3), (3, 2)])
     def test_funtf_rejects_bad_shape(self, k, N):

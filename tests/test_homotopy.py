@@ -17,6 +17,7 @@ from fiberframe import (
     ConnectReport,
     FiberTarget,
     FramePath,
+    InadmissibleError,
     OffFiberError,
     connect,
     fiber_residual,
@@ -399,6 +400,20 @@ class TestConnect:
             connect(*ends, t)
         assert exc.value.index == index
         assert exc.value.residual == fiber_residual(ends[index], t)
+
+    def test_empty_fiber_raises_its_certificate(self, monkeypatch):
+        # no frame lies on diag(1.5, 0.5) with r = (1.9, 0.05, 0.05), so an
+        # endpoint off it is not the cause; the certificate is tested only
+        # once an endpoint has failed, so a run on a non-empty fiber never
+        # pays for it
+        t = FiberTarget(np.diag([1.5, 0.5]), [1.9, 0.05, 0.05])
+        F = np.array([[1.0, 0.1, 0.0], [0.0, 0.2, 0.3]], dtype=complex)
+        with pytest.raises(InadmissibleError, match="^partial sum violated at ell=1") as exc:
+            connect(F, F, t)
+        assert exc.value.check.kind == "partial_sum" and exc.value.check.index == 1
+        monkeypatch.setattr(homotopy, "_admissibility", None)
+        t = FiberTarget.funtf(2, 4)
+        assert len(connect(*_pair(t, 0, 1), t)) > 2
 
     def test_off_fiber_first_endpoint_reported_before_second_shape(self):
         # F0 is checked in full before F1 is read

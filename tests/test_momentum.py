@@ -183,7 +183,7 @@ class TestDerivative:
         with pytest.raises(ValueError, match=r"W has shape \(3, 3\), expected \(2, 2\)"):
             invert_momentum_derivative(np.eye(2, 3), np.eye(3))
         chk = is_regular_value(np.ones((2, 3)), np.array([-1.0, -1.0, -1.0]))
-        assert not chk and chk.reason == "operator part is not square"
+        assert not chk and chk.reason == "operator part must be square, got shape (2, 3)"
 
     def test_torus_derivative_formula(self):
         rng = np.random.default_rng(8)

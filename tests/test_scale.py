@@ -76,10 +76,11 @@ def test_decisions_do_not_depend_on_scale(c):
     with pytest.raises(ValueError, match="majorized"):
         hermitian_with_diagonal(c * np.array([2.0, 1.0, 0.0]), c * R_OVER)
 
-    # FiberTarget: the sums rule
+    # FiberTarget: the sums rule, with its certificate
     assert FiberTarget(c * np.diag(LAM), c * R).N == 3
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(InadmissibleError) as err:
         FiberTarget(c * np.diag(LAM), c * R_OFF_TRACE)
+    assert err.value.check.kind == "total"
 
     # as_hermitian: a 1.6% non-Hermitian part is rejected
     A = np.array([[2.0, 1j], [-1j, 1.0]])

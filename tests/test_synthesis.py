@@ -146,7 +146,12 @@ class TestConstructFrame:
             (construct_frame, [2.0, 1e-17], [1.0, 1.0], SINGULAR),
             (construct_frame_with_operator, np.diag([2.0, 1e-17]), [1.0, 1.0 + 1e-17], SINGULAR),
             (construct_frame_with_operator, np.diag([2.0, -1.0]), [0.5, 0.5], SINGULAR),
-            (construct_frame, [2.0, 1.0], [1.5, 1.5 - 1e-13, 1e-13], "torus part has a non-negative entry"),
+            (
+                construct_frame,
+                [2.0, 1.0],
+                [1.5, 1.5 - 1e-13, 1e-13],
+                r"torus part has a non-negative entry in column\(s\) 3 of 3",
+            ),
         ],
         ids=["spectrum_below_floor", "operator_below_floor", "indefinite_operator", "norms_below_floor"],
     )

@@ -160,6 +160,21 @@ def test_module_reads_every_import(path):
     assert sorted(imported - read) == []
 
 
+def test_cli_makes_no_numerical_decision():
+    # the CLI reports the library's verdicts: a decision constant read there
+    # is a second home for a rule that the library already decides
+    constants = {"RANK_RTOL", "EIGEN_RTOL", "HERMITIAN_TOL", "CLUSTER_TOL", "CLUSTER_AMBIGUITY"}
+    constants |= {"MAJORIZATION_TOL", "COINCIDE_RTOL"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert sorted(named & constants) == []
+
+
 @pytest.fixture(scope="module")
 def workloads():
     # workloads.py imports its sibling modules by bare name, as run.py's worker does
