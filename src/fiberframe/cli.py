@@ -20,7 +20,7 @@ from ._linalg import _tolerance
 from .core import _bounds_or_none, _funtf, norms_squared
 from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
-from .fileio import _frame_obj, _mat_to_obj, _read_operator, read_frame, read_target, write_frame, write_path
+from .fileio import _frame_format, _frame_obj, _mat_to_obj, _read_operator, read_frame, read_target, write_frame, write_path
 from .flows import (
     FlowOptions,
     alternate_projections,
@@ -28,7 +28,7 @@ from .flows import (
     flow_to_fiber,
     project_to_fiber,
 )
-from .design import construct_frame, construct_frame_with_operator, is_admissible
+from .design import construct_frame, construct_frame_with_operator
 from .equivalence import unitary_equivalent
 from .homotopy import ConnectOptions, connect
 from .momentum import is_regular_value, momentum
@@ -141,7 +141,7 @@ def _cmd_check(args, out: _Output) -> int:
         # FiberTarget construction rejects a target that is not a regular value,
         # and one whose sums leave the fiber empty
         out.add("target_regular_value", True)
-        adm = is_admissible(target.spectrum(), target.norms_sq)
+        adm = target.admissibility
         out.add("target_admissible", bool(adm))
         if not adm:
             out.add("violation", adm.describe())
@@ -150,6 +150,9 @@ def _cmd_check(args, out: _Output) -> int:
 
 
 def _cmd_construct(args, out: _Output) -> int:
+    if args.out:
+        # an unsupported extension is a usage error before any work is done
+        _frame_format(args.out)
     r = np.asarray(args.r, dtype=float)
     rng = np.random.default_rng(args.seed)
     if args.operator_file:
@@ -169,6 +172,9 @@ def _cmd_construct(args, out: _Output) -> int:
 
 
 def _cmd_tighten(args, out: _Output) -> int:
+    if args.out:
+        # an unsupported extension is a usage error before any work is done
+        _frame_format(args.out)
     F0 = read_frame(args.frame)
     if args.target:
         target = read_target(args.target)
@@ -184,7 +190,7 @@ def _cmd_tighten(args, out: _Output) -> int:
         target = FiberTarget(operator=S, norms_sq=r)
     # a fiber empty through a partial sum is a valid target, where every
     # route would stall: it fails here with its certificate
-    adm = is_admissible(target.spectrum(), target.norms_sq)
+    adm = target.admissibility
     if not adm:
         raise InadmissibleError(adm.describe(), adm)
     opts = FlowOptions(max_iters=args.max_iters, tol=args.tol**2)

@@ -54,7 +54,8 @@ def hermitian_with_diagonal(values, diagonal) -> np.ndarray:
     """Real symmetric matrix with the given spectrum and the given diagonal.
 
     Requires the diagonal to be majorized by the spectrum (equal sums, sorted
-    partial-sum inequalities, the test of is_admissible); raises ValueError
+    partial-sum inequalities, the test of is_admissible); raises
+    InadmissibleError, a ValueError carrying that test's certificate,
     otherwise. Targets are fixed largest first: one plane rotation of the two
     active values bracketing the target sets one diagonal entry exactly and
     leaves the remaining active block diagonal, so the recursion never strands.
@@ -65,7 +66,7 @@ def hermitian_with_diagonal(values, diagonal) -> np.ndarray:
         raise ValueError(f"need {d.size} spectrum values, got {vals.size}")
     check = _admissibility(vals, d)
     if not check:
-        raise ValueError(f"diagonal is not majorized by the spectrum: {check.describe()}")
+        raise InadmissibleError(f"diagonal is not majorized by the spectrum: {check.describe()}", check)
     return _rotation_chain(vals, d)
 
 
@@ -123,7 +124,7 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     """
     lam, r = as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq")
     _regular_target(lam, r)
-    return _construct(lam, r, rng)
+    return _construct(lam, r, _admissibility(lam, r), rng)
 
 
 def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator | None = None):
@@ -134,16 +135,16 @@ def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator |
     """
     target = FiberTarget(operator, norms_sq)
     w, U, _clusters = target._spectral
-    return U @ _construct(w, target.norms_sq, rng)
+    return U @ _construct(w, target.norms_sq, target.admissibility, rng)
 
 
-def _construct(lam: np.ndarray, r: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+def _construct(lam: np.ndarray, r: np.ndarray, check: AdmissibilityCheck, rng: np.random.Generator | None):
     """construct_frame for a descending spectrum lam and positive norms r at a regular value.
 
-    InadmissibleError with the certificate when lam does not majorize r;
-    otherwise the rotation chain's Gram matrix, read off by one eigh.
+    check is the existence test of (lam, r), which the caller holds:
+    InadmissibleError with it when lam does not majorize r; otherwise the
+    rotation chain's Gram matrix, read off by one eigh.
     """
-    check = _admissibility(lam, r)
     if not check:
         raise InadmissibleError(check.describe(), check)
     k, N = lam.size, r.size
@@ -207,7 +208,7 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     _non_negative_int(seed, "seed")
     rng = np.random.default_rng(seed)
     w, U, clusters = target._spectral
-    F = U @ _construct(w, target.norms_sq, rng)
+    F = U @ _construct(w, target.norms_sq, target.admissibility, rng)
     N = target.N
     F = F * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))[None, :]
 

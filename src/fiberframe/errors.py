@@ -23,9 +23,14 @@ class ClusteringError(ValueError):
 
 
 class OffFiberError(ValueError):
-    """An endpoint of connect() is off the fiber: ``.index`` 0 or 1, ``.residual`` its Phi."""
+    """An endpoint of connect() is off the fiber: ``.index`` 0 or 1, ``.residual`` its Phi.
 
-    def __init__(self, message, index, residual):
+    Both fields default to None, as InadmissibleError.check and ConnectError.t
+    do: pickle and copy rebuild an error from its message alone, then restore
+    its fields.
+    """
+
+    def __init__(self, message, index=None, residual=None):
         super().__init__(message)
         self.index, self.residual = index, residual
 

@@ -4,7 +4,8 @@ A fiber target fixes the frame operator S and the squared column norms r.
 The frames satisfying F F* = S and ||f_j||^2 = r_j form the fiber all repair
 flows and path searches in this package aim at. The fiber is non-empty
 exactly when the spectrum of S majorizes r (Schur-Horn); that test and its
-certificate live here, next to the target that applies it.
+certificate live here, next to the target that applies it and keeps its
+verdict.
 """
 
 from __future__ import annotations
@@ -104,15 +105,20 @@ class FiberTarget:
     operator : k x k Hermitian positive definite matrix
     norms_sq : length-N vector of strictly positive squared norms
 
+    admissibility : the AdmissibilityCheck of the existence test, computed
+                    once at construction; truthy exactly when the fiber is
+                    non-empty, and otherwise carrying the violated partial sum
+
     Construction validates Hermitianity, positivity of the norms and the rule
-    of is_regular_value (ValueError), then the sums of the existence test:
-    fewer vectors than dimensions or trace(S) != sum(r) leave the fiber empty
-    at any S, and raise InadmissibleError with the certificate. A fiber empty
+    of is_regular_value (ValueError), then runs the existence test: fewer
+    vectors than dimensions or trace(S) != sum(r) leave the fiber empty at
+    any S, and raise InadmissibleError with the certificate. A fiber empty
     only through a partial sum stays a valid target: Phi, its gradient and
-    the repair routes are defined there, and is_admissible decides it. Both
-    arrays are read-only copies, so the fiber and the decomposition
-    spectral_clusters(S) that construction computes once cannot drift apart;
-    it is immutable, and the one decomposition of S that the package reads.
+    the repair routes are defined there, and its admissibility holds the
+    failed check. Both arrays are read-only copies, so the fiber, its
+    certificate and the decomposition spectral_clusters(S) that construction
+    computes once cannot drift apart; it is immutable, and the one
+    decomposition of S that the package reads.
     """
 
     operator: np.ndarray
@@ -132,6 +138,7 @@ class FiberTarget:
         object.__setattr__(self, "operator", S)
         object.__setattr__(self, "norms_sq", r)
         object.__setattr__(self, "_spectral", spectral)
+        object.__setattr__(self, "admissibility", check)
 
     @property
     def k(self) -> int:

@@ -42,7 +42,7 @@ from ._linalg import (
     unitary_log_factors,
 )
 from .errors import ConnectError, InadmissibleError, OffFiberError
-from .fiber import FiberTarget, _admissibility
+from .fiber import FiberTarget
 from .flows import FlowOptions, _gaps, _newton, _normal_preimage, _phi, _residual, _target_frame
 from .momentum import _derivative
 
@@ -322,8 +322,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     piece of a gap must be shorter than it. Every interior sample is a bridge
     point or an exact unwind sample; the path's report counts the work.
 
-    Raises InadmissibleError, with the certificate in .check, when an endpoint
-    is off the fiber (beyond path_tol) because the fiber is empty;
+    Raises InadmissibleError, with target.admissibility in .check, when an
+    endpoint is off the fiber (beyond path_tol) because the fiber is empty;
     OffFiberError when an endpoint is off a non-empty fiber, F0 first; and
     ConnectError when the bridge pass cannot close a gap between
     anchors: a point rejected after every kick (its chord parameter in .t), a
@@ -340,8 +340,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         ends.append(_target_frame(F, target))
         phi = _residual(ends[-1], target)
         if phi > ptol2:
-            # no frame lies on an empty fiber: its certificate is the cause
-            check = _admissibility(target._spectral[0], target.norms_sq)
+            # no frame lies on an empty fiber: the target's certificate is the cause
+            check = target.admissibility
             if not check:
                 raise InadmissibleError(check.describe(), check)
             raise OffFiberError(f"F{index} is off the fiber: residual {phi:.3e} > {ptol2:.3e}", index, phi)

@@ -200,12 +200,18 @@ def is_regular_value(S, torus) -> RegularValueCheck:
     the smallest eigenvalue of S above RANK_RTOL times the largest, and
     every torus entry below -RANK_RTOL times the largest |entry|. A failed
     check names its cause; the torus reason lists the failing columns, 1-based.
+    A malformed part is a failed check too, not an exception: an operator that
+    is not a finite non-empty square Hermitian matrix, or a torus that is not
+    a finite non-empty 1-D vector, returns the reason naming that part.
     """
     try:
         S = as_hermitian(S, "operator part")
+        t = as_real_vector(torus, "torus")
     except ValueError as exc:
         return RegularValueCheck(False, str(exc))
-    return _regular_value(np.linalg.eigvalsh(S)[::-1], as_real_vector(torus, "torus"))
+    if t.size == 0:
+        return RegularValueCheck(False, "torus must be non-empty")
+    return _regular_value(np.linalg.eigvalsh(S)[::-1], t)
 
 
 def _regular_value(w: np.ndarray, t: np.ndarray) -> RegularValueCheck:

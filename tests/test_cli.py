@@ -18,7 +18,7 @@ from fiberframe import (
     write_frame,
     write_target,
 )
-from fiberframe import homotopy
+from fiberframe import cli, homotopy
 from fiberframe.cli import main
 
 
@@ -261,6 +261,28 @@ class TestTighten:
         obj = json.loads(out)
         assert code == 1
         assert (obj["target_regular_value"], obj["reason"]) == (False, reason) and "report" not in obj
+
+    def test_stall_prints_its_message(self, tmp_path, capsys):
+        # a full-rank start with a zero column cannot restore that column's
+        # norm (the zero-column trap), so Newton stalls. Replace this input
+        # once a column fill or a damped step makes repair converge from it;
+        # the iterations and the residual vary with the BLAS kernel, so they
+        # are not pinned
+        _t, tfile, _frames = funtf_files(tmp_path)
+        ffile = tmp_path / "trap.json"
+        write_frame(np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=complex), ffile)
+        argv = ["tighten", str(ffile), "--target", tfile]
+        message = "no damped step decreases the residual"
+        code, out, err = run(capsys, "--quiet", *argv)
+        lines = out.splitlines()
+        assert code == 1 and not err
+        assert [line.split(": ")[0] for line in lines] == ["method", "status", "iterations", "final_residual", "message"]
+        assert lines[:2] == ["method: newton", "status: stalled"] and lines[-1] == f"message: {message}"
+        code, out, _ = run(capsys, "--json", *argv)
+        obj = json.loads(out)
+        assert code == 1
+        assert (obj["status"], obj["message"], obj["report"]["message"]) == ("stalled", message, message)
+        assert obj["iterations"] == obj["report"]["iterations"] > 0
 
     @pytest.mark.parametrize("method", ["auto", "gradient", "alternating"])
     def test_report_in_json_only(self, tmp_path, capsys, method):
@@ -533,6 +555,27 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:") and named in err
         assert "status" not in out and "on_fiber" not in out and "equivalent" not in out
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command,name", [("construct", "x.txt"), ("tighten", "y.npy")])
+    def test_bad_out_extension_is_rejected_before_work(self, tmp_path, capsys, monkeypatch, command, name, as_json):
+        # the writer is chosen by extension; an unsupported one fails before a
+        # frame is built or repaired, so nothing is printed and nothing written
+        def unreachable(*args, **kwargs):
+            raise AssertionError("computed before the --out extension was checked")
+
+        for route in ("construct_frame", "project_to_fiber"):
+            monkeypatch.setattr(cli, route, unreachable)
+        _t, tfile, (ffile,) = funtf_files(tmp_path)
+        outfile = tmp_path / name
+        operands = {
+            "construct": ("--lambda", "2", "1", "--r", "1", "1", "1"),
+            "tighten": (ffile, "--target", tfile),
+        }[command]
+        code, out, err = run(capsys, "--json" if as_json else "--quiet", command, *operands, "--out", str(outfile))
+        assert (code, out) == (2, "")
+        assert err == f"error: unsupported frame file extension '{outfile.suffix}'\n"
+        assert not outfile.exists()
 
     def test_zero_tol_is_valid(self, tmp_path, capsys):
         _, _, (ffile,) = funtf_files(tmp_path)

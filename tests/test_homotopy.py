@@ -401,17 +401,16 @@ class TestConnect:
         assert exc.value.index == index
         assert exc.value.residual == fiber_residual(ends[index], t)
 
-    def test_empty_fiber_raises_its_certificate(self, monkeypatch):
+    def test_empty_fiber_raises_its_certificate(self):
         # no frame lies on diag(1.5, 0.5) with r = (1.9, 0.05, 0.05), so an
-        # endpoint off it is not the cause; the certificate is tested only
-        # once an endpoint has failed, so a run on a non-empty fiber never
-        # pays for it
+        # endpoint off it is not the cause; the certificate is the one the
+        # target computed, read only once an endpoint has failed
         t = FiberTarget(np.diag([1.5, 0.5]), [1.9, 0.05, 0.05])
         F = np.array([[1.0, 0.1, 0.0], [0.0, 0.2, 0.3]], dtype=complex)
         with pytest.raises(InadmissibleError, match="^partial sum violated at ell=1") as exc:
             connect(F, F, t)
         assert exc.value.check.kind == "partial_sum" and exc.value.check.index == 1
-        monkeypatch.setattr(homotopy, "_admissibility", None)
+        assert exc.value.check is t.admissibility
         t = FiberTarget.funtf(2, 4)
         assert len(connect(*_pair(t, 0, 1), t)) > 2
 

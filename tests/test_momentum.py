@@ -279,6 +279,25 @@ class TestRegularValues:
         chk = is_regular_value(np.zeros((0, 0)), [])
         assert not chk and chk.reason == "operator part must be non-empty"
 
+    @pytest.mark.parametrize(
+        "torus,reason",
+        [
+            ([np.nan, -1.0], "torus contains non-finite entries"),
+            ([-np.inf, -1.0], "torus contains non-finite entries"),
+            ([[-1.0, -1.0]], "torus must be 1-dimensional, got shape (1, 2)"),
+            (-1.0, "torus must be 1-dimensional, got shape ()"),
+            ([], "torus must be non-empty"),
+        ],
+        ids=["nan", "inf", "2d", "0d", "empty"],
+    )
+    def test_malformed_torus_is_a_failed_check(self, torus, reason):
+        # a malformed torus is answered as a malformed operator is: a failed
+        # check naming it, not an exception
+        chk = is_regular_value(np.eye(2), torus)
+        assert not chk and chk.reason == reason
+        chk = is_regular_value(np.eye(2) * np.nan, [-1.0, -1.0])
+        assert not chk and chk.reason == "operator part contains non-finite entries"
+
     @pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
     def test_scale_relative(self, c):
         # F -> sqrt(c) F maps the fiber of (S, r) onto that of (c S, c r), so

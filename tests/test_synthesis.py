@@ -102,6 +102,22 @@ class TestHermitianWithDiagonal:
         with pytest.raises(ValueError, match="need 3 spectrum values, got 2"):
             hermitian_with_diagonal([1.0, 0.0], [0.5, 0.25, 0.25])
 
+    @pytest.mark.parametrize(
+        "diagonal,kind,index,message",
+        [
+            ([1.5, -0.5], "partial_sum", 1, "partial sum violated at ell=1: top norms add to 1.5 > spectrum 1"),
+            ([0.6, 0.6], "total", None, "sum of norms 1.2 != sum of spectrum 1"),
+        ],
+        ids=["partial_sum", "total"],
+    )
+    def test_raises_the_certificate(self, diagonal, kind, index, message):
+        # the typed error of every empty fiber, a ValueError, with the same message as before
+        with pytest.raises(InadmissibleError) as exc:
+            hermitian_with_diagonal([1.0, 0.0], diagonal)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == f"diagonal is not majorized by the spectrum: {message}"
+        assert (exc.value.check.kind, exc.value.check.index) == (kind, index)
+
 
 SINGULAR = "operator part is not positive definite"
 

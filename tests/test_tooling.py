@@ -175,6 +175,46 @@ def test_cli_makes_no_numerical_decision():
     assert sorted(named & constants) == []
 
 
+def _callers(tree, name):
+    # qualified names of the functions (Class.method for methods) that call name
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_admissibility_is_derived_where_a_certificate_is_first_needed():
+    # a target derives its certificate once, at construction, and keeps it as
+    # FiberTarget.admissibility; the CLI, connect and the constructors that
+    # take a target read it. A new call of the test is a second derivation
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= {f"{path.stem}.{caller}" for caller in _callers(tree, "_admissibility")}
+    assert sorted(calls) == [
+        "design.construct_frame",
+        "design.hermitian_with_diagonal",
+        "design.is_admissible",
+        "design.random_admissible_norms",
+        "fiber.FiberTarget.__post_init__",
+    ]
+    for path in ("cli.py", "homotopy.py"):
+        tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert sorted(imported & {"_admissibility", "is_admissible"}) == [], path
+
+
 @pytest.fixture(scope="module")
 def workloads():
     # workloads.py imports its sibling modules by bare name, as run.py's worker does
