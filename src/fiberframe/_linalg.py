@@ -34,8 +34,14 @@ COINCIDE_RTOL = 1e-12
 
 
 def _finite_array(a, dtype, ndim: int, name: str) -> np.ndarray:
-    """a as an ndim-dimensional array of dtype with finite entries (no copy when it already is one)."""
-    a = np.asarray(a, dtype=dtype)
+    """a as an ndim-dimensional array of dtype with finite entries (no copy when it already is one).
+
+    ValueError naming the argument when a is not an array of numbers.
+    """
+    try:
+        a = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -117,6 +118,15 @@ class _Output:
             print(json.dumps(self.payload))
 
 
+def _check_out(path, frame_file: bool) -> None:
+    """Usage error before any work: an --out in a missing directory, or a frame file of unsupported extension."""
+    if frame_file:
+        _frame_format(path)
+    folder = os.path.dirname(os.fspath(path))
+    if folder and not os.path.isdir(folder):
+        raise FileNotFoundError(f"output directory {folder!r} does not exist")
+
+
 def _cmd_check(args, out: _Output) -> int:
     F = read_frame(args.frame)
     out.add("k", F.shape[0])
@@ -151,8 +161,7 @@ def _cmd_check(args, out: _Output) -> int:
 
 def _cmd_construct(args, out: _Output) -> int:
     if args.out:
-        # an unsupported extension is a usage error before any work is done
-        _frame_format(args.out)
+        _check_out(args.out, frame_file=True)
     r = np.asarray(args.r, dtype=float)
     rng = np.random.default_rng(args.seed)
     if args.operator_file:
@@ -173,8 +182,7 @@ def _cmd_construct(args, out: _Output) -> int:
 
 def _cmd_tighten(args, out: _Output) -> int:
     if args.out:
-        # an unsupported extension is a usage error before any work is done
-        _frame_format(args.out)
+        _check_out(args.out, frame_file=True)
     F0 = read_frame(args.frame)
     if args.target:
         target = read_target(args.target)
@@ -215,6 +223,7 @@ def _cmd_tighten(args, out: _Output) -> int:
 
 
 def _cmd_connect(args, out: _Output) -> int:
+    _check_out(args.out, frame_file=False)
     F0 = read_frame(args.frame_from)
     F1 = read_frame(args.frame_to)
     target = read_target(args.target)

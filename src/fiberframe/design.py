@@ -11,6 +11,9 @@ with its certificate, lives in fiber next to FiberTarget, which applies it.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 
 from ._linalg import _non_negative_int, as_real_vector, eigh_desc, haar_unitary
@@ -37,17 +40,6 @@ def is_admissible(spectrum, norms_sq) -> AdmissibilityCheck:
     both by c > 0 leaves the verdict as it is.
     """
     return _admissibility(as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq"))
-
-
-def _rotate_sym(W: np.ndarray, i: int, j: int, c: float, s: float) -> None:
-    # W <- R W R^T for the rotation acting on coordinates (i, j):
-    # new_i = c old_i - s old_j, new_j = s old_i + c old_j.
-    ri, rj = W[i].copy(), W[j].copy()
-    W[i] = c * ri - s * rj
-    W[j] = s * ri + c * rj
-    ci, cj = W[:, i].copy(), W[:, j].copy()
-    W[:, i] = c * ci - s * cj
-    W[:, j] = s * ci + c * cj
 
 
 def hermitian_with_diagonal(values, diagonal) -> np.ndarray:
@@ -77,36 +69,36 @@ def _rotation_chain(vals: np.ndarray, d: np.ndarray) -> np.ndarray:
     W = np.zeros((n, n))
     W[np.diag_indices(n)] = vals
     pos = list(range(n))
-    val = vals.copy()
+    # the active values, negated so that they ascend for bisect
+    neg = [-float(v) for v in vals]
     dest = np.empty(n, dtype=int)
 
-    for i, ui in enumerate(order):
-        t = d[ui]
-        m = len(pos)
-        if m == 1:
+    for ui in order:
+        t = float(d[ui])
+        if len(pos) == 1:
             p = pos[0]
             W[p, p] = t
             dest[p] = ui
             break
-        idx = int(np.searchsorted(-val, -t, side="left"))
-        j = min(max(idx - 1, 0), m - 2)
-        a, b = float(val[j]), float(val[j + 1])
+        j = min(max(bisect_left(neg, -t) - 1, 0), len(pos) - 2)
+        a, b = -neg[j], -neg[j + 1]
         pj, pk = pos[j], pos[j + 1]
+        # a pair equal to within 1e-14 of the larger is not rotated (c2 = 1, s = 0)
         denom = a - b
-        vrest = a + b - t
-        if denom <= 1e-14 * max(abs(a), abs(b)):
-            c, s = 1.0, 0.0
-        else:
-            c2 = min(max((t - b) / denom, 0.0), 1.0)
-            c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+        c2 = min(max((t - b) / denom, 0.0), 1.0) if denom > 1e-14 * max(abs(a), abs(b)) else 1.0
+        c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
         if s != 0.0:
-            _rotate_sym(W, pj, pk, c, s)
-        W[pj, pj] = t
-        W[pk, pk] = vrest
+            # W <- R W R^T for the rotation of coordinates (pj, pk): rows, then
+            # columns through the view W.T; new_j = c old_j - s old_k, new_k =
+            # s old_j + c old_k
+            for M in (W, W.T):
+                rj, rk = M[pj], M[pk]
+                rj[:], rk[:] = c * rj - s * rk, s * rj + c * rk
+        # the pair's other active value keeps the pair's trace
+        neg[j + 1] = -(a + b - t)
+        W[pj, pj], W[pk, pk] = t, -neg[j + 1]
         dest[pj] = ui
-        del pos[j]
-        val = np.delete(val, j)
-        val[j] = vrest
+        del pos[j], neg[j]
 
     G = np.zeros((n, n))
     G[np.ix_(dest, dest)] = W

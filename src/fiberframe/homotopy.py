@@ -317,10 +317,14 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     round over the ordered array of samples: each round cuts every gap of
     width w > delta into m = 2^min(_ROUND_LEVELS, ceil(log2(w / delta)))
     pieces (2, 4, 8 or 16), projects their chord points in one stacked Newton
-    run, retries each rejected point (accepted within half of path_tol^2)
-    with seeded tangent kicks in path order and merges the points in; every
-    piece of a gap must be shorter than it. Every interior sample is a bridge
-    point or an exact unwind sample; the path's report counts the work.
+    run, retries each rejected point with seeded tangent kicks in path order
+    and merges the points in; every piece of a gap must be shorter than it.
+    Every interior sample is a bridge point or an exact unwind sample; the
+    path's report counts the work. One rule accepts a sample: a bridge point,
+    a kicked retry and an unwind sample are each kept when their squared
+    residual is at most half of path_tol^2, and each Newton projection stops
+    at the first iterate that meets that bound, so "converged" and "accepted"
+    are one test.
 
     Raises InadmissibleError, with target.admissibility in .check, when an
     endpoint is off the fiber (beyond path_tol) because the fiber is empty;
@@ -363,8 +367,10 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     if np.linalg.norm(F1 - F0) <= close:
         return validated(FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report))
 
-    proj_opts = FlowOptions(tol=min(1e-20, 0.01 * ptol2))
+    # one sample rule: a bridge point, a kicked retry or an unwind sample is
+    # accepted at half of path_tol^2, and a bridge projection stops there
     accept_tol = 0.5 * ptol2
+    proj_opts = FlowOptions(tol=accept_tol)
 
     def project(X):
         # Newton projection of the stack X; the frames and which rows are accepted

@@ -157,7 +157,8 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     m = 2^min(levels, ceil(log2(w / delta))) pieces at the chord points
     Fa + (j / m)(Fb - Fa), one run of the package's damped Newton loop
     flows._newton per point, a stack of one with the plain step connect
-    takes, from left to right, and each piece still wider than delta is
+    takes, stopped at connect's acceptance bound of half of path_tol^2, from
+    left to right, and each piece still wider than delta is
     bridged the same way, left before right. The cap `levels` is the
     package's homotopy._ROUND_LEVELS, so the reference follows its round
     geometry; otherwise only public package functions are used.
@@ -171,7 +172,7 @@ def connect_depth_first(F0, F1, target, path_tol=1e-8, delta=0.05):
     step = delta * scale
     close = 1e-12 * scale
     accept = 0.5 * path_tol**2
-    opts = FlowOptions(tol=min(1e-20, 0.01 * path_tol**2))
+    opts = FlowOptions(tol=accept)
 
     w, Q = np.linalg.eigh(target.operator)
 

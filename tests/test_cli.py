@@ -327,7 +327,7 @@ class TestConnect:
         obj = json.loads(out)
         assert obj["report"] == {
             "projections": 15,
-            "newton_iterations": 52,
+            "newton_iterations": 45,
             "kicks": 0,
             "levels": 1,
             "unwind": 45,
@@ -576,6 +576,30 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: unsupported frame file extension '{outfile.suffix}'\n"
         assert not outfile.exists()
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command,name", [("construct", "x.json"), ("tighten", "y.json"), ("connect", "p.jsonl")])
+    def test_out_in_missing_directory_is_rejected_before_work(
+        self, tmp_path, capsys, monkeypatch, command, name, as_json
+    ):
+        # an --out whose directory does not exist fails before a frame is
+        # built, repaired or connected: no result line and no file
+        def unreachable(*args, **kwargs):
+            raise AssertionError("computed before the --out directory was checked")
+
+        for route in ("construct_frame", "project_to_fiber", "connect"):
+            monkeypatch.setattr(cli, route, unreachable)
+        _t, tfile, (f0, f1) = funtf_files(tmp_path, seeds=(0, 1))
+        missing = tmp_path / "missing_dir"
+        operands = {
+            "construct": ("--lambda", "2", "1", "--r", "1", "1", "1"),
+            "tighten": (f0, "--target", tfile),
+            "connect": (f0, f1, tfile),
+        }[command]
+        code, out, err = run(capsys, "--json" if as_json else "--quiet", command, *operands, "--out", str(missing / name))
+        assert (code, out) == (2, "")
+        assert err == f"error: output directory {str(missing)!r} does not exist\n"
+        assert not missing.exists()
 
     def test_zero_tol_is_valid(self, tmp_path, capsys):
         _, _, (ffile,) = funtf_files(tmp_path)

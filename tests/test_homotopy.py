@@ -512,11 +512,28 @@ class TestConnect:
         path = connect(F0, F1, t)
         assert len(path) == 62
         assert path.report == ConnectReport(
-            projections=15, newton_iterations=52, kicks=0, levels=1, unwind=45, unwind_dropped=0
+            projections=15, newton_iterations=45, kicks=0, levels=1, unwind=45, unwind_dropped=0
         )
         again = connect(F0, F1, t, ConnectOptions(seed=7))
         assert again.report == path.report
         assert connect(F0, F0, t).report == ConnectReport()
+
+    @pytest.mark.parametrize("path_tol", [1e-8, 1e-6])
+    def test_projections_stop_at_the_acceptance_bound(self, monkeypatch, path_tol):
+        # a bridge projection runs to the bound connect accepts a sample at,
+        # half of path_tol^2, and every returned sample meets it
+        real, tols = homotopy._newton, []
+
+        def spy(X, target, opts):
+            tols.append(opts.tol)
+            return real(X, target, opts)
+
+        monkeypatch.setattr(homotopy, "_newton", spy)
+        t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(t, 2, 9)
+        path = connect(F0, F1, t, ConnectOptions(path_tol=path_tol))
+        assert tols and set(tols) == {0.5 * path_tol**2}
+        assert np.max(path.residuals()) <= 0.5 * path_tol**2
 
     def test_off_fiber_unwind_samples_dropped(self):
         # the commutant of a merged eigenvalue cluster of width 1e-8 moves S by

@@ -102,6 +102,15 @@ class TestInputRules:
         with pytest.raises(ValueError, match="^S must be non-empty$"):
             as_hermitian(np.zeros((0, 0)), "S")
 
+    def test_non_numeric_input_names_its_argument(self):
+        # numpy's own conversion message does not say which argument was bad
+        chk = fiberframe.is_regular_value(np.eye(2), "ab")
+        assert not chk and chk.reason == "torus must be an array of numbers"
+        with pytest.raises(ValueError, match="^norms_sq must be an array of numbers$"):
+            fiberframe.FiberTarget(np.eye(2), "xy")
+        with pytest.raises(ValueError, match="^F must be an array of numbers$"):
+            fiberframe.norms_squared([["a", "b"]])
+
 
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fiberframe.__file__)))

@@ -92,6 +92,22 @@ class TestHermitianWithDiagonal:
             got = np.sort(np.linalg.eigvalsh(G))[::-1]
             assert np.max(np.abs(got - np.sort(vals)[::-1])) <= 1e-10 * max(1.0, lam.sum())
 
+    def test_diagonal_is_set_exactly(self):
+        # each rotation writes its target entry, and no later rotation touches
+        # it: the diagonal is the requested one bit for bit, repeated spectrum
+        # values and equal norms included
+        rng = np.random.default_rng(35)
+        for case in range(120):
+            k = int(rng.integers(1, 7))
+            N = int(rng.integers(k, 20))
+            lam = np.sort(rng.uniform(0.2, 3.0, k))[::-1]
+            if case % 3 == 1:
+                lam = np.full(k, lam[0])
+            r = np.full(N, lam.sum() / N) if case % 4 == 0 else random_admissible_norms(lam, N, rng)
+            d = np.asarray(r, dtype=float)
+            G = hermitian_with_diagonal(np.concatenate([lam, np.zeros(N - k)]), d)
+            assert np.array_equal(np.diag(G), d)
+
     def test_rejects_non_majorized(self):
         with pytest.raises(ValueError):
             hermitian_with_diagonal([1.0, 0.0], [1.5, -0.5])
