@@ -2,10 +2,25 @@
 
 Any two frames with equal frame operator S and equal squared norms can be
 joined by a path that stays on that fiber (for regular targets). connect()
-produces an explicit discrete witness. The fiber is a level set of the
-momentum map of U(k) x T^N, so the unitaries commuting with S (U(k)_S, the
-stabilizer of S) and the column phases T^N both move a frame exactly along
-it. This symmetry stage runs in the eigenbasis U of S, which the target
+produces an explicit discrete witness by one of two routes, chosen by one
+rule.
+
+At k = 2, for N <= _EIGENSTEP_MAX_N, S exactly scalar or with two distinct
+eigenvalues and both endpoints strictly interlacing (every interlacing gap
+that the fiber does not force above _EIGENSTEP_GAP_RTOL * trace(S)), it
+takes the eigenstep route. The eigensteps, the spectra of the partial frame
+operators S_n = f_1 f_1* + ... + f_n f_n*, and their conjugate angles
+parametrize the fiber exactly (Cahill, Fickus, Mixon, Poteet & Strawn,
+"Constructing finite frames of a given spectrum and set of lengths").
+connect reads both endpoints' coordinates and samples the straight segment
+between them, subdividing until every step is within delta. Every sample
+lies on the fiber to rounding, at every scale, and nothing is projected; a
+route path that fails validate_path goes to the bridge below.
+
+Every other pair takes the symmetry stage and the bridge. The fiber is a
+level set of the momentum map of U(k) x T^N, so the unitaries commuting with
+S (U(k)_S, the stabilizer of S) and the column phases T^N both move a frame
+exactly along it. This symmetry stage runs in the eigenbasis U of S, which the target
 computes once: there U(k)_S is block diagonal, one U(m) per eigenvalue
 cluster of multiplicity m. The endpoints are mapped there once and aligned
 over U(k)_S x T^N: a block-diagonal unitary V and column phases
@@ -66,8 +81,20 @@ _KICK_SCALE = 1e-4
 # made funtf(8,64) and funtf(4,16) at delta = 1e-3 slower again
 _ROUND_LEVELS = 4
 # the bridge gives up when gaps stay open after _EXTRA_DEPTH rounds beyond
-# those a straight chord of the widest anchor gap needs
+# those a straight chord of the widest anchor gap needs, and the eigenstep
+# route after _EXTRA_DEPTH rounds beyond its first
 _EXTRA_DEPTH = 4
+# the eigenstep route rule: k = 2, N <= _EIGENSTEP_MAX_N, and every
+# non-forced interlacing gap of both endpoints above
+# _EIGENSTEP_GAP_RTOL * trace(S). The route's samples grow with N (a moving
+# early angle turns every later column): on 16 pairs per N, interleaved in
+# one process (2-vCPU Xeon, BLAS at 1 thread), route / bridge time per pair
+# was 0.60-0.79 up to N = 16 on funtf(2, N) and 0.67-0.81 on a generic S,
+# 0.90-0.92 at N = 20 on both, 1.07 at N = 24 (generic) and 1.01 at N = 32
+# (FUNTF). Every connect-k2 endpoint (seeds 1-5) clears the gap floor
+# 4700 times over: its smallest gap is 4.7e-5 of the trace.
+_EIGENSTEP_MAX_N = 16
+_EIGENSTEP_GAP_RTOL = 1e-8
 
 
 def _positive(value, name: str) -> None:
@@ -102,15 +129,20 @@ class ConnectOptions:
 class ConnectReport:
     """Counts of one connect() run; deterministic for a fixed seed.
 
-    projections counts the frames projected onto the fiber (bridge points
-    and kicked retries), newton_iterations their accepted Newton steps, kicks
-    the tangent kicks tried, levels the bridge rounds. unwind counts the
-    exact unwind samples kept as anchors, unwind_dropped those the accept
-    filter dropped. unwind_length is the unwind's exact arc length divided
-    by ||F0||, 0 when there is no unwind; a measurement rather than a count,
-    it is left out of report equality, which compares the work done.
+    route is "eigensteps" or "bridge", the route that traced the path (a
+    path of F0 and F1 alone reports "bridge" and no work). projections
+    counts the frames projected onto the fiber (bridge points and kicked
+    retries), newton_iterations their accepted Newton steps, kicks the
+    tangent kicks tried, levels the bridge rounds or the eigenstep route's
+    subdivision rounds. unwind counts the exact unwind samples kept as
+    anchors, unwind_dropped those the accept filter dropped. unwind_length
+    is the unwind's exact arc length divided by ||F0||, 0 when there is no
+    unwind; a measurement rather than a count, it is left out of report
+    equality, which compares the work done. On the eigenstep route every
+    count but levels is 0.
     """
 
+    route: str = "bridge"
     projections: int = 0
     newton_iterations: int = 0
     kicks: int = 0
@@ -296,8 +328,191 @@ def _tangent_kick(rng: np.random.Generator, F: np.ndarray, size: float) -> np.nd
     return (size / nrm) * T
 
 
+def _mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for stacks of matrices with inner dimension 2, by elementwise products.
+
+    numpy's matmul is several times slower on stacks of 2 x 2 complex matrices.
+    """
+    return A[..., :, :1] * B[..., None, 0, :] + A[..., :, 1:] * B[..., None, 1, :]
+
+
+def _first_basis(u: np.ndarray) -> np.ndarray:
+    """V_1 = [u, (-conj(u_2), conj(u_1))] for each unit vector u of a stack (m, 2): in SU(2), first column u."""
+    V = np.empty(u.shape + (2,), dtype=complex)
+    V[:, :, 0] = u
+    V[:, 0, 1] = -u[:, 1].conj()
+    V[:, 1, 1] = u[:, 0].conj()
+    return V
+
+
+def _eigenstep_segment(F0, F1, target: FiberTarget):
+    """The straight segment from F0 to F1 in eigenstep coordinates, as s -> frames (s an array in [0, 1]).
+
+    None unless the route rule holds: k = 2, N <= _EIGENSTEP_MAX_N, S
+    exactly scalar or with two distinct eigenvalues, and every non-forced
+    interlacing gap of both endpoints above _EIGENSTEP_GAP_RTOL * trace(S).
+
+    The coordinates of both endpoints are read in one stacked pass in the
+    eigenbasis U of S, where S_n is the partial frame operator of columns
+    1 .. n and lam_n its spectrum, the eigensteps: the direction u of the
+    first column, with V_1 = [u, (-conj(u_2), conj(u_1))], and for n >= 2
+    the coefficients a_n = V_{n-1}* g_n, where V_n = V_{n-1} W_n and the
+    columns of W_n are a_n / (lam_{n,i} - lam_{n-1}), normalized. That is
+    the column (lam_{n,i} - S_{n-1})^-1 g_n normalized, so the read takes
+    every V_n from S_{n-1} and g_n at once. lam_n is kept as its larger
+    entry, and the other is r_1 + ... + r_n minus it; lam_1 is (r_1, 0),
+    lam_N the spectrum of S, and for a scalar S = c I also lam_{N-1} = (c, .):
+    the forced eigensteps. A sample at s moves the larger eigensteps
+    linearly, u along its great circle and each phase of a_n along its
+    shortest arc (a component vanishing at one end keeps the other end's
+    phase), and rebuilds the frame by the chain V_n = V_{n-1} W_n with
+    |a_{n,m}|^2 = -prod_i (lam_{n-1,m} - lam_{n,i}) / (lam_{n-1,m} - lam_{n-1,m'}).
+    Every gap is affine in s, so it stays above the floor between the ends,
+    and each sample has the target's norms. For a non-scalar S the rebuilt
+    frame is multiplied by V_N(s)* and by the diagonal-phase geodesic between
+    the endpoints' V_N, so its operator is diag(lam_N) and the segment runs
+    from F0 to F1.
+    """
+    k, N = target.k, target.N
+    if k != 2 or N > _EIGENSTEP_MAX_N:
+        return None
+    w, U, clusters = target._spectral
+    S = target.operator
+    scalar = bool(np.all(S == S[0, 0] * np.eye(k)))
+    if not (scalar or (clusters is not None and len(clusters) == 2)):
+        return None
+    r, R = target.norms_sq, np.cumsum(target.norms_sq)
+    # the columns g_n of both endpoints in the eigenbasis, (2, N, 2), and
+    # the partial operators S_n, (2, N, 2, 2), with their spectra in closed form
+    G = (U.conj().T @ np.stack([F0, F1])).swapaxes(1, 2)
+    P = np.cumsum(G[..., :, None] * G[..., None, :].conj(), axis=1)
+    d0, d1 = P[..., 0, 0].real, P[..., 1, 1].real
+    tr, rad = d0 + d1, np.hypot(0.5 * (d0 - d1), np.abs(P[..., 0, 1]))
+    # the larger eigensteps as read and with the forced ones exact
+    read = 0.5 * tr + rad
+    top = read.copy()
+    top[:, 0], top[:, -1] = r[0], w[0]
+    if scalar:
+        top[:, -2] = w[0]
+
+    def gaps(hi, lo):
+        # the interlacing gaps lam_{n,1} - lam_{n-1,1}, lam_{n-1,1} - lam_{n,2}
+        # and lam_{n,2} - lam_{n-1,2} of n = 2 .. N, forced ones left out
+        g = np.stack([hi[:, 1:] - hi[:, :-1], hi[:, :-1] - lo[:, 1:], lo[:, 1:] - lo[:, :-1]], axis=-1)
+        return np.concatenate([g[:, :-1].reshape(2, -1), g[:, -1, 2:]], axis=1) if scalar else g
+
+    floor = _EIGENSTEP_GAP_RTOL * float(np.sum(w))
+    if not min(np.min(gaps(read, tr - read)), np.min(gaps(top, R - top))) > floor:
+        return None
+    # V_n for n = 2 .. N (not V_N of a scalar S, which has no eigenbasis):
+    # (lam_{n,i} - S_{n-1})^-1 = ((lam_{n,i} - trace S_{n-1}) I + S_{n-1}) / det,
+    # and det is > 0 for i = 1 and < 0 for i = 2
+    nw = N - 2 if scalar else N - 1
+    g = G[:, 1 : nw + 1]
+    lam = 0.5 * tr[:, 1 : nw + 1, None] + rad[:, 1 : nw + 1, None] * np.array([1.0, -1.0])
+    Y = (lam[..., None, :] - tr[:, :nw, None, None]) * g[..., None] + _mul2(P[:, :nw], g[..., None])
+    Y *= np.array([1.0, -1.0]) / np.linalg.norm(Y, axis=-2, keepdims=True)
+    u = G[:, 0] / np.sqrt(tr[:, :1])
+    V = np.concatenate([_first_basis(u)[:, None], Y], axis=1)
+    # a_n = V_{n-1}* g_n
+    Vc = V[:, : N - 1].conj()
+    a = Vc[..., 0, :] * G[:, 1:, :1] + Vc[..., 1, :] * G[:, 1:, 1:]
+
+    # the motion: the great circle of u and the shortest arcs of the phases
+    cos = np.vdot(u[0], u[1]).real
+    e = u[1] - cos * u[0]
+    sin = float(np.linalg.norm(e))
+    e = e / sin if sin > 0 else 1j * u[0]
+    arc = np.arctan2(sin, cos)
+    a0 = np.where(a[0] == 0, a[1], a[0])
+    a1 = np.where(a[1] == 0, a0, a[1])
+    psi, turn = np.angle(a0), np.angle(a1 * a0.conj())
+    if not scalar:
+        v0, v1 = np.diagonal(V[:, -1], axis1=1, axis2=2)
+        alpha, twist = np.angle(v0), np.angle(v1 * v0.conj())
+
+    def frames(s):
+        m = len(s)
+        us = np.cos(arc * s)[:, None] * u[0] + np.sin(arc * s)[:, None] * e
+        ls = np.empty((m, N, 2))
+        ls[..., 0] = top[0] + s[:, None] * (top[1] - top[0])
+        ls[..., 1] = R - ls[..., 0]
+        p, q = ls[:, :-1], ls[:, 1:]
+        mod2 = np.maximum(-(p - q[..., :1]) * (p - q[..., 1:]) / (p - p[..., ::-1]), 0.0)
+        x = np.sqrt(mod2) * np.exp(1j * (psi + s[:, None, None] * turn))
+        # W_n for the nw steps of the chain: columns x / (q_i - p), whose
+        # squared norms are the sums of mod2 / (q_i - p)^2
+        den = q[:, :nw, None, :] - p[:, :nw, :, None]
+        t = mod2[:, :nw, :, None] / den**2
+        W = x[:, :nw, :, None] / (den * np.sqrt(t[..., :1, :] + t[..., 1:, :]))
+        Vs = np.empty((m, nw + 1, 2, 2), dtype=complex)
+        Vs[:, 0] = _first_basis(us)
+        for n in range(nw):
+            Vs[:, n + 1] = _mul2(Vs[:, n], W[:, n])
+        Gs = np.empty((m, 2, N), dtype=complex)
+        Gs[:, :, 0] = np.sqrt(r[0]) * us
+        Gs[:, :, 1:] = _mul2(Vs[:, : N - 1], x[..., None]).squeeze(-1).swapaxes(1, 2)
+        if scalar:
+            return _mul2(U, Gs)
+        D = np.exp(1j * (alpha + s[:, None] * twist))
+        return _mul2(_mul2(U, D[:, :, None] * Vs[:, -1].conj().swapaxes(1, 2)), Gs)
+
+    return frames
+
+
+def _cuts(gap: np.ndarray, m: np.ndarray):
+    """Cut gap i of `gap` into m[i] pieces: row r is chord point j = 1 .. m - 1 of gap rep[r], at fraction f[r] = j / m."""
+    rep = np.repeat(gap, m - 1)
+    f = (np.arange(rep.size) + 1 - np.repeat(np.cumsum(m - 1) - (m - 1), m - 1)) / np.repeat(m, m - 1)
+    return rep, f
+
+
+def _trace_segment(segment, F0, F1, step: float):
+    """Samples of segment(s) from F0 (s = 0) to F1 (s = 1) at most `step` apart, or None.
+
+    Returns the frames, their consecutive distances and the rounds taken. A
+    round cuts every piece of width w > step into ceil(w / step) pieces of
+    equal parameter length and inserts their samples; None when pieces stay
+    open after 1 + _EXTRA_DEPTH rounds.
+    """
+    arr, s = np.stack([F0, F1]), np.array([0.0, 1.0])
+    seg = _frobenius(np.diff(arr, axis=0))
+    rounds = 0
+    while True:
+        gap = np.flatnonzero(seg > step)
+        if not gap.size:
+            return arr, seg, rounds
+        if rounds > _EXTRA_DEPTH:
+            return None
+        rounds += 1
+        rep, f = _cuts(gap, np.ceil(seg[gap] / step).astype(int))
+        sm = s[rep] + f * (s[rep + 1] - s[rep])
+        arr, s = np.insert(arr, rep + 1, segment(sm), axis=0), np.insert(s, rep + 1, sm)
+        seg = _frobenius(np.diff(arr, axis=0))
+
+
+def _arc_times(seg: np.ndarray) -> np.ndarray:
+    """Sample times 0 .. 1 proportional to the arc length of the steps seg."""
+    times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
+    times[-1] = 1.0
+    return times
+
+
 def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) -> FramePath:
     """Discrete on-fiber path from F0 to F1; both must lie on the target fiber.
+
+    After the endpoint checks and the early return below, one rule picks the
+    route. At k = 2, with N <= _EIGENSTEP_MAX_N, S exactly scalar or with two
+    distinct eigenvalues, and every non-forced interlacing gap of both
+    endpoints above _EIGENSTEP_GAP_RTOL * trace(S), connect samples the
+    straight segment between the endpoints' eigenstep coordinates
+    (_eigenstep_segment): F0, then samples in rounds, each cutting every
+    step of width w > delta ||F0|| into ceil(w / (delta ||F0||)) pieces of
+    equal parameter length, then F1. Its samples lie on the fiber to
+    rounding at every scale, nothing is projected, and the report says
+    route "eigensteps" with levels the rounds. A pair the rule refuses, and
+    a route path that fails validate_path or still has wide steps after
+    1 + _EXTRA_DEPTH rounds, takes the symmetry stage and bridge below.
 
     The anchors are F0, the on-fiber unwind samples and F1. The unwind runs
     over U(k)_S x T^N from the aligned endpoint V F1 D (V a unitary commuting
@@ -357,15 +572,28 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     k = target.k
     report = ConnectReport()
 
-    def validated(path):
+    def checked(path):
         path.check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
-        if not path.check:
+        return path.check
+
+    def validated(path):
+        if not checked(path):
             raise ConnectError(f"traced path failed validation: {path.check.message}", t=None)
         return path
 
     close = COINCIDE_RTOL * scale
     if np.linalg.norm(F1 - F0) <= close:
         return validated(FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report))
+
+    # the eigenstep route projects nothing; a pair it does not take, or a
+    # path of it that fails validation, goes to the symmetry stage and bridge
+    segment = _eigenstep_segment(F0, F1, target)
+    traced = None if segment is None else _trace_segment(segment, F0, F1, delta_abs)
+    if traced is not None:
+        arr, seg, rounds = traced
+        path = FramePath(_arc_times(seg), arr, target, ConnectReport(route="eigensteps", levels=rounds))
+        if checked(path):
+            return path
 
     # one sample rule: a bridge point, a kicked retry or an unwind sample is
     # accepted at half of path_tol^2, and a bridge projection stops there
@@ -453,9 +681,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             raise ConnectError("bridging between fiber points exceeded depth", t=t_mid)
         report.levels += 1
         m = 2 ** np.clip(np.ceil(np.log2(seg[gap] / delta_abs)), 1, _ROUND_LEVELS).astype(int)
-        # row r is chord point j = 1 .. m - 1 of gap rep[r], at fraction f[r] = j / m
-        rep = np.repeat(gap, m - 1)
-        f = (np.arange(rep.size) + 1 - np.repeat(np.cumsum(m - 1) - (m - 1), m - 1)) / np.repeat(m, m - 1)
+        rep, f = _cuts(gap, m)
         X = arr[rep] + f[:, None, None] * (arr[rep + 1] - arr[rep])
         ta, tb = t[rep], t[rep + 1]
         tm = ta + f * (tb - ta)
@@ -473,6 +699,4 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             t_mid = float(ta[stuck[0]] + tb[stuck[0]]) / 2
             raise ConnectError("bridging made no progress between fiber points", t=t_mid)
 
-    times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
-    times[-1] = 1.0
-    return validated(FramePath(times, arr, target, report))
+    return validated(FramePath(_arc_times(seg), arr, target, report))

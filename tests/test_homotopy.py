@@ -20,6 +20,7 @@ from fiberframe import (
     InadmissibleError,
     OffFiberError,
     connect,
+    construct_frame,
     fiber_residual,
     flag_type,
     frame_operator,
@@ -31,6 +32,11 @@ from fiberframe import (
 from fiberframe import flows, homotopy
 from fiberframe._linalg import COINCIDE_RTOL, spectral_clusters
 from fiberframe.homotopy import _tangent_kick
+
+
+def _bridge_only(monkeypatch):
+    """Send every pair to the symmetry stage and bridge: the eigenstep route rule says no."""
+    monkeypatch.setattr(homotopy, "_eigenstep_segment", lambda *args: None)
 
 
 def _pair(target, seed_a, seed_b):
@@ -505,8 +511,9 @@ class TestConnect:
         opts = ConnectOptions(path_tol=np.float64(1e-8), delta=np.float32(0.05), seed=np.int64(3))
         assert opts.seed == 3
 
-    def test_report_counts(self):
+    def test_report_counts(self, monkeypatch):
         # rounds, rows projected and their Newton iterations of one small fixed path
+        _bridge_only(monkeypatch)
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
         path = connect(F0, F1, t)
@@ -522,6 +529,7 @@ class TestConnect:
     def test_projections_stop_at_the_acceptance_bound(self, monkeypatch, path_tol):
         # a bridge projection runs to the bound connect accepts a sample at,
         # half of path_tol^2, and every returned sample meets it
+        _bridge_only(monkeypatch)
         real, tols = homotopy._newton, []
 
         def spy(X, target, opts):
@@ -552,6 +560,7 @@ class TestConnect:
         # = 9.2. Shifting the column angles by a whole turn gives the same
         # ends and length 0.2 pi ||F1||, cut into steps of arc at most delta;
         # every unwind sample is exact and no gap between them is bridged
+        _bridge_only(monkeypatch)
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
         angle = 0.9 * np.pi
@@ -571,6 +580,7 @@ class TestConnect:
     def test_report_unwind_length(self, monkeypatch):
         # the unwind of test_unwind_steps_by_arc_length after its whole-turn
         # shift: exp(-0.2 pi i s) F1 over s in [0, 1], of length 0.2 pi ||F1||
+        _bridge_only(monkeypatch)
         t = FiberTarget.funtf(2, 4)
         F0, F1 = _pair(t, 0, 1)
         angle = 0.9 * np.pi
@@ -585,6 +595,7 @@ class TestConnect:
     def test_level_split_into_runs_gives_same_path(self, monkeypatch):
         # a level larger than the memory cap is projected in several runs,
         # here one row each, with the same samples and counts
+        _bridge_only(monkeypatch)
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
         F0, F1 = _pair(t, 2, 9)
         whole = connect(F0, F1, t)
@@ -612,6 +623,7 @@ class TestConnect:
         # leaves a piece of width at most delta whole, cuts one in
         # (delta, 2 delta] at its midpoint and one in (2 delta, 4 delta] into
         # quarters
+        _bridge_only(monkeypatch)
         t = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
         F0, F1 = _pair(t, 2, 9)
         real = homotopy._newton
@@ -717,7 +729,8 @@ class TestConnectPathOrder:
         ids=["funtf_2_4", "funtf_2_5", "funtf_2_6", "diag_2_1_N3"],
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_depth_first_bridge(self, target, seed):
+    def test_matches_depth_first_bridge(self, monkeypatch, target, seed):
+        _bridge_only(monkeypatch)
         F0, F1 = _pair(target, 2 * seed + 40, 2 * seed + 41)
         path = connect(F0, F1, target)
         ref = connect_depth_first(F0, F1, target)
@@ -753,6 +766,108 @@ class TestConnectEquivariance:
         assert np.max(np.linalg.norm(moved.frames - expected, axis=(1, 2))) <= 1e-10 * np.linalg.norm(F0)
 
 
+# the four fibers of connectivity criterion 7 and of the connect-k2 benchmark
+k2_fibers = pytest.mark.parametrize(
+    "target",
+    [
+        FiberTarget.funtf(2, 4),
+        FiberTarget.funtf(2, 5),
+        FiberTarget.funtf(2, 6),
+        FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)),
+    ],
+    ids=["funtf_2_4", "funtf_2_5", "funtf_2_6", "diag_2_1_N3"],
+)
+
+
+class TestEigenstepRoute:
+    """At k = 2 connect moves straight in eigenstep coordinates, projecting nothing."""
+
+    @k2_fibers
+    def test_coordinates_rebuild_each_endpoint(self, target):
+        for seed in range(10):
+            F0, F1 = _pair(target, seed, seed + 10)
+            ends = homotopy._eigenstep_segment(F0, F1, target)(np.array([0.0, 1.0]))
+            assert np.linalg.norm(ends[0] - F0) <= 1e-12 * np.linalg.norm(F0)
+            assert np.linalg.norm(ends[1] - F1) <= 1e-12 * np.linalg.norm(F1)
+
+    @k2_fibers
+    @pytest.mark.parametrize("seed", range(3))
+    def test_route_projects_nothing(self, target, seed):
+        F0, F1 = _pair(target, 2 * seed, 2 * seed + 1)
+        path = connect(F0, F1, target)
+        assert path.report.route == "eigensteps" and path.report.levels > 0
+        assert path.report == ConnectReport(route="eigensteps", levels=path.report.levels)
+        assert np.max(path.residuals()) <= 0.5 * ConnectOptions.path_tol**2
+        assert np.array_equal(path.frames[0], F0) and np.array_equal(path.frames[-1], F1)
+        assert validate_path(path, endpoints=(F0, F1))
+
+    @pytest.mark.parametrize(
+        "target",
+        [FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3)), FiberTarget.funtf(2, 4)],
+        ids=["diag_2_1_N3", "funtf_2_4"],
+    )
+    def test_samples_exact_at_every_scale(self, target):
+        # F -> sqrt(c) F maps the fiber of (S, r) onto that of (c S, c r). The
+        # bridge's absolute path_tol loosens as c falls: on these pairs its
+        # samples sat up to 2e-5 of the trace off the fiber at c = 1e-4 and
+        # 0.1 at c = 1e-8, and route samples sit within 3e-15 at every c
+        F0, F1 = _pair(target, 0, 1)
+        lengths = set()
+        for c in (1e-8, 1e-4, 1.0, 1e2):
+            scaled = FiberTarget(c * target.operator, c * target.norms_sq)
+            path = connect(np.sqrt(c) * F0, np.sqrt(c) * F1, scaled)
+            assert path.report.route == "eigensteps"
+            trace = c * float(np.sum(target.norms_sq))
+            assert np.sqrt(np.max(path.residuals())) / trace <= 1e-13
+            lengths.add(len(path))
+        assert len(lengths) == 1
+
+    @pytest.mark.parametrize("case", ["gapless_endpoint", "near_cluster", "N_above_crossover", "k_3"])
+    def test_rule_sends_pair_to_the_bridge(self, case):
+        # construct_frame's FUNTF(2, 4) is orthodecomposable: its first two
+        # columns are parallel, so lam_2 = (2, 0) keeps the 0 of lam_1 = (1, 0),
+        # a zero interlacing gap that the fiber does not force. Then a merged
+        # cluster that is not exactly scalar (the near-cluster target of
+        # test_off_fiber_unwind_samples_dropped), N above the crossover, k = 3
+        if case == "gapless_endpoint":
+            target = FiberTarget.funtf(2, 4)
+            F0, F1 = construct_frame([2.0, 2.0], np.ones(4)), random_frame_on_fiber(target, seed=1)
+        else:
+            target = {
+                "near_cluster": lambda: FiberTarget.from_spectrum([2.0 + 5e-9, 2.0 - 5e-9], np.ones(4)),
+                "N_above_crossover": lambda: FiberTarget.funtf(2, homotopy._EIGENSTEP_MAX_N + 1),
+                "k_3": lambda: FiberTarget.funtf(3, 7),
+            }[case]()
+            F0, F1 = _pair(target, 0, 1)
+        assert homotopy._eigenstep_segment(F0, F1, target) is None
+        path = connect(F0, F1, target)
+        assert path.report.route == "bridge"
+        assert validate_path(path, endpoints=(F0, F1))
+
+    def test_route_out_of_rounds_takes_the_bridge(self, monkeypatch):
+        # with no rounds beyond its first the route leaves steps wider than
+        # delta on this pair, gives up, and the bridge (one round) joins it
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        monkeypatch.setattr(homotopy, "_EXTRA_DEPTH", 0)
+        path = connect(F0, F1, t)
+        assert path.report.route == "bridge" and path.report.levels == 1
+        assert validate_path(path, endpoints=(F0, F1))
+
+    def test_route_path_failing_validation_takes_the_bridge(self, monkeypatch):
+        # a route whose samples leave the fiber is validated, refused, and the
+        # pair is bridged as if the rule had said no
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        real = homotopy._eigenstep_segment
+        monkeypatch.setattr(homotopy, "_eigenstep_segment", lambda *args: lambda s: 1.01 * real(*args)(s))
+        path = connect(F0, F1, t)
+        _bridge_only(monkeypatch)
+        bridged = connect(F0, F1, t)
+        assert path.report.route == "bridge" and path.report == bridged.report
+        assert np.array_equal(path.frames, bridged.frames)
+
+
 class TestConnectRecovery:
     """A bridge midpoint whose projection is rejected is retried with seeded tangent kicks."""
 
@@ -761,6 +876,7 @@ class TestConnectRecovery:
         # the stacked Newton projection as connect sees it; rows are numbered
         # from 1 in projection order, calls from 1, and a row with
         # rejected(row, call) comes back doubled, off the fiber, with its residual
+        _bridge_only(monkeypatch)
         calls = []
         real = homotopy._newton
 
@@ -829,6 +945,7 @@ class TestConnectFailures:
         # the chord F0 to V F1 D needs four halvings, one round, and closes in
         # two; at _EXTRA_DEPTH = 0 one round runs, after which its fourth
         # sixteenth [3/16, 1/4] is the first piece still open
+        _bridge_only(monkeypatch)
         F0, F1 = _pair(self.target, 2, 9)
         monkeypatch.setattr(homotopy, "_EXTRA_DEPTH", 0)
         with pytest.raises(ConnectError, match="exceeded depth") as info:
@@ -838,6 +955,7 @@ class TestConnectFailures:
     def test_projection_onto_neighbour_raises_no_progress(self, monkeypatch):
         # every midpoint is "projected" onto F0, so the chord's first midpoint
         # leaves the gap F0 to V F1 D as wide as it was
+        _bridge_only(monkeypatch)
         F0, F1 = _pair(self.target, 2, 9)
 
         def onto_F0(X, target, opts):
@@ -855,6 +973,7 @@ class TestConnectFailures:
         # the first round's last chord point, at 15/16, is "projected" onto F0,
         # so its piece up to V F1 D is as wide as the chord; the error carries
         # the chord's midpoint
+        _bridge_only(monkeypatch)
         F0, F1 = _pair(self.target, 2, 9)
         real = homotopy._newton
 

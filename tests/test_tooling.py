@@ -13,15 +13,18 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fiberframe
-from fiberframe import FiberTarget, FlowOptions, connect, project_to_fiber, random_frame_on_fiber
+from fiberframe import ConnectOptions, FiberTarget, FlowOptions, connect, project_to_fiber, random_frame_on_fiber
+from fiberframe.cli import main
 from fiberframe.flows import newton_refine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -173,6 +176,19 @@ def test_cli_makes_no_numerical_decision():
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert sorted(named & constants) == []
+
+
+def test_connect_has_no_new_knob(capsys):
+    # connect chooses between its eigenstep route and its bridge by one rule
+    # with constants in homotopy, not by an option: the option fields and the
+    # connect command's flags stay as they are
+    assert [f.name for f in fields(ConnectOptions)] == ["path_tol", "delta", "seed"]
+    assert [f.name for f in fields(FlowOptions)] == ["max_iters", "tol"]
+    with pytest.raises(SystemExit) as exc:
+        main(["connect", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert sorted(set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))) == ["--delta", "--help", "--out", "-h"]
 
 
 def _callers(tree, name):
