@@ -13,7 +13,9 @@ operators S_n = f_1 f_1* + ... + f_n f_n*, and their conjugate angles
 parametrize the fiber exactly (Cahill, Fickus, Mixon, Poteet & Strawn,
 "Constructing finite frames of a given spectrum and set of lengths").
 connect reads both endpoints' coordinates and samples the straight segment
-between them, subdividing until every step is within delta. Every sample
+between them at equal arc length: a pilot of equal parameter pieces measures
+the segment, a second round resamples it at equal arc length within delta,
+and a later round cuts only the steps still wider than delta. Every sample
 lies on the fiber to rounding, at every scale, and nothing is projected; a
 route path that fails validate_path goes to the bridge below.
 
@@ -87,14 +89,36 @@ _EXTRA_DEPTH = 4
 # the eigenstep route rule: k = 2, N <= _EIGENSTEP_MAX_N, and every
 # non-forced interlacing gap of both endpoints above
 # _EIGENSTEP_GAP_RTOL * trace(S). The route's samples grow with N (a moving
-# early angle turns every later column): on 16 pairs per N, interleaved in
-# one process (2-vCPU Xeon, BLAS at 1 thread), route / bridge time per pair
-# was 0.60-0.79 up to N = 16 on funtf(2, N) and 0.67-0.81 on a generic S,
-# 0.90-0.92 at N = 20 on both, 1.07 at N = 24 (generic) and 1.01 at N = 32
-# (FUNTF). Every connect-k2 endpoint (seeds 1-5) clears the gap floor
-# 4700 times over: its smallest gap is 4.7e-5 of the trace.
+# early angle turns every later column). With the arc-length sampler below,
+# on 16 pairs per N interleaved call by call in one process (2-vCPU Xeon,
+# BLAS at 1 thread), route / bridge time per pair was 0.76 (funtf(2, N)) and
+# 0.83 (a generic S) at N = 16, the route faster on 16 and 11 of 16 pairs;
+# 0.92 and 0.90 at N = 20 (10 and 13 of 16); 1.14 and 1.01 at N = 24 (6 and
+# 9 of 16). At N = 20 the route does not win clearly enough to raise the
+# bound. Every connect-k2 endpoint (seeds 1-5) clears the gap floor 4700
+# times over: its smallest gap is 4.7e-5 of the trace.
 _EIGENSTEP_MAX_N = 16
 _EIGENSTEP_GAP_RTOL = 1e-8
+# the eigenstep sampler (_trace_segment), measured on the 195 connect-k2
+# pairs of seeds 1-3 at delta = 0.05 (samples per path 72.1 -> 60.5 against
+# equal parameter cuts alone; the floor ceil(L / (delta ||F0||)) + 1 is 57.8,
+# L the segment's length) and on 12 pairs each of funtf(2, N) and a generic
+# S at N = 4, 8, 12, 16. The pilot cuts [0, 1] into
+# max(_PILOT_PIECES, ceil(chord / (_PILOT_DIVISOR * delta ||F0||))) pieces;
+# on connect-k2 the chord is 0.25-0.94 of L and the pilot's polyline
+# 0.983-0.999 of it. A divisor of 3 measures long segments short (128
+# samples per path against 109 on funtf(2, 16)), and so did a fixed pilot of
+# 8 pieces (121 against 97 on funtf(2, 8)). The floor binds only on chords
+# up to 14 delta (connect-k2's are 17.9-36.3 delta): at delta = 0.2 a floor
+# of 4 took 19.7 samples per path, more than equal parameter cuts alone
+# (19.2), and a floor of 8 took 16.1. The regrid takes
+# ceil(_REGRID_MARGIN * P / (delta ||F0||)) pieces of equal arc length of
+# the pilot's polyline P: a margin of 1.0 leaves steps just above delta for
+# the local cuts to split again (75.3 samples per path), 1.05 gives 60.5 and
+# 1.1 gives 63.3
+_PILOT_PIECES = 8
+_PILOT_DIVISOR = 2
+_REGRID_MARGIN = 1.05
 
 
 def _positive(value, name: str) -> None:
@@ -134,12 +158,14 @@ class ConnectReport:
     counts the frames projected onto the fiber (bridge points and kicked
     retries), newton_iterations their accepted Newton steps, kicks the
     tangent kicks tried, levels the bridge rounds or the eigenstep route's
-    subdivision rounds. unwind counts the exact unwind samples kept as
+    sampling rounds (the pilot, the regrid and the local cuts; 0 when the
+    chord is within delta). unwind counts the exact unwind samples kept as
     anchors, unwind_dropped those the accept filter dropped. unwind_length
     is the unwind's exact arc length divided by ||F0||, 0 when there is no
-    unwind; a measurement rather than a count, it is left out of report
-    equality, which compares the work done. On the eigenstep route every
-    count but levels is 0.
+    unwind, and length the path's arc length, the sum of its steps, divided
+    by ||F0|| (at least the chord ||F1 - F0|| / ||F0||); measurements rather
+    than counts, both are left out of report equality, which compares the
+    work done. On the eigenstep route every count but levels is 0.
     """
 
     route: str = "bridge"
@@ -150,6 +176,7 @@ class ConnectReport:
     unwind: int = 0
     unwind_dropped: int = 0
     unwind_length: float = field(default=0.0, compare=False)
+    length: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -470,10 +497,15 @@ def _cuts(gap: np.ndarray, m: np.ndarray):
 def _trace_segment(segment, F0, F1, step: float):
     """Samples of segment(s) from F0 (s = 0) to F1 (s = 1) at most `step` apart, or None.
 
-    Returns the frames, their consecutive distances and the rounds taken. A
-    round cuts every piece of width w > step into ceil(w / step) pieces of
-    equal parameter length and inserts their samples; None when pieces stay
-    open after 1 + _EXTRA_DEPTH rounds.
+    Returns the frames, their consecutive distances and the rounds taken,
+    0 when the chord is within step ([F0, F1]). Round 1, the pilot, samples
+    max(_PILOT_PIECES, ceil(chord / (_PILOT_DIVISOR * step))) pieces of equal
+    parameter length; round 2 resamples the whole segment at equal arc length
+    of the pilot's polyline P, ceil(_REGRID_MARGIN * P / step) pieces; a later
+    round cuts every step of width w > step into ceil(w / step) pieces of
+    equal parameter length and inserts their samples. F0 and F1 are the end
+    samples of every round. None when steps stay wider than step after
+    1 + _EXTRA_DEPTH rounds.
     """
     arr, s = np.stack([F0, F1]), np.array([0.0, 1.0])
     seg = _frobenius(np.diff(arr, axis=0))
@@ -485,9 +517,20 @@ def _trace_segment(segment, F0, F1, step: float):
         if rounds > _EXTRA_DEPTH:
             return None
         rounds += 1
-        rep, f = _cuts(gap, np.ceil(seg[gap] / step).astype(int))
-        sm = s[rep] + f * (s[rep + 1] - s[rep])
-        arr, s = np.insert(arr, rep + 1, segment(sm), axis=0), np.insert(s, rep + 1, sm)
+        if rounds <= 2:
+            # the pilot and the regrid resample the whole segment
+            if rounds == 1:
+                m = max(_PILOT_PIECES, int(np.ceil(seg[0] / (_PILOT_DIVISOR * step))))
+                s = np.linspace(0.0, 1.0, m + 1)
+            else:
+                arc = np.concatenate([[0.0], np.cumsum(seg)])
+                m = int(np.ceil(_REGRID_MARGIN * arc[-1] / step))
+                s = np.interp(np.linspace(0.0, arc[-1], m + 1), arc, s)
+            arr = np.concatenate([F0[None], segment(s[1:-1]), F1[None]])
+        else:
+            rep, f = _cuts(gap, np.ceil(seg[gap] / step).astype(int))
+            sm = s[rep] + f * (s[rep + 1] - s[rep])
+            arr, s = np.insert(arr, rep + 1, segment(sm), axis=0), np.insert(s, rep + 1, sm)
         seg = _frobenius(np.diff(arr, axis=0))
 
 
@@ -506,11 +549,12 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     distinct eigenvalues, and every non-forced interlacing gap of both
     endpoints above _EIGENSTEP_GAP_RTOL * trace(S), connect samples the
     straight segment between the endpoints' eigenstep coordinates
-    (_eigenstep_segment): F0, then samples in rounds, each cutting every
-    step of width w > delta ||F0|| into ceil(w / (delta ||F0||)) pieces of
-    equal parameter length, then F1. Its samples lie on the fiber to
-    rounding at every scale, nothing is projected, and the report says
-    route "eigensteps" with levels the rounds. A pair the rule refuses, and
+    (_eigenstep_segment) from F0 to F1 at equal arc length (_trace_segment):
+    a pilot round of equal parameter pieces, a regrid at equal arc length of
+    the pilot's polyline, and local cuts of the steps still wider than
+    delta ||F0||. Its samples lie on the fiber to rounding at every scale,
+    nothing is projected, and the report says route "eigensteps" with
+    levels the rounds. A pair the rule refuses, and
     a route path that fails validate_path or still has wide steps after
     1 + _EXTRA_DEPTH rounds, takes the symmetry stage and bridge below.
 
@@ -550,7 +594,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     beyond the ceil(h / _ROUND_LEVELS) that the h halvings of the widest
     anchor gap need (its midpoint's chord parameter in .t), or a path failing
     validate_path with the run's options. A returned path, [F0, F1] too, holds
-    that PathCheck in .check and is deterministic for a fixed seed.
+    that PathCheck in .check and its arc length over ||F0|| in
+    .report.length, and is deterministic for a fixed seed.
     """
     opts = options or ConnectOptions()
     ptol2 = opts.path_tol**2
@@ -582,7 +627,9 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         return path
 
     close = COINCIDE_RTOL * scale
-    if np.linalg.norm(F1 - F0) <= close:
+    chord = float(np.linalg.norm(F1 - F0))
+    if chord <= close:
+        report.length = chord / scale
         return validated(FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report))
 
     # the eigenstep route projects nothing; a pair it does not take, or a
@@ -591,7 +638,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     traced = None if segment is None else _trace_segment(segment, F0, F1, delta_abs)
     if traced is not None:
         arr, seg, rounds = traced
-        path = FramePath(_arc_times(seg), arr, target, ConnectReport(route="eigensteps", levels=rounds))
+        routed = ConnectReport(route="eigensteps", levels=rounds, length=float(np.sum(seg)) / scale)
+        path = FramePath(_arc_times(seg), arr, target, routed)
         if checked(path):
             return path
 
@@ -699,4 +747,5 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             t_mid = float(ta[stuck[0]] + tb[stuck[0]]) / 2
             raise ConnectError("bridging made no progress between fiber points", t=t_mid)
 
+    report.length = float(np.sum(seg)) / scale
     return validated(FramePath(_arc_times(seg), arr, target, report))

@@ -334,6 +334,7 @@ class TestConnect:
             "unwind": 0,
             "unwind_dropped": 0,
             "unwind_length": 0.0,
+            "length": pytest.approx(2.606458, abs=1e-6),
         }
         code, out, _ = run(capsys, "--quiet", "connect", files[0], files[1], tfile, "--out", pfile)
         assert [line.split(":")[0] for line in out.splitlines()] == [

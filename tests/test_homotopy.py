@@ -592,6 +592,23 @@ class TestConnect:
         monkeypatch.setattr(homotopy, "_eigen_gauge", lambda *args: (np.eye(2), np.zeros(4)))
         assert connect(F0, F1, t).report.unwind_length == 0.0
 
+    @pytest.mark.parametrize("route", ["eigensteps", "bridge", "early_return"])
+    def test_report_length_is_the_path_arc_length(self, monkeypatch, route):
+        # the sum of the path's steps over ||F0||, next to the chord; like
+        # unwind_length it is a measurement, left out of report equality
+        t = FiberTarget.funtf(2, 4)
+        F0, F1 = _pair(t, 0, 1)
+        if route == "bridge":
+            _bridge_only(monkeypatch)
+        if route == "early_return":
+            F1 = F0.copy()
+        path = connect(F0, F1, t)
+        assert path.report.route == ("eigensteps" if route == "eigensteps" else "bridge")
+        scale = np.linalg.norm(F0)
+        assert path.report.length == pytest.approx(np.sum(path.step_norms()) / scale, rel=1e-13)
+        assert path.report.length >= np.linalg.norm(F1 - F0) / scale
+        assert path.report == ConnectReport(**{**path.report.to_dict(), "length": -1.0})
+
     def test_level_split_into_runs_gives_same_path(self, monkeypatch):
         # a level larger than the memory cap is projected in several runs,
         # here one row each, with the same samples and counts
@@ -843,6 +860,48 @@ class TestEigenstepRoute:
         path = connect(F0, F1, target)
         assert path.report.route == "bridge"
         assert validate_path(path, endpoints=(F0, F1))
+
+    @k2_fibers
+    def test_steps_average_near_delta(self, target):
+        # the sampler places samples at equal arc length of the segment, so a
+        # path's mean step is near delta ||F0||: at least 0.89 of it on these
+        # pairs, where cutting steps into equal parameter pieces left 0.59
+        for seed in range(10):
+            F0, F1 = _pair(target, seed, seed + 10)
+            path = connect(F0, F1, target)
+            assert path.report.route == "eigensteps"
+            assert np.mean(path.step_norms()) >= 0.85 * ConnectOptions.delta * np.linalg.norm(F0)
+
+    def test_speed_spike_reaches_the_local_cuts(self):
+        # a segment whose speed ||dF/ds|| near s = 1 is several times its mean:
+        # the arc-length regrid leaves steps there wider than delta, and local
+        # cuts (rounds 3 and on) close them within the route's rounds
+        t = FiberTarget.funtf(2, 5)
+        s = np.linspace(0.0, 1.0, 1001)
+        for a in range(200):
+            F0, F1 = _pair(t, a, a + 1)
+            speed = np.linalg.norm(np.diff(homotopy._eigenstep_segment(F0, F1, t)(s), axis=0), axis=(1, 2))
+            if np.max(speed[-10:]) >= 4 * np.mean(speed):
+                break
+        else:
+            pytest.fail("no pair with a speed spike in the last 1% of the segment")
+        path = connect(F0, F1, t)
+        assert path.report.route == "eigensteps"
+        assert 3 <= path.report.levels <= 1 + homotopy._EXTRA_DEPTH
+        assert validate_path(path, endpoints=(F0, F1))
+
+    def test_chord_within_delta_is_the_path(self):
+        # F1 a small column-phase image of F0: the chord is within
+        # delta ||F0|| already, so the route evaluates nothing
+        t = FiberTarget.funtf(2, 4)
+        F0 = random_frame_on_fiber(t, seed=0)
+        F1 = F0 * np.exp(0.01j * np.array([1.0, -1.0, 2.0, 0.5]))
+        chord = np.linalg.norm(F1 - F0)
+        assert COINCIDE_RTOL * np.linalg.norm(F0) < chord <= ConnectOptions.delta * np.linalg.norm(F0)
+        path = connect(F0, F1, t)
+        assert path.report == ConnectReport(route="eigensteps", levels=0)
+        assert len(path) == 2 and np.array_equal(path.frames, np.stack([F0, F1]))
+        assert path.report.length == chord / np.linalg.norm(F0)
 
     def test_route_out_of_rounds_takes_the_bridge(self, monkeypatch):
         # with no rounds beyond its first the route leaves steps wider than

@@ -276,3 +276,15 @@ def test_repair_newton_inputs_take_two_newton_steps(workloads, tmp_path):
             _F, rep = project_to_fiber(X, target, opts)
             _G, plain = _repair("newton", X, target, opts, _normal_preimage)
             assert (rep.status, rep.iterations, plain.status, plain.iterations) == ("converged", 2, "converged", 3), shape
+
+
+def test_connect_k2_ops_take_the_eigenstep_route(workloads, tmp_path):
+    # every connect-k2 op samples the eigenstep segment: no projection, at
+    # most 1 + _EXTRA_DEPTH sampling rounds, and the workload's own oracle
+    # passes; the workload then measures the sampler, not the bridge
+    work = workloads.ConnectK2(fiberframe, 1, tmp_path, smoke=False)
+    for i in range(len(work.pairs)):
+        path = work.op(i)
+        assert (path.report.route, path.report.projections) == ("eigensteps", 0), i
+        assert path.report.levels <= 1 + fiberframe.homotopy._EXTRA_DEPTH, i
+        assert work.check(i, path) is None, i
