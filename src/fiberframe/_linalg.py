@@ -66,6 +66,13 @@ def _non_negative_int(value, name: str) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _generator(rng, optional: bool = False) -> None:
+    """ValueError unless rng is a numpy Generator, or None where optional."""
+    if not (isinstance(rng, np.random.Generator) or (optional and rng is None)):
+        allowed = "a numpy.random.Generator or None" if optional else "a numpy.random.Generator"
+        raise ValueError(f"rng must be {allowed}, got {rng!r}")
+
+
 def as_complex_matrix(A, name="matrix") -> np.ndarray:
     return _finite_array(A, np.complex128, 2, name)
 

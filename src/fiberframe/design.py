@@ -16,7 +16,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ._linalg import _non_negative_int, as_real_vector, eigh_desc, haar_unitary
+from ._linalg import _generator, _non_negative_int, as_real_vector, eigh_desc, haar_unitary
 from .errors import InadmissibleError
 from .fiber import AdmissibilityCheck, FiberTarget, _admissibility, _positive_vector, _regular_target, as_spectrum
 from .flows import FlowOptions, _newton, _residual
@@ -112,8 +112,9 @@ def construct_frame(spectrum, norms_sq, rng: np.random.Generator | None = None) 
     by column phases, which moves the frame around the fiber without touching
     spectrum or norms. Raises ValueError when (diag(spectrum), norms_sq) is
     not a regular value, the rule of FiberTarget, and InadmissibleError when
-    no such frame exists.
+    no such frame exists. ValueError unless rng is a numpy Generator or None.
     """
+    _generator(rng, optional=True)
     lam, r = as_spectrum(spectrum), _positive_vector(norms_sq, "norms_sq")
     _regular_target(lam, r)
     return _construct(lam, r, _admissibility(lam, r), rng)
@@ -124,7 +125,9 @@ def construct_frame_with_operator(operator, norms_sq, rng: np.random.Generator |
 
     Validates (operator, norms_sq) as FiberTarget does: ValueError when it is
     not a regular value, and InadmissibleError when no such frame exists.
+    ValueError unless rng is a numpy Generator or None.
     """
+    _generator(rng, optional=True)
     target = FiberTarget(operator, norms_sq)
     w, U, _clusters = target._spectral
     return U @ _construct(w, target.norms_sq, target.admissibility, rng)
@@ -155,8 +158,10 @@ def random_admissible_norms(spectrum, N: int, rng: np.random.Generator) -> np.nd
     partial-sum conditions, blends toward the uniform split (always
     admissible); the admissible set is convex, so bisection along the blend
     finds the boundary and a small margin keeps the result strictly inside.
-    ValueError unless N is an integer >= k (not a bool).
+    ValueError unless N is an integer >= k (not a bool) and rng a numpy
+    Generator.
     """
+    _generator(rng)
     lam = as_spectrum(spectrum)
     _non_negative_int(N, "N")
     if N < lam.size:

@@ -10,12 +10,13 @@ normal-space Gauss-Newton step D(F)^+ e (project_to_fiber), steepest descent
 the alternation of the two exact constraint projections, operator part then
 column rescaling (alternate_projections); e = (S - F F*, r - |f_j|^2) are
 the defects. The loop halves a step until Phi decreases, and a run stalls
-when no damped step does. A Newton step costs the k x k Hermitian
-eigendecomposition of F F* (a frame too ill-conditioned for it takes the
-thin SVD of F), a real rank-k^2 update B^T B with B of shape k^2 x N
-(O(k^2 N^2) real flops) and one or two N x N LU solves: project_to_fiber's
-step adds a second solve with the same factors, which removes the exact
-second-order defect a step leaves.
+when no damped step does. A Newton step builds its normal system once: the
+k x k Hermitian eigendecomposition of F F* (a frame too ill-conditioned for
+it takes the thin SVD of F) and the N x N matrix of the norms equations, a
+real rank-k^2 update B^T B with B of shape k^2 x N (O(k^2 N^2) real flops).
+One solve function then takes a right-hand side to its step by one N x N LU
+solve; project_to_fiber's step solves a second right-hand side with the same
+system, which removes the exact second-order defect a step leaves.
 The loop runs on a stack of frames, each row on its own: a route is a stack
 of one, and connect projects every bridge point of a round in one stacked
 run, so the per-call cost of the small solves is paid once per stack. Public
@@ -137,16 +138,15 @@ def fiber_residual_gradient(F, target: FiberTarget) -> np.ndarray:
 def _pairs(k: int):
     """Index pairs a <= b below k, diagonal first.
 
-    Returns a, b, the flat index a k + b, and m = 1 on the diagonal, 2 off it.
+    Returns a, b and m = 1 on the diagonal, 2 off it.
     """
     d = np.arange(k)
     ia, ib = np.triu_indices(k, 1)
     ia, ib = np.concatenate((d, ia)), np.concatenate((d, ib))
-    ab = ia * k + ib
     m = np.where(ia == ib, 1.0, 2.0)
-    for a in (ia, ib, ab, m):
+    for a in (ia, ib, m):
         a.setflags(write=False)
-    return ia, ib, ab, m
+    return ia, ib, m
 
 
 # bytes of kernel temporaries one _normal_preimage run may hold; a longer
@@ -170,10 +170,11 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, tol=None):
     diagonal Lyapunov equation, W~_ab (s_a^2 + s_b^2) = (R~ - 2 F~ diag(g)
     F~*)_ab with F~ = U* F, W~ = U* W U and R~ = U* R U, so W is eliminated
     entrywise and the norms equations leave T g = c, real symmetric N x N with
-    the all-ones kernel (trace(S) = sum(r)). (T + 1 1^T / N) g = c - mean(c)
-    gives its minimum-norm (mean-zero) g, one batched LU solve for the stack;
-    when a frame's matrix is singular (k = N with F a scaled unitary, where T
-    can round to exactly 0), that frame alone is solved by lstsq of T.
+    the all-ones kernel (trace(S) = sum(r)).
+
+    The kernel is one build and one solve. The build, once per run of the
+    stack, is the system (F~, conj F~, K, T + 1 1^T / N), which depends on F
+    alone; _solve takes it and a right-hand side (R~, b) to the step.
 
     With K_ab = 1 / (s_a^2 + s_b^2), T = diag(|f~_j|^2) - 2 Re sum_ab K_ab
     P_ab P_ab^*, P_ab,j = conj(F~_aj) F~_bj. Its (a, b) and (b, a) terms are
@@ -200,9 +201,9 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, tol=None):
     momentum is quadratic, D(F) dF = e leaves exactly the defect -Q(dF) =
     -(dF dF*, |df_j|^2), of Phi q. A frame with tol < q <= Phi / 4 (Phi =
     |e|^2), no kernel fill and no lstsq solve returns dF + dF2 with D(F) dF2 =
-    -Q(dF), solved with the same factors: its defect is third order, and its
-    slope -2 <e, e - Q(dF)> <= -Phi makes it a descent direction. Every other
-    frame returns dF bit for bit.
+    -Q(dF), a second _solve of the same system: its defect is third order,
+    and its slope -2 <e, e - Q(dF)> <= -Phi makes it a descent direction.
+    Every other frame returns dF bit for bit.
     """
     shape = F.shape
     k, N = shape[-2:]
@@ -233,74 +234,76 @@ def _normal_preimage(F: np.ndarray, R: np.ndarray, b: np.ndarray, tol=None):
     else:
         # an eigh frame has sq > EIGEN_RTOL max(sq), far above the rank floor
         K = 1.0 / s2
-    Rt = Uc @ R @ U
-    # P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b); W~ = K o (R~ - 2 Ft diag(g) Ft*)
-    ia, ib, ab, m = _pairs(k)
+    # T = diag(|f~_j|^2) - 2 B^T B, with P[:, p, j] = w_ab conj(Ft[:, a, j]) Ft[:, b, j] for p = (a, b)
+    ia, ib, m = _pairs(k)
     P = Ftc.take(ia, axis=1)
     P *= Ft.take(ib, axis=1)
     diag = np.add.reduce(P.real[:, :k], axis=1)
-    # pair entries by flat index: K[:, ia, ib] would come out transposed in
-    # memory, and the product for c would then round differently from the
-    # BLAS dot it takes for one frame
-    w = np.sqrt(m * K.reshape(n, -1).take(ab, axis=1))
-    P *= w[:, :, None]
-    c = 0.5 * b - ((w * Rt.reshape(n, -1).take(ab, axis=1))[:, None] @ P)[:, 0].real
+    P *= np.sqrt(m * K[:, ia, ib])[:, :, None]
     # B keeps what T needs of P. Freeing P before the N x N work lowers the
     # peak of temporaries: at (16, 128) the higher peak had the heap trimmed
     # and faulted back in on every call.
     B = np.concatenate((P.real, P.imag[:, k:]), axis=1)
     del P
     T = B.swapaxes(1, 2) @ B
+    del B
     T *= -2.0
     T.reshape(-1, N * N)[:, :: N + 1] += diag
     T += 1.0 / N
-    rhs = c - np.add.reduce(c, axis=1, keepdims=True) / N
-    singular = []
-    try:
-        g = np.linalg.solve(T, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        g = np.empty_like(c)
-        for i in range(n):
-            try:
-                g[i] = np.linalg.solve(T[i], rhs[i])
-            except np.linalg.LinAlgError:
-                g[i] = np.linalg.lstsq(T[i] - 1.0 / N, c[i], rcond=None)[0]
-                singular.append(i)
-    dFt = _lift(Ft, Ftc, K, Rt, g)
+    system = (Ft, Ftc, K, T)
+    Rt = Uc @ R @ U
+    # plain: the frames that took lstsq or fill kernel rows keep the plain step
+    dFt, plain = _solve(system, Rt, b)
     # only an SVD frame can have kernel directions
     if svd:
         ker = sq < rank_floor
         if np.count_nonzero(ker):
             fill = np.sqrt(np.maximum(Rt.diagonal(axis1=1, axis2=2)[ker].real, 0.0))
             dFt[ker] += fill[:, None] * Vh[ker[ill]]
+            plain |= np.any(ker, axis=1)
     if tol is not None:
         Qt, Qb = dFt @ dFt.conj().swapaxes(1, 2), _norms_squared(dFt)
         q = _phi(Qt, Qb)
-        fix = (q > tol) & (4.0 * q <= _phi(R, b))
-        fix[singular] = False
-        if svd:
-            fix &= ~np.any(sq < rank_floor, axis=1)
+        fix = (q > tol) & (4.0 * q <= _phi(R, b)) & ~plain
         m = np.count_nonzero(fix)
         if m:
-            # a mask would copy T and B; a stack of one takes this branch
-            if m == n:
-                fix = slice(None)
-            # right-hand side (-Q~, -Qb); P is freed, so its c is read off B
-            Rt2 = -Qt[fix]
-            v = w[fix] * Rt2.reshape(m, -1).take(ab, axis=1)
-            v = np.concatenate((v.real, -v.imag[:, k:]), axis=1)
-            c = -0.5 * Qb[fix] - (v[:, None] @ B[fix])[:, 0]
-            rhs = c - np.add.reduce(c, axis=1, keepdims=True) / N
-            g = np.linalg.solve(T[fix], rhs[:, :, None])[:, :, 0]
-            dFt[fix] += _lift(Ft[fix], Ftc[fix], K[fix], Rt2, g)
+            # a mask would copy the system; a stack of one takes this branch
+            fix = slice(None) if m == n else fix
+            dFt[fix] += _solve([a[fix] for a in system], -Qt[fix], -Qb[fix])[0]
     return (U @ dFt).reshape(shape)
 
 
-def _lift(Ft, Ftc, K, Rt, g):
-    """The eigenbasis step W~ Ft + Ft diag(g), W~ = K o (R~ - 2 Ft diag(g) Ft*), of each frame."""
+def _solve(system, Rt, b):
+    """The eigenbasis step of each frame of a stack for the right-hand side (R~, b).
+
+    system = (F~, conj F~, K, T + 1 1^T / N) is what _normal_preimage builds.
+    With W~ = K o (R~ - 2 F~ diag(g) F~*) eliminated, the norms equations
+    leave T g = c with c_j = b_j / 2 - Re sum_a conj(F~_aj) ((K o R~) F~)_aj.
+    (T + 1 1^T / N) g = c - mean(c) gives its minimum-norm (mean-zero) g, one
+    batched LU solve for the stack; when a frame's matrix is singular (k = N
+    with F a scaled unitary, where T can round to exactly 0), that frame alone
+    is solved by lstsq of T. Returns the step W~ F~ + F~ diag(g), with K o R~
+    computed once for c and W~, and the mask of the frames that took lstsq.
+    """
+    Ft, Ftc, K, T = system
+    N = T.shape[-1]
+    KR = K * Rt
+    c = 0.5 * b - np.add.reduce((Ftc * (KR @ Ft)).real, axis=1)
+    rhs = c - np.add.reduce(c, axis=1, keepdims=True) / N
+    lstsq = np.zeros(len(T), dtype=bool)
+    try:
+        g = np.linalg.solve(T, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        g = np.empty_like(c)
+        for i in range(len(T)):
+            try:
+                g[i] = np.linalg.solve(T[i], rhs[i])
+            except np.linalg.LinAlgError:
+                g[i] = np.linalg.lstsq(T[i] - 1.0 / N, c[i], rcond=None)[0]
+                lstsq[i] = True
     Ftg = Ft * g[:, None]
-    Wt = K * (Rt - 2.0 * Ftg @ Ftc.swapaxes(1, 2))
-    return Wt @ Ft + Ftg
+    Wt = KR - 2.0 * K * (Ftg @ Ftc.swapaxes(1, 2))
+    return Wt @ Ft + Ftg, lstsq
 
 
 def _project_norms(F: np.ndarray, r: np.ndarray) -> np.ndarray:

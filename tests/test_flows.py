@@ -375,7 +375,7 @@ class TestOptions:
 
 
 class TestNormalStep:
-    @pytest.mark.parametrize("k,N", [(2, 4), (4, 16), (8, 64), (5, 8), (6, 6), (16, 40)])
+    @pytest.mark.parametrize("k,N", [(1, 1), (1, 5), (2, 4), (4, 16), (8, 64), (5, 8), (6, 6), (16, 40)])
     def test_matches_realified_min_norm_step(self, k, N):
         rng = np.random.default_rng(k * N)
         t = FiberTarget.funtf(k, N)
@@ -631,6 +631,23 @@ class TestCorrectedStep:
         assert np.linalg.norm(both - dF - ref) <= 1e-10 * np.linalg.norm(ref)
         # third order: the corrected step lands far closer than the plain one
         assert fiber_residual(F + both, t) <= 1e-3 * fiber_residual(F + dF, t)
+
+    def test_second_solve_reuses_the_step_factors(self, monkeypatch):
+        # one eigh of F F* and one system T serve both solves of a corrected row
+        t = FiberTarget.funtf(4, 16)
+        F = perturbed_fiber_point(t, seed=40)
+        R, b = _gaps(F[None], t)
+        names = ("eigh", "svd", "solve")
+        calls = [spy_linalg(monkeypatch, name) for name in names]
+        plain = _normal_preimage(F[None], R, b)
+        assert [len(c) for c in calls] == [1, 0, 1]
+        for c in calls:
+            c.clear()
+        corrected = _normal_preimage(F[None], R, b, tol=1e-20)
+        assert [len(c) for c in calls] == [1, 0, 2]
+        solves = calls[2]
+        assert np.array_equal(solves[0], solves[1])
+        assert not np.array_equal(corrected, plain)
 
     def test_rows_outside_the_rule_take_the_plain_step(self):
         # a stack of four rows at tol = 1e-14: q <= tol (near the fiber),

@@ -199,6 +199,24 @@ class TestConstructFrame:
         with pytest.raises(ValueError, match="^operator must be non-empty$"):
             construct_frame_with_operator(np.zeros((0, 0)), [1.0])
 
+    @pytest.mark.parametrize("rng", [5, np.random.RandomState(0), "0"], ids=["int", "RandomState", "str"])
+    def test_rng_must_be_a_generator_or_none(self, rng):
+        # an int failed with AttributeError, after the whole rotation chain
+        match = "^rng must be a numpy.random.Generator or None, got "
+        with pytest.raises(ValueError, match=match):
+            construct_frame([2.0, 2.0], np.ones(4), rng=rng)
+        # checked before any other argument
+        with pytest.raises(ValueError, match=match):
+            construct_frame("bad", np.ones(4), rng=rng)
+
+    @pytest.mark.parametrize("rng", [5, np.random.RandomState(0), "0"], ids=["int", "RandomState", "str"])
+    def test_with_operator_rng_must_be_a_generator_or_none(self, rng):
+        match = "^rng must be a numpy.random.Generator or None, got "
+        with pytest.raises(ValueError, match=match):
+            construct_frame_with_operator(np.diag([2.0, 2.0]), np.ones(4), rng=rng)
+        with pytest.raises(ValueError, match=match):
+            construct_frame_with_operator("bad", np.ones(4), rng=rng)
+
     def test_with_operator(self):
         rng = np.random.default_rng(34)
         S = rand_pd_hermitian(rng, 3)
@@ -230,6 +248,16 @@ class TestRandomAdmissibleNorms:
         # a float N leaked numpy's TypeError
         with pytest.raises(ValueError, match="^N must be a non-negative integer"):
             random_admissible_norms([2.0, 1.0], N, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rng", [None, 5, np.random.RandomState(0)], ids=["None", "int", "RandomState"])
+    def test_rng_must_be_a_generator(self, rng):
+        # an int failed with AttributeError; None has no default here
+        match = "^rng must be a numpy.random.Generator, got "
+        with pytest.raises(ValueError, match=match):
+            random_admissible_norms([2.0, 1.0], 5, rng)
+        # checked before any other argument
+        with pytest.raises(ValueError, match=match):
+            random_admissible_norms("bad", 5, rng)
 
     def test_numpy_integer_count(self):
         r1 = random_admissible_norms([2.0, 1.0], np.int64(5), np.random.default_rng(3))

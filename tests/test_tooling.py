@@ -231,6 +231,15 @@ def test_admissibility_is_derived_where_a_certificate_is_first_needed():
         assert sorted(imported & {"_admissibility", "is_admissible"}) == [], path
 
 
+def test_flows_solves_its_normal_system_in_one_function():
+    # _normal_preimage builds the system once and _solve solves it, for the
+    # Newton step and for its second-order correction; a new right-hand side
+    # or shift extends that solve instead of adding another LU site
+    tree = ast.parse((SRC / "flows.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "solve") == {"_solve"}
+    assert _callers(tree, "lstsq") == {"_solve"}
+
+
 @pytest.fixture(scope="module")
 def workloads():
     # workloads.py imports its sibling modules by bare name, as run.py's worker does
