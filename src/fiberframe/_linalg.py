@@ -44,7 +44,7 @@ def _finite_array(a, dtype, ndim: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be an array of numbers") from None
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -71,6 +71,13 @@ def _generator(rng, optional: bool = False) -> None:
     if not (isinstance(rng, np.random.Generator) or (optional and rng is None)):
         allowed = "a numpy.random.Generator or None" if optional else "a numpy.random.Generator"
         raise ValueError(f"rng must be {allowed}, got {rng!r}")
+
+
+def _instance(value, cls: type, name: str, optional: bool = False) -> None:
+    """ValueError naming the argument and the class unless value is a cls, or None where optional."""
+    if not (isinstance(value, cls) or (optional and value is None)):
+        allowed = f"a {cls.__name__} or None" if optional else f"a {cls.__name__}"
+        raise ValueError(f"{name} must be {allowed}, got {type(value).__name__}")
 
 
 def as_complex_matrix(A, name="matrix") -> np.ndarray:

@@ -16,7 +16,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ._linalg import _generator, _non_negative_int, as_real_vector, eigh_desc, haar_unitary
+from ._linalg import _generator, _instance, _non_negative_int, as_real_vector, eigh_desc, haar_unitary
 from .errors import InadmissibleError
 from .fiber import AdmissibilityCheck, FiberTarget, _admissibility, _positive_vector, _regular_target, as_spectrum
 from .flows import FlowOptions, _newton, _residual
@@ -200,8 +200,10 @@ def random_frame_on_fiber(target: FiberTarget, seed: int) -> np.ndarray:
     unitary scramble Newton-projected back onto the fiber. The result has
     residual at most 1e-20 max(1, trace(S))^2, a bound that scales with the
     fiber as the residual does; RuntimeError is raised when the projection
-    misses it. ValueError unless seed is an integer >= 0 (not a bool).
+    misses it. ValueError unless target is a FiberTarget and seed is an
+    integer >= 0 (not a bool).
     """
+    _instance(target, FiberTarget, "target")
     _non_negative_int(seed, "seed")
     rng = np.random.default_rng(seed)
     w, U, clusters = target._spectral

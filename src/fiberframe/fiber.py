@@ -38,6 +38,32 @@ def _regular_target(w: np.ndarray, r: np.ndarray) -> None:
         raise ValueError(f"target is not a regular momentum value: {check.reason}")
 
 
+def _eigenstep_facts(S: np.ndarray, r: np.ndarray, spectral) -> tuple | None:
+    """What the eigenstep route of connect reads of a k = 2 target, or None where it never applies.
+
+    The route needs S exactly scalar or with two distinct eigenvalues. The
+    facts are whether S is exactly scalar; U*, U the eigenbasis of S; the
+    partial sums r_1 + ... + r_n; trace(S); and the forced larger
+    eigensteps as (indices, values): lam_1 = (r_1, 0), lam_N the spectrum
+    of S, and for a scalar S = c I also lam_{N-1} = (c, .).
+    """
+    w, U, clusters = spectral
+    if len(w) != 2:
+        return None
+    scalar = bool(np.all(S == S[0, 0] * np.eye(2)))
+    if not (scalar or (clusters is not None and len(clusters) == 2)):
+        return None
+    # later entries win, as at N = 2, where lam_{N-1} is lam_1
+    forced = {0: r[0], r.size - 1: w[0]}
+    if scalar:
+        forced[r.size - 2] = w[0]
+    Uh, R = U.conj().T, np.cumsum(r)
+    at, values = np.array(list(forced)), np.array(list(forced.values()))
+    for a in (Uh, R, at, values):
+        a.setflags(write=False)
+    return scalar, Uh, R, float(np.sum(w)), at, values
+
+
 def as_spectrum(values) -> np.ndarray:
     """Validated spectrum: real, strictly positive, sorted descending (copy)."""
     return np.sort(_positive_vector(values, "spectrum"))[::-1].copy()
@@ -118,7 +144,8 @@ class FiberTarget:
     failed check. Both arrays are read-only copies, so the fiber, its
     certificate and the decomposition spectral_clusters(S) that construction
     computes once cannot drift apart; it is immutable, and the one
-    decomposition of S that the package reads.
+    decomposition of S that the package reads. At k = 2 construction also
+    keeps the facts the eigenstep route of connect reads on every call.
     """
 
     operator: np.ndarray
@@ -138,6 +165,7 @@ class FiberTarget:
         object.__setattr__(self, "operator", S)
         object.__setattr__(self, "norms_sq", r)
         object.__setattr__(self, "_spectral", spectral)
+        object.__setattr__(self, "_eigensteps", _eigenstep_facts(S, r, spectral))
         object.__setattr__(self, "admissibility", check)
 
     @property

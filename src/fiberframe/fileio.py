@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from ._linalg import as_complex_matrix
+from ._linalg import _instance, as_complex_matrix
 from .core import as_frame_matrix
 from .fiber import FiberTarget
 from .homotopy import FramePath
@@ -151,6 +151,7 @@ def _target_obj(target: FiberTarget) -> dict:
 
 def write_target(target: FiberTarget, path) -> None:
     """Write a fiber target as JSON {"S": {"re", "im"}, "r": [...]}, readable by read_target."""
+    _instance(target, FiberTarget, "target")
     _write_json(_target_obj(target), path)
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from ._linalg import (
     EIGEN_RTOL,
     RANK_RTOL,
+    _instance,
     _non_negative_int,
     _tolerance,
     frame_polar_isometry,
@@ -99,6 +100,7 @@ def _target_frame(F, target: FiberTarget) -> np.ndarray:
 
 def fiber_residual(F, target: FiberTarget) -> float:
     """Squared momentum distance Phi(F) to the target fiber."""
+    _instance(target, FiberTarget, "target")
     return _residual(_target_frame(F, target), target)
 
 
@@ -130,6 +132,7 @@ def fiber_residual_gradient(F, target: FiberTarget) -> np.ndarray:
 
     grad Phi = 4 (F F* - S) F + 4 F diag(||f_j||^2 - r_j) = -2 D(F)* e, e the defects.
     """
+    _instance(target, FiberTarget, "target")
     F = _target_frame(F, target)
     return -2.0 * _adjoint(F, *_gaps(F, target))
 
@@ -322,6 +325,7 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
     a move that does not lower Phi is halved. Where P raises (F rank
     deficient, or a zero column) the direction is 0, so the run stalls there.
     """
+    opts = _flow_options(target, options)
     w, U, _clusters = target._spectral
     S_sqrt, r = hermitize((U * np.sqrt(w)) @ U.conj().T), target.norms_sq
 
@@ -334,7 +338,7 @@ def alternate_projections(F0, target: FiberTarget, options: FlowOptions | None =
                 dF[i] = 0.0
         return dF
 
-    return _repair("alternating", F0, target, options, toward_projection)
+    return _repair("alternating", F0, target, opts, toward_projection)
 
 
 def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
@@ -345,7 +349,7 @@ def flow_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None):
     of project_to_fiber. The step is 0 where V vanishes, so the run stalls at
     a critical point of Phi off the fiber.
     """
-    return _repair("gradient", F0, target, options, _steepest_descent)
+    return _repair("gradient", F0, target, _flow_options(target, options), _steepest_descent)
 
 
 def _steepest_descent(F: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -425,13 +429,19 @@ def _newton(F: np.ndarray, target: FiberTarget, opts: FlowOptions, direction=_no
     return F, phi, iters, np.array(trace), stalled
 
 
-def _repair(method, F0, target, options, direction):
+def _flow_options(target, options) -> FlowOptions:
+    """options, or the defaults for None, once target and options are checked as objects of their classes."""
+    _instance(target, FiberTarget, "target")
+    _instance(options, FlowOptions, "options", optional=True)
+    return options or FlowOptions()
+
+
+def _repair(method, F0, target, opts, direction):
     """The damped loop of _newton on a stack of one frame; returns (frame, FlowReport).
 
     Steps are halved until Phi decreases; a step that cannot decrease Phi
     ends the run as "stalled".
     """
-    opts = options or FlowOptions()
     Fs, phi, iters, trace, stalled = _newton(_target_frame(F0, target)[None], target, opts, direction)
     trace = trace[: iters[0] + 1, 0]
     if phi[0] <= opts.tol:
@@ -457,7 +467,7 @@ def project_to_fiber(F0, target: FiberTarget, options: FlowOptions | None = None
     order (the two-step method of Traub). A converged frame is on the fiber,
     but it is the fiber point nearest F0 only to first order.
     """
-    opts = options or FlowOptions()
+    opts = _flow_options(target, options)
     return _repair("newton", F0, target, opts, partial(_normal_preimage, tol=opts.tol))
 
 

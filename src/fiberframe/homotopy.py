@@ -17,7 +17,7 @@ between them at equal arc length: a pilot of equal parameter pieces measures
 the segment, a second round resamples it at equal arc length within delta,
 and a later round cuts only the steps still wider than delta. Every sample
 lies on the fiber to rounding, at every scale, and nothing is projected; a
-route path that fails validate_path goes to the bridge below.
+route path that fails the check validate_path makes goes to the bridge below.
 
 Every other pair takes the symmetry stage and the bridge. The fiber is a
 level set of the momentum map of U(k) x T^N, so the unitaries commuting with
@@ -53,6 +53,7 @@ import numpy as np
 from ._linalg import (
     COINCIDE_RTOL,
     _finite_array,
+    _instance,
     _non_negative_int,
     _real_number,
     polar_unitary,
@@ -99,6 +100,9 @@ _EXTRA_DEPTH = 4
 # times over: its smallest gap is 4.7e-5 of the trace.
 _EIGENSTEP_MAX_N = 16
 _EIGENSTEP_GAP_RTOL = 1e-8
+# the signs of det for the larger and the smaller eigenstep of a 2 x 2 step
+_SIGNS = np.array([1.0, -1.0])
+_SIGNS.setflags(write=False)
 # the eigenstep sampler (_trace_segment), measured on the 195 connect-k2
 # pairs of seeds 1-3 at delta = 0.05 (samples per path 72.1 -> 60.5 against
 # equal parameter cuts alone; the floor ceil(L / (delta ||F0||)) + 1 is 57.8,
@@ -197,6 +201,7 @@ class FramePath:
     check: PathCheck | None = None
 
     def __post_init__(self):
+        _instance(self.target, FiberTarget, "target")
         t = _finite_array(self.times, np.float64, 1, "times")
         Fs = _finite_array(self.frames, np.complex128, 3, "frames")
         if t.size < 2:
@@ -244,19 +249,34 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
 
     tol is in norm units: a sample passes when its squared residual is at
     most tol^2. delta limits each consecutive step relative to the norm of
-    the first sample. endpoints, when given as (F0, F1), must match the first
-    and last sample to 1e-12 relative (COINCIDE_RTOL). ValueError unless tol
-    and delta are finite and > 0, the rule of ConnectOptions, and each
-    endpoint has the path's shape (k, N).
+    the first sample. endpoints, when given as a pair (F0, F1), must match
+    the first and last sample to 1e-12 relative (COINCIDE_RTOL). ValueError
+    unless path is a FramePath, tol and delta are finite and > 0, the rule
+    of ConnectOptions, and endpoints is None or a pair of frames of the
+    path's shape (k, N). connect makes the same check of every path it
+    returns, and keeps it in the path's .check.
     """
+    _instance(path, FramePath, "path")
     _positive(tol, "tol")
     _positive(delta, "delta")
-    res = path.residuals()
-    steps = path.step_norms()
-    scale = float(np.linalg.norm(path.frames[0]))
-    step_limit = delta * scale
-    max_res = float(np.max(res))
+    if endpoints is not None:
+        try:
+            F0, F1 = endpoints
+        except (TypeError, ValueError):
+            raise ValueError("endpoints must be a pair (F0, F1)") from None
+        endpoints = _target_frame(F0, path.target), _target_frame(F1, path.target)
+    return _check_path(path, path.step_norms(), float(np.linalg.norm(path.frames[0])), tol, delta, endpoints)
+
+
+def _check_path(path: FramePath, steps: np.ndarray, scale: float, tol: float, delta: float, endpoints) -> PathCheck:
+    """The PathCheck of validate_path from checked arguments.
+
+    steps are the path's step norms as FramePath.step_norms computes them,
+    scale is ||F_0|| and endpoints is None or the pair of checked frames.
+    """
+    max_res = float(np.max(path.residuals()))
     max_step = float(np.max(steps))
+    step_limit = delta * scale
     problems = []
     # not <=: a NaN residual (a frame made non-finite after the path was built) fails
     if not max_res <= tol * tol:
@@ -264,9 +284,8 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
     if max_step > step_limit * (1.0 + 1e-9):
         problems.append(f"step {max_step:.3e} exceeds delta * ||F_0|| = {step_limit:.3e}")
     if endpoints is not None:
-        F0, F1 = (_target_frame(F, path.target) for F in endpoints)
-        d0 = np.linalg.norm(path.frames[0] - F0)
-        d1 = np.linalg.norm(path.frames[-1] - F1)
+        d0 = np.linalg.norm(path.frames[0] - endpoints[0])
+        d1 = np.linalg.norm(path.frames[-1] - endpoints[1])
         if max(d0, d1) > COINCIDE_RTOL * scale:
             problems.append("endpoints do not match the requested frames")
     return PathCheck(
@@ -400,45 +419,41 @@ def _eigenstep_segment(F0, F1, target: FiberTarget):
     the endpoints' V_N, so its operator is diag(lam_N) and the segment runs
     from F0 to F1.
     """
-    k, N = target.k, target.N
-    if k != 2 or N > _EIGENSTEP_MAX_N:
+    facts, N = target._eigensteps, target.N
+    if facts is None or N > _EIGENSTEP_MAX_N:
         return None
-    w, U, clusters = target._spectral
-    S = target.operator
-    scalar = bool(np.all(S == S[0, 0] * np.eye(k)))
-    if not (scalar or (clusters is not None and len(clusters) == 2)):
-        return None
-    r, R = target.norms_sq, np.cumsum(target.norms_sq)
+    scalar, Uh, R, trace, forced_at, forced = facts
+    U, r = target._spectral[1], target.norms_sq
     # the columns g_n of both endpoints in the eigenbasis, (2, N, 2), and
     # the partial operators S_n, (2, N, 2, 2), with their spectra in closed form
-    G = (U.conj().T @ np.stack([F0, F1])).swapaxes(1, 2)
+    G = (Uh @ np.stack([F0, F1])).swapaxes(1, 2)
     P = np.cumsum(G[..., :, None] * G[..., None, :].conj(), axis=1)
     d0, d1 = P[..., 0, 0].real, P[..., 1, 1].real
     tr, rad = d0 + d1, np.hypot(0.5 * (d0 - d1), np.abs(P[..., 0, 1]))
-    # the larger eigensteps as read and with the forced ones exact
+    # the larger eigensteps as read (hi[0]) and with the forced ones exact
+    # (hi[1]), and the smaller ones, the partial traces less them
     read = 0.5 * tr + rad
-    top = read.copy()
-    top[:, 0], top[:, -1] = r[0], w[0]
-    if scalar:
-        top[:, -2] = w[0]
-
-    def gaps(hi, lo):
-        # the interlacing gaps lam_{n,1} - lam_{n-1,1}, lam_{n-1,1} - lam_{n,2}
-        # and lam_{n,2} - lam_{n-1,2} of n = 2 .. N, forced ones left out
-        g = np.stack([hi[:, 1:] - hi[:, :-1], hi[:, :-1] - lo[:, 1:], lo[:, 1:] - lo[:, :-1]], axis=-1)
-        return np.concatenate([g[:, :-1].reshape(2, -1), g[:, -1, 2:]], axis=1) if scalar else g
-
-    floor = _EIGENSTEP_GAP_RTOL * float(np.sum(w))
-    if not min(np.min(gaps(read, tr - read)), np.min(gaps(top, R - top))) > floor:
+    hi = np.stack([read, read])
+    top = hi[1]
+    top[:, forced_at] = forced
+    lo = np.stack([tr - read, R - top])
+    # the interlacing gaps lam_{n,1} - lam_{n-1,1}, lam_{n-1,1} - lam_{n,2}
+    # and lam_{n,2} - lam_{n-1,2} of n = 2 .. N in one pass; the first two of
+    # n = N are forced for a scalar S and left out. V_n, n = 2 .. nw + 1, are
+    # the steps of the rebuild chain (not V_N of a scalar S, which has no eigenbasis)
+    nw = N - 2 if scalar else N - 1
+    gaps = np.concatenate(
+        [hi[..., 1 : nw + 1] - hi[..., :nw], hi[..., :nw] - lo[..., 1 : nw + 1], lo[..., 1:] - lo[..., :-1]], axis=-1
+    )
+    if not np.min(gaps) > _EIGENSTEP_GAP_RTOL * trace:
         return None
-    # V_n for n = 2 .. N (not V_N of a scalar S, which has no eigenbasis):
     # (lam_{n,i} - S_{n-1})^-1 = ((lam_{n,i} - trace S_{n-1}) I + S_{n-1}) / det,
     # and det is > 0 for i = 1 and < 0 for i = 2
-    nw = N - 2 if scalar else N - 1
     g = G[:, 1 : nw + 1]
-    lam = 0.5 * tr[:, 1 : nw + 1, None] + rad[:, 1 : nw + 1, None] * np.array([1.0, -1.0])
+    lam = 0.5 * tr[:, 1 : nw + 1, None] + rad[:, 1 : nw + 1, None] * _SIGNS
     Y = (lam[..., None, :] - tr[:, :nw, None, None]) * g[..., None] + _mul2(P[:, :nw], g[..., None])
-    Y *= np.array([1.0, -1.0]) / np.linalg.norm(Y, axis=-2, keepdims=True)
+    # the column norms as np.linalg.norm sums them
+    Y *= _SIGNS / np.sqrt(np.add.reduce((Y.conj() * Y).real, axis=-2, keepdims=True))
     u = G[:, 0] / np.sqrt(tr[:, :1])
     V = np.concatenate([_first_basis(u)[:, None], Y], axis=1)
     # a_n = V_{n-1}* g_n
@@ -554,8 +569,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     the pilot's polyline, and local cuts of the steps still wider than
     delta ||F0||. Its samples lie on the fiber to rounding at every scale,
     nothing is projected, and the report says route "eigensteps" with
-    levels the rounds. A pair the rule refuses, and
-    a route path that fails validate_path or still has wide steps after
+    levels the rounds. A pair the rule refuses, and a route path that fails
+    the check validate_path makes or still has wide steps after
     1 + _EXTRA_DEPTH rounds, takes the symmetry stage and bridge below.
 
     The anchors are F0, the on-fiber unwind samples and F1. The unwind runs
@@ -585,18 +600,25 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     at the first iterate that meets that bound, so "converged" and "accepted"
     are one test.
 
-    Raises InadmissibleError, with target.admissibility in .check, when an
-    endpoint is off the fiber (beyond path_tol) because the fiber is empty;
-    OffFiberError when an endpoint is off a non-empty fiber, F0 first; and
-    ConnectError when the bridge pass cannot close a gap between
-    anchors: a point rejected after every kick (its chord parameter in .t), a
-    piece no shorter than its gap, a gap still open after _EXTRA_DEPTH rounds
-    beyond the ceil(h / _ROUND_LEVELS) that the h halvings of the widest
-    anchor gap need (its midpoint's chord parameter in .t), or a path failing
-    validate_path with the run's options. A returned path, [F0, F1] too, holds
-    that PathCheck in .check and its arc length over ||F0|| in
-    .report.length, and is deterministic for a fixed seed.
+    Raises ValueError, before any other work, unless target is a
+    FiberTarget and options a ConnectOptions or None; InadmissibleError,
+    with target.admissibility in .check, when an endpoint is off the fiber
+    (beyond path_tol) because the fiber is empty; OffFiberError when an
+    endpoint is off a non-empty fiber, F0 first; and ConnectError when the
+    bridge pass cannot close a gap between anchors: a point rejected after
+    every kick (its chord parameter in .t), a piece no shorter than its gap,
+    a gap still open after _EXTRA_DEPTH rounds beyond the
+    ceil(h / _ROUND_LEVELS) that the h halvings of the widest anchor gap
+    need (its midpoint's chord parameter in .t), or a path failing the check
+    validate_path makes with the run's options and endpoints.
+    connect makes that check once per path, from the step norms it already
+    holds, without calling validate_path; a returned path, [F0, F1] too,
+    holds its PathCheck in .check, equal to validate_path(path, path_tol,
+    delta, (F0, F1)), and its arc length over ||F0|| in .report.length, and
+    is deterministic for a fixed seed.
     """
+    _instance(target, FiberTarget, "target")
+    _instance(options, ConnectOptions, "options", optional=True)
     opts = options or ConnectOptions()
     ptol2 = opts.path_tol**2
     ends = []
@@ -617,12 +639,13 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     k = target.k
     report = ConnectReport()
 
-    def checked(path):
-        path.check = validate_path(path, tol=opts.path_tol, delta=opts.delta, endpoints=(F0, F1))
+    def checked(path, steps):
+        # validate_path's kernel on the checked endpoints; steps are the path's step norms
+        path.check = _check_path(path, steps, scale, opts.path_tol, opts.delta, (F0, F1))
         return path.check
 
-    def validated(path):
-        if not checked(path):
+    def validated(path, steps):
+        if not checked(path, steps):
             raise ConnectError(f"traced path failed validation: {path.check.message}", t=None)
         return path
 
@@ -630,7 +653,8 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     chord = float(np.linalg.norm(F1 - F0))
     if chord <= close:
         report.length = chord / scale
-        return validated(FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report))
+        path = FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report)
+        return validated(path, path.step_norms())
 
     # the eigenstep route projects nothing; a pair it does not take, or a
     # path of it that fails validation, goes to the symmetry stage and bridge
@@ -640,7 +664,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         arr, seg, rounds = traced
         routed = ConnectReport(route="eigensteps", levels=rounds, length=float(np.sum(seg)) / scale)
         path = FramePath(_arc_times(seg), arr, target, routed)
-        if checked(path):
+        if checked(path, seg):
             return path
 
     # one sample rule: a bridge point, a kicked retry or an unwind sample is
@@ -748,4 +772,4 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             raise ConnectError("bridging made no progress between fiber points", t=t_mid)
 
     report.length = float(np.sum(seg)) / scale
-    return validated(FramePath(_arc_times(seg), arr, target, report))
+    return validated(FramePath(_arc_times(seg), arr, target, report), seg)

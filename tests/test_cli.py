@@ -405,22 +405,29 @@ class TestConnect:
         assert (float(lines["max_residual"]), float(lines["max_step"])) == (chk.max_residual, chk.max_step)
 
     def test_path_is_validated_once(self, tmp_path, capsys, monkeypatch):
-        # the wrapper replaces every package binding of validate_path, as the
-        # perfbench tracer does, so a second check through any of them counts
+        # connect checks its path once, with the private kernel of
+        # validate_path, and the CLI reads that check; the wrapper replaces
+        # every package binding of validate_path, as the perfbench tracer
+        # does, so a call through any of them counts
         t, tfile, files = funtf_files(tmp_path, seeds=(0, 1))
-        real = homotopy.validate_path
-        calls = []
+        real, kernel = homotopy.validate_path, homotopy._check_path
+        calls, checks = [], []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
+        def counted_check(*args):
+            checks.append(1)
+            return kernel(*args)
+
         for name, module in list(sys.modules.items()):
             if name.startswith("fiberframe") and getattr(module, "validate_path", None) is real:
                 monkeypatch.setattr(module, "validate_path", counted)
+        monkeypatch.setattr(homotopy, "_check_path", counted_check)
         code, _, _ = run(capsys, "connect", files[0], files[1], tfile, "--out", str(tmp_path / "p.jsonl"))
         assert code == 0
-        assert len(calls) == 1
+        assert len(checks) == 1 and calls == []
 
     def test_bridge_failure_reports_t(self, tmp_path, capsys, monkeypatch):
         # every projection comes back doubled, off the fiber, as in

@@ -861,6 +861,54 @@ class TestEigenstepRoute:
         assert path.report.route == "bridge"
         assert validate_path(path, endpoints=(F0, F1))
 
+    @pytest.mark.parametrize(
+        "scalar,seed",
+        [(True, 0), (True, 3), (True, 5), (True, 8), (False, 0), (False, 2), (False, 4), (False, 5), (False, 8)],
+    )
+    def test_rule_at_its_gap_floor(self, monkeypatch, scalar, seed):
+        # the pair's smallest interlacing gap that the fiber does not force,
+        # from the spectra of the partial frame operators S_n alone: the
+        # gaps lam_{n,1} - lam_{n-1,1}, lam_{n-1,1} - lam_{n,2} and
+        # lam_{n,2} - lam_{n-1,2} of n = 2 .. N, where for a scalar S the
+        # first two of n = N are forced (0). A floor just below it takes the
+        # route and one just above refuses it, so the rule neither drops a
+        # gap nor tests a forced one. On funtf(2, 5) the seeds put the
+        # smallest gap in each of the three kinds, at n = 2, 3 and 4; on
+        # diag(2, 1)/N = 3 in each kind at n = 2 and in two kinds at n = 3
+        if scalar:
+            target = FiberTarget.funtf(2, 5)
+        else:
+            target = FiberTarget(operator=np.diag([2.0, 1.0]).astype(complex), norms_sq=np.ones(3))
+        F0, F1 = _pair(target, seed, seed + 10)
+        N, gaps = target.N, []
+        for F in (F0, F1):
+            lam = [np.linalg.eigvalsh(F[:, :n] @ F[:, :n].conj().T)[::-1] for n in range(1, N + 1)]
+            for n in range(1, N):
+                new, old = lam[n], lam[n - 1]
+                step = [new[0] - old[0], old[0] - new[1], new[1] - old[1]]
+                gaps += step[2:] if scalar and n == N - 1 else step
+        gap, trace = min(gaps), float(np.sum(target.norms_sq))
+        assert gap > 1e-6 * trace
+        for factor, routed in ((0.999, True), (1.001, False)):
+            monkeypatch.setattr(homotopy, "_EIGENSTEP_GAP_RTOL", factor * gap / trace)
+            assert (homotopy._eigenstep_segment(F0, F1, target) is not None) == routed
+
+    def test_route_checks_each_endpoint_once(self, monkeypatch):
+        # connect checks each endpoint against the target once, and its path
+        # check takes the checked frames instead of checking them again
+        t = FiberTarget.funtf(2, 5)
+        F0, F1 = _pair(t, 0, 1)
+        real, calls = homotopy._target_frame, []
+
+        def counted(F, target):
+            calls.append(1)
+            return real(F, target)
+
+        monkeypatch.setattr(homotopy, "_target_frame", counted)
+        path = connect(F0, F1, t)
+        assert path.report.route == "eigensteps"
+        assert len(calls) == 2
+
     @k2_fibers
     def test_steps_average_near_delta(self, target):
         # the sampler places samples at equal arc length of the segment, so a

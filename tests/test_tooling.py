@@ -231,6 +231,19 @@ def test_admissibility_is_derived_where_a_certificate_is_first_needed():
         assert sorted(imported & {"_admissibility", "is_admissible"}) == [], path
 
 
+def test_path_check_kernel_has_two_callers():
+    # validate_path checks its arguments and calls the kernel; connect holds
+    # its arguments checked and calls the kernel once per path. No package
+    # code calls validate_path, so nothing checks a path twice
+    kernel, public = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kernel |= {f"{path.stem}.{caller}" for caller in _callers(tree, "_check_path")}
+        public |= {f"{path.stem}.{caller}" for caller in _callers(tree, "validate_path")}
+    assert sorted(kernel) == ["homotopy.connect.checked", "homotopy.validate_path"]
+    assert public == set()
+
+
 def test_flows_solves_its_normal_system_in_one_function():
     # _normal_preimage builds the system once and _solve solves it, for the
     # Newton step and for its second-order correction; a new right-hand side
