@@ -60,6 +60,12 @@ def _tolerance(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
+def _positive(value, name: str) -> None:
+    """ValueError unless value is a finite real number > 0; a bool is not one."""
+    if not _real_number(value) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _non_negative_int(value, name: str) -> None:
     """ValueError unless value is an integer >= 0; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:

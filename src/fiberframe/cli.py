@@ -3,7 +3,7 @@
 Subcommands: check, construct, tighten, connect, equiv. Global flags --seed,
 --tol, --quiet, --json apply to every subcommand; --tol is always in norm
 units (membership and convergence use its square as the residual bound) and
-must be finite and >= 0.
+must be finite and >= 0 (> 0 for connect), and --seed an integer >= 0.
 Exit codes: 0 success, 1 a check or computation failed, 2 usage or I/O error.
 """
 
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import _tolerance
+from ._linalg import _non_negative_int, _positive, _tolerance
 from .core import _bounds_or_none, _funtf, norms_squared
 from .errors import ConnectError, InadmissibleError, OffFiberError
 from .fiber import FiberTarget
@@ -181,6 +181,7 @@ def _cmd_construct(args, out: _Output) -> int:
 
 
 def _cmd_tighten(args, out: _Output) -> int:
+    _non_negative_int(args.max_iters, "--max-iters")
     if args.out:
         _check_out(args.out, frame_file=True)
     F0 = read_frame(args.frame)
@@ -223,6 +224,8 @@ def _cmd_tighten(args, out: _Output) -> int:
 
 
 def _cmd_connect(args, out: _Output) -> int:
+    _positive(args.tol, "--tol")
+    _positive(args.delta, "--delta")
     _check_out(args.out, frame_file=False)
     F0 = read_frame(args.frame_from)
     F1 = read_frame(args.frame_to)
@@ -275,6 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _tolerance(args.tol, "--tol")
+        _non_negative_int(args.seed, "--seed")
         out = _Output(args)
         code = args.handler(args, out)
     except InadmissibleError as exc:

@@ -46,6 +46,7 @@ with S only up to the widths of its eigenvalue clusters) is dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ from ._linalg import (
     _finite_array,
     _instance,
     _non_negative_int,
-    _real_number,
+    _positive,
     polar_unitary,
     unitary_log_factors,
 )
@@ -123,12 +124,6 @@ _SIGNS.setflags(write=False)
 _PILOT_PIECES = 8
 _PILOT_DIVISOR = 2
 _REGRID_MARGIN = 1.05
-
-
-def _positive(value, name: str) -> None:
-    """ValueError unless value is a finite real number > 0; a bool is not one."""
-    if not _real_number(value) or not 0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ class FramePath:
             )
         if abs(t[0]) > 1e-15 or abs(t[-1] - 1.0) > 1e-15:
             raise ValueError("times must start at 0 and end at 1")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("times must be strictly increasing")
         self.times, self.frames = t, Fs
 
@@ -227,7 +222,7 @@ class FramePath:
         return _phi(*_gaps(self.frames, self.target))
 
     def step_norms(self) -> np.ndarray:
-        return _frobenius(np.diff(self.frames, axis=0))
+        return _frobenius(self.frames[1:] - self.frames[:-1])
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,7 @@ def validate_path(path: FramePath, tol=ConnectOptions.path_tol, delta=ConnectOpt
         except (TypeError, ValueError):
             raise ValueError("endpoints must be a pair (F0, F1)") from None
         endpoints = _target_frame(F0, path.target), _target_frame(F1, path.target)
-    return _check_path(path, path.step_norms(), float(np.linalg.norm(path.frames[0])), tol, delta, endpoints)
+    return _check_path(path, path.step_norms(), _norm(path.frames[0]), tol, delta, endpoints)
 
 
 def _check_path(path: FramePath, steps: np.ndarray, scale: float, tol: float, delta: float, endpoints) -> PathCheck:
@@ -274,8 +269,8 @@ def _check_path(path: FramePath, steps: np.ndarray, scale: float, tol: float, de
     steps are the path's step norms as FramePath.step_norms computes them,
     scale is ||F_0|| and endpoints is None or the pair of checked frames.
     """
-    max_res = float(np.max(path.residuals()))
-    max_step = float(np.max(steps))
+    max_res = float(path.residuals().max())
+    max_step = float(steps.max())
     step_limit = delta * scale
     problems = []
     # not <=: a NaN residual (a frame made non-finite after the path was built) fails
@@ -284,8 +279,8 @@ def _check_path(path: FramePath, steps: np.ndarray, scale: float, tol: float, de
     if max_step > step_limit * (1.0 + 1e-9):
         problems.append(f"step {max_step:.3e} exceeds delta * ||F_0|| = {step_limit:.3e}")
     if endpoints is not None:
-        d0 = np.linalg.norm(path.frames[0] - endpoints[0])
-        d1 = np.linalg.norm(path.frames[-1] - endpoints[1])
+        d0 = _norm(path.frames[0] - endpoints[0])
+        d1 = _norm(path.frames[-1] - endpoints[1])
         if max(d0, d1) > COINCIDE_RTOL * scale:
             problems.append("endpoints do not match the requested frames")
     return PathCheck(
@@ -309,6 +304,11 @@ def _block_procrustes(A: np.ndarray, B: np.ndarray, blocks) -> np.ndarray:
         M = A[b] @ B[b].conj().T
         V[b, b] = polar_unitary(M) if len(M) > 1 else np.exp(1j * np.angle(M))
     return V
+
+
+def _angle(z: np.ndarray) -> np.ndarray:
+    """np.angle(z) of a complex array by its own formula, without its Python wrapper."""
+    return np.arctan2(z.imag, z.real)
 
 
 def _column_angles(F0: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -349,6 +349,13 @@ def _block_log(V: np.ndarray, blocks):
         if b.stop - b.start > 1:
             Z[b, b], theta[b] = unitary_log_factors(V[b, b])
     return Z, theta
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of one complex array, summed as np.linalg.norm sums it, without its Python wrapper."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _frobenius(D: np.ndarray) -> np.ndarray:
@@ -426,17 +433,17 @@ def _eigenstep_segment(F0, F1, target: FiberTarget):
     U, r = target._spectral[1], target.norms_sq
     # the columns g_n of both endpoints in the eigenbasis, (2, N, 2), and
     # the partial operators S_n, (2, N, 2, 2), with their spectra in closed form
-    G = (Uh @ np.stack([F0, F1])).swapaxes(1, 2)
-    P = np.cumsum(G[..., :, None] * G[..., None, :].conj(), axis=1)
+    G = (Uh @ np.array([F0, F1])).swapaxes(1, 2)
+    P = (G[..., :, None] * G[..., None, :].conj()).cumsum(axis=1)
     d0, d1 = P[..., 0, 0].real, P[..., 1, 1].real
     tr, rad = d0 + d1, np.hypot(0.5 * (d0 - d1), np.abs(P[..., 0, 1]))
     # the larger eigensteps as read (hi[0]) and with the forced ones exact
     # (hi[1]), and the smaller ones, the partial traces less them
     read = 0.5 * tr + rad
-    hi = np.stack([read, read])
+    hi = np.array([read, read])
     top = hi[1]
     top[:, forced_at] = forced
-    lo = np.stack([tr - read, R - top])
+    lo = np.array([tr - read, R - top])
     # the interlacing gaps lam_{n,1} - lam_{n-1,1}, lam_{n-1,1} - lam_{n,2}
     # and lam_{n,2} - lam_{n-1,2} of n = 2 .. N in one pass; the first two of
     # n = N are forced for a scalar S and left out. V_n, n = 2 .. nw + 1, are
@@ -445,7 +452,7 @@ def _eigenstep_segment(F0, F1, target: FiberTarget):
     gaps = np.concatenate(
         [hi[..., 1 : nw + 1] - hi[..., :nw], hi[..., :nw] - lo[..., 1 : nw + 1], lo[..., 1:] - lo[..., :-1]], axis=-1
     )
-    if not np.min(gaps) > _EIGENSTEP_GAP_RTOL * trace:
+    if not gaps.min() > _EIGENSTEP_GAP_RTOL * trace:
         return None
     # (lam_{n,i} - S_{n-1})^-1 = ((lam_{n,i} - trace S_{n-1}) I + S_{n-1}) / det,
     # and det is > 0 for i = 1 and < 0 for i = 2
@@ -455,7 +462,9 @@ def _eigenstep_segment(F0, F1, target: FiberTarget):
     # the column norms as np.linalg.norm sums them
     Y *= _SIGNS / np.sqrt(np.add.reduce((Y.conj() * Y).real, axis=-2, keepdims=True))
     u = G[:, 0] / np.sqrt(tr[:, :1])
-    V = np.concatenate([_first_basis(u)[:, None], Y], axis=1)
+    V = np.empty((2, nw + 1, 2, 2), dtype=complex)
+    V[:, 0] = _first_basis(u)
+    V[:, 1:] = Y
     # a_n = V_{n-1}* g_n
     Vc = V[:, : N - 1].conj()
     a = Vc[..., 0, :] * G[:, 1:, :1] + Vc[..., 1, :] * G[:, 1:, 1:]
@@ -463,40 +472,47 @@ def _eigenstep_segment(F0, F1, target: FiberTarget):
     # the motion: the great circle of u and the shortest arcs of the phases
     cos = np.vdot(u[0], u[1]).real
     e = u[1] - cos * u[0]
-    sin = float(np.linalg.norm(e))
+    sin = _norm(e)
     e = e / sin if sin > 0 else 1j * u[0]
     arc = np.arctan2(sin, cos)
     a0 = np.where(a[0] == 0, a[1], a[0])
     a1 = np.where(a[1] == 0, a0, a[1])
-    psi, turn = np.angle(a0), np.angle(a1 * a0.conj())
+    psi, turn = _angle(a0), _angle(a1 * a0.conj())
     if not scalar:
-        v0, v1 = np.diagonal(V[:, -1], axis1=1, axis2=2)
-        alpha, twist = np.angle(v0), np.angle(v1 * v0.conj())
+        v0, v1 = V[:, -1].diagonal(axis1=1, axis2=2)
+        alpha, twist = _angle(v0), _angle(v1 * v0.conj())
+    rise, root1 = top[1] - top[0], np.sqrt(r[0])
 
     def frames(s):
-        m = len(s)
-        us = np.cos(arc * s)[:, None] * u[0] + np.sin(arc * s)[:, None] * e
+        m, sc = len(s), s[:, None]
+        turned = arc * sc
+        us = np.cos(turned) * u[0] + np.sin(turned) * e
         ls = np.empty((m, N, 2))
-        ls[..., 0] = top[0] + s[:, None] * (top[1] - top[0])
+        ls[..., 0] = top[0] + sc * rise
         ls[..., 1] = R - ls[..., 0]
         p, q = ls[:, :-1], ls[:, 1:]
         mod2 = np.maximum(-(p - q[..., :1]) * (p - q[..., 1:]) / (p - p[..., ::-1]), 0.0)
-        x = np.sqrt(mod2) * np.exp(1j * (psi + s[:, None, None] * turn))
+        x = np.sqrt(mod2) * np.exp(1j * (psi + sc[..., None] * turn))
         # W_n for the nw steps of the chain: columns x / (q_i - p), whose
-        # squared norms are the sums of mod2 / (q_i - p)^2
+        # squared norms are the sums of mod2 / (q_i - p)^2; V_n = V_{n-1} W_n
+        # is _mul2's sum, written in place from W's two rows
         den = q[:, :nw, None, :] - p[:, :nw, :, None]
         t = mod2[:, :nw, :, None] / den**2
         W = x[:, :nw, :, None] / (den * np.sqrt(t[..., :1, :] + t[..., 1:, :]))
+        W0, W1 = W[..., None, 0, :], W[..., None, 1, :]
         Vs = np.empty((m, nw + 1, 2, 2), dtype=complex)
         Vs[:, 0] = _first_basis(us)
         for n in range(nw):
-            Vs[:, n + 1] = _mul2(Vs[:, n], W[:, n])
+            Vn = Vs[:, n]
+            np.add(Vn[..., :1] * W0[:, n], Vn[..., 1:] * W1[:, n], out=Vs[:, n + 1])
+        # g_n = V_{n-1} a_n, n >= 2, summed as _mul2 sums it
         Gs = np.empty((m, 2, N), dtype=complex)
-        Gs[:, :, 0] = np.sqrt(r[0]) * us
-        Gs[:, :, 1:] = _mul2(Vs[:, : N - 1], x[..., None]).squeeze(-1).swapaxes(1, 2)
+        Gs[:, :, 0] = root1 * us
+        Vx = Vs[:, : N - 1]
+        np.add(Vx[..., 0] * x[..., None, 0], Vx[..., 1] * x[..., None, 1], out=Gs[:, :, 1:].swapaxes(1, 2))
         if scalar:
             return _mul2(U, Gs)
-        D = np.exp(1j * (alpha + s[:, None] * twist))
+        D = np.exp(1j * (alpha + sc * twist))
         return _mul2(_mul2(U, D[:, :, None] * Vs[:, -1].conj().swapaxes(1, 2)), Gs)
 
     return frames
@@ -507,6 +523,13 @@ def _cuts(gap: np.ndarray, m: np.ndarray):
     rep = np.repeat(gap, m - 1)
     f = (np.arange(rep.size) + 1 - np.repeat(np.cumsum(m - 1) - (m - 1), m - 1)) / np.repeat(m, m - 1)
     return rep, f
+
+
+def _grid(stop: float, m: int) -> np.ndarray:
+    """np.linspace(0.0, stop, m + 1) by the operations it makes, without its Python wrapper; m >= 1, stop > 0."""
+    s = np.arange(m + 1) * (stop / m)
+    s[-1] = stop
+    return s
 
 
 def _trace_segment(segment, F0, F1, step: float):
@@ -522,11 +545,11 @@ def _trace_segment(segment, F0, F1, step: float):
     samples of every round. None when steps stay wider than step after
     1 + _EXTRA_DEPTH rounds.
     """
-    arr, s = np.stack([F0, F1]), np.array([0.0, 1.0])
-    seg = _frobenius(np.diff(arr, axis=0))
+    arr, s = np.array([F0, F1]), np.array([0.0, 1.0])
+    seg = _frobenius(arr[1:] - arr[:-1])
     rounds = 0
     while True:
-        gap = np.flatnonzero(seg > step)
+        gap = (seg > step).nonzero()[0]
         if not gap.size:
             return arr, seg, rounds
         if rounds > _EXTRA_DEPTH:
@@ -535,23 +558,33 @@ def _trace_segment(segment, F0, F1, step: float):
         if rounds <= 2:
             # the pilot and the regrid resample the whole segment
             if rounds == 1:
-                m = max(_PILOT_PIECES, int(np.ceil(seg[0] / (_PILOT_DIVISOR * step))))
-                s = np.linspace(0.0, 1.0, m + 1)
+                m = max(_PILOT_PIECES, math.ceil(seg[0] / (_PILOT_DIVISOR * step)))
+                s = _grid(1.0, m)
             else:
-                arc = np.concatenate([[0.0], np.cumsum(seg)])
-                m = int(np.ceil(_REGRID_MARGIN * arc[-1] / step))
-                s = np.interp(np.linspace(0.0, arc[-1], m + 1), arc, s)
-            arr = np.concatenate([F0[None], segment(s[1:-1]), F1[None]])
+                arc = _arc(seg)
+                m = math.ceil(_REGRID_MARGIN * arc[-1] / step)
+                s = np.interp(_grid(arc[-1], m), arc, s)
+            arr = np.empty((m + 1,) + F0.shape, dtype=complex)
+            arr[0], arr[1:-1], arr[-1] = F0, segment(s[1:-1]), F1
         else:
             rep, f = _cuts(gap, np.ceil(seg[gap] / step).astype(int))
             sm = s[rep] + f * (s[rep + 1] - s[rep])
             arr, s = np.insert(arr, rep + 1, segment(sm), axis=0), np.insert(s, rep + 1, sm)
-        seg = _frobenius(np.diff(arr, axis=0))
+        seg = _frobenius(arr[1:] - arr[:-1])
+
+
+def _arc(seg: np.ndarray) -> np.ndarray:
+    """The cumulative arc length 0, seg_0, seg_0 + seg_1, ... of the steps seg."""
+    arc = np.empty(seg.size + 1)
+    arc[0] = 0.0
+    seg.cumsum(out=arc[1:])
+    return arc
 
 
 def _arc_times(seg: np.ndarray) -> np.ndarray:
     """Sample times 0 .. 1 proportional to the arc length of the steps seg."""
-    times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
+    times = _arc(seg)
+    times[1:] /= seg.sum()
     times[-1] = 1.0
     return times
 
@@ -633,7 +666,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
             raise OffFiberError(f"F{index} is off the fiber: residual {phi:.3e} > {ptol2:.3e}", index, phi)
     F0, F1 = ends
 
-    scale = float(np.linalg.norm(F0))
+    scale = _norm(F0)
     delta_abs = opts.delta * scale
     rng = None
     k = target.k
@@ -650,10 +683,10 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
         return path
 
     close = COINCIDE_RTOL * scale
-    chord = float(np.linalg.norm(F1 - F0))
+    chord = _norm(F1 - F0)
     if chord <= close:
         report.length = chord / scale
-        path = FramePath(np.array([0.0, 1.0]), np.stack([F0, F1]), target, report)
+        path = FramePath(np.array([0.0, 1.0]), np.array([F0, F1]), target, report)
         return validated(path, path.step_norms())
 
     # the eigenstep route projects nothing; a pair it does not take, or a
@@ -662,7 +695,7 @@ def connect(F0, F1, target: FiberTarget, options: ConnectOptions | None = None) 
     traced = None if segment is None else _trace_segment(segment, F0, F1, delta_abs)
     if traced is not None:
         arr, seg, rounds = traced
-        routed = ConnectReport(route="eigensteps", levels=rounds, length=float(np.sum(seg)) / scale)
+        routed = ConnectReport(route="eigensteps", levels=rounds, length=float(seg.sum()) / scale)
         path = FramePath(_arc_times(seg), arr, target, routed)
         if checked(path, seg):
             return path

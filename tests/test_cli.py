@@ -566,6 +566,33 @@ class TestErrors:
         assert err.startswith("error:") and named in err
         assert "status" not in out and "on_fiber" not in out and "equivalent" not in out
 
+    @pytest.mark.parametrize(
+        "command,before,after,flag",
+        [("construct", ("--seed", "-1"), (), "--seed"), ("connect", ("--seed", "-1"), (), "--seed"),
+         ("connect", ("--tol", "0"), (), "--tol"), ("connect", (), ("--delta", "0"), "--delta"),
+         ("tighten", (), ("--max-iters", "-1"), "--max-iters")],
+        ids=["construct_seed", "connect_seed", "connect_tol", "connect_delta", "tighten_max_iters"],
+    )
+    def test_bad_numeric_flag_is_named_before_work(self, tmp_path, capsys, monkeypatch, command, before, after, flag):
+        # the error names the flag, not a library argument, and comes before
+        # any file is read or any frame built, so no --out file is written
+        def unreachable(*args, **kwargs):
+            raise AssertionError("worked before the flag was checked")
+
+        _t, tfile, (f0, f1) = funtf_files(tmp_path, seeds=(0, 1))
+        for route in ("read_frame", "construct_frame"):
+            monkeypatch.setattr(cli, route, unreachable)
+        outfile = tmp_path / ("p.jsonl" if command == "connect" else "out.json")
+        operands = {
+            "construct": ("--lambda", "2", "1", "--r", "1", "1", "1"),
+            "connect": (f0, f1, tfile),
+            "tighten": (f0, "--target", tfile),
+        }[command]
+        code, _out, err = run(capsys, *before, command, *operands, *after, "--out", str(outfile))
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be ")
+        assert not outfile.exists()
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("command,name", [("construct", "x.txt"), ("tighten", "y.npy")])
     def test_bad_out_extension_is_rejected_before_work(self, tmp_path, capsys, monkeypatch, command, name, as_json):

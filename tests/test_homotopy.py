@@ -46,6 +46,26 @@ def _pair(target, seed_a, seed_b):
     )
 
 
+def _chord_within_delta_pair():
+    """A funtf(2, 4) pair whose chord is within delta ||F0||: F1 a small column-phase image of F0."""
+    t = FiberTarget.funtf(2, 4)
+    F0 = random_frame_on_fiber(t, seed=0)
+    return t, F0, F0 * np.exp(0.01j * np.array([1.0, -1.0, 2.0, 0.5]))
+
+
+@pytest.fixture(scope="module")
+def speed_spike_pair():
+    """The first funtf(2, 5) pair whose eigenstep segment's speed in its last 1% is 4 times its mean."""
+    t = FiberTarget.funtf(2, 5)
+    s = np.linspace(0.0, 1.0, 1001)
+    for a in range(200):
+        F0, F1 = _pair(t, a, a + 1)
+        speed = np.linalg.norm(np.diff(homotopy._eigenstep_segment(F0, F1, t)(s), axis=0), axis=(1, 2))
+        if np.max(speed[-10:]) >= 4 * np.mean(speed):
+            return t, F0, F1
+    pytest.fail("no pair with a speed spike in the last 1% of the segment")
+
+
 # clustered spectra, a spread operator and norms at the majorization boundary
 hard_fibers = pytest.mark.parametrize(
     "target",
@@ -920,19 +940,11 @@ class TestEigenstepRoute:
             assert path.report.route == "eigensteps"
             assert np.mean(path.step_norms()) >= 0.85 * ConnectOptions.delta * np.linalg.norm(F0)
 
-    def test_speed_spike_reaches_the_local_cuts(self):
+    def test_speed_spike_reaches_the_local_cuts(self, speed_spike_pair):
         # a segment whose speed ||dF/ds|| near s = 1 is several times its mean:
         # the arc-length regrid leaves steps there wider than delta, and local
         # cuts (rounds 3 and on) close them within the route's rounds
-        t = FiberTarget.funtf(2, 5)
-        s = np.linspace(0.0, 1.0, 1001)
-        for a in range(200):
-            F0, F1 = _pair(t, a, a + 1)
-            speed = np.linalg.norm(np.diff(homotopy._eigenstep_segment(F0, F1, t)(s), axis=0), axis=(1, 2))
-            if np.max(speed[-10:]) >= 4 * np.mean(speed):
-                break
-        else:
-            pytest.fail("no pair with a speed spike in the last 1% of the segment")
+        t, F0, F1 = speed_spike_pair
         path = connect(F0, F1, t)
         assert path.report.route == "eigensteps"
         assert 3 <= path.report.levels <= 1 + homotopy._EXTRA_DEPTH
@@ -941,15 +953,30 @@ class TestEigenstepRoute:
     def test_chord_within_delta_is_the_path(self):
         # F1 a small column-phase image of F0: the chord is within
         # delta ||F0|| already, so the route evaluates nothing
-        t = FiberTarget.funtf(2, 4)
-        F0 = random_frame_on_fiber(t, seed=0)
-        F1 = F0 * np.exp(0.01j * np.array([1.0, -1.0, 2.0, 0.5]))
+        t, F0, F1 = _chord_within_delta_pair()
         chord = np.linalg.norm(F1 - F0)
         assert COINCIDE_RTOL * np.linalg.norm(F0) < chord <= ConnectOptions.delta * np.linalg.norm(F0)
         path = connect(F0, F1, t)
         assert path.report == ConnectReport(route="eigensteps", levels=0)
         assert len(path) == 2 and np.array_equal(path.frames, np.stack([F0, F1]))
         assert path.report.length == chord / np.linalg.norm(F0)
+
+    @pytest.mark.parametrize("case", ["chord_within_delta", "speed_spike"])
+    def test_exit_check_and_length_match_the_path(self, case, request):
+        # the early return builds [F0, F1] and the local cuts insert into
+        # each round's samples; both keep the path's own check and arc length
+        # bit for bit, the numbers validate_path and step_norms give
+        if case == "chord_within_delta":
+            t, F0, F1 = _chord_within_delta_pair()
+            path = connect(F0, F1, t)
+            assert path.report.levels == 0
+        else:
+            t, F0, F1 = request.getfixturevalue("speed_spike_pair")
+            path = connect(F0, F1, t)
+            assert path.report.levels >= 3
+        assert path.report.route == "eigensteps"
+        assert path.check == validate_path(path, endpoints=(F0, F1))
+        assert path.report.length == np.sum(path.step_norms()) / np.linalg.norm(F0)
 
     def test_route_out_of_rounds_takes_the_bridge(self, monkeypatch):
         # with no rounds beyond its first the route leaves steps wider than
@@ -973,6 +1000,38 @@ class TestEigenstepRoute:
         bridged = connect(F0, F1, t)
         assert path.report.route == "bridge" and path.report == bridged.report
         assert np.array_equal(path.frames, bridged.frames)
+
+
+class TestRouteHelpersMatchNumpy:
+    """The route's wrapper-free helpers compute numpy's values bit for bit."""
+
+    def test_grid_is_linspace(self):
+        rng = np.random.default_rng(0)
+        stops = np.concatenate([np.geomspace(1e-8, 1e3, 12), 10.0 ** rng.uniform(-8, 3, 12), [1.0]])
+        for stop in stops:
+            for m in range(1, 301):
+                assert homotopy._grid(stop, m).tobytes() == np.linspace(0.0, stop, m + 1).tobytes(), (stop, m)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 4), (3, 7), (4, 16), (8, 64), (16, 128)])
+    def test_norm_is_linalg_norm(self, shape):
+        rng = np.random.default_rng(shape[1])
+        F0, F1 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        for X in (F0, 1e-5 * F1, 1e3 * F0, F1 - F0):
+            assert homotopy._norm(X) == np.linalg.norm(X)
+
+    def test_angle_is_np_angle(self):
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        z[:4] = [0.0, -1.0, 1j, -0.0 - 1j]
+        assert homotopy._angle(z).tobytes() == np.angle(z).tobytes()
+
+    def test_arc_times_is_its_concatenate_form(self):
+        rng = np.random.default_rng(2)
+        for size in range(1, 201):
+            seg = rng.uniform(0.01, 1.0, size) * 10.0 ** rng.uniform(-6, 3)
+            times = np.concatenate([[0.0], np.cumsum(seg) / np.sum(seg)])
+            times[-1] = 1.0
+            assert homotopy._arc_times(seg).tobytes() == times.tobytes(), size
 
 
 class TestConnectRecovery:

@@ -244,6 +244,35 @@ def test_path_check_kernel_has_two_callers():
     assert public == set()
 
 
+def test_eigenstep_route_calls_no_numpy_wrapper():
+    # every connect-k2 op runs these functions (frames() nested in
+    # _eigenstep_segment) and the helpers they call; each numpy function
+    # below is a Python-level wrapper around work that a method, a ufunc or
+    # a private helper does bit for bit for less, so a new call of one puts
+    # its overhead back on every op
+    wrappers = {"np.stack", "np.linspace", "np.diff", "np.flatnonzero", "np.angle", "np.linalg.norm"}
+    wrappers |= {"np.max", "np.sum", "np.min"}
+    route = {"_eigenstep_segment", "_trace_segment", "_arc_times", "_check_path", "FramePath.__post_init__"}
+    route |= {"_arc", "_grid", "_norm", "_angle", "_first_basis", "_mul2", "_frobenius", "_cuts"}
+    tree = ast.parse((SRC / "homotopy.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    bodies |= {
+        f"{cls.name}.{node.name}": node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted(route - bodies.keys()) == []
+    calls = {
+        (name, ast.unparse(node.func))
+        for name in route
+        for node in ast.walk(bodies[name])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in wrappers
+    }
+    assert sorted(calls) == []
+
+
 def test_flows_solves_its_normal_system_in_one_function():
     # _normal_preimage builds the system once and _solve solves it, for the
     # Newton step and for its second-order correction; a new right-hand side
